@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+import typing
 from dataclasses import dataclass, fields as dataclass_fields
 from typing import Optional
 
@@ -26,8 +26,6 @@ from .errors import (
 )
 from .manifold import ChartManifold, make_manifold, list_manifolds
 from .mapspace import MapField, TangentField, load_field, save_field
-
-_ENV_THREADS = "MAPGEOM_THREADS"
 
 SUBCOMMANDS = (
     "list-manifolds",
@@ -65,17 +63,6 @@ class RunConfig:
     instances: int = 100
     seed: int = 0
     tolerance: Optional[float] = None
-    threads: int = 0  # 0 = hardware default
-
-
-def _default_threads() -> int:
-    env = os.environ.get(_ENV_THREADS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         field={"help": "tangent field JSON (values + vecs)"},
         steps={"type": int, "help": "RK4 steps (default 1000)"},
         output={"help": "output map-field JSON"},
-        threads={"type": int},
     )
     add(
         "log",
@@ -109,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         steps={"type": int},
         tolerance={"type": float, "help": "shooting endpoint tolerance (default 1e-10)"},
         output={"help": "output tangent-field JSON"},
-        threads={"type": int},
     )
     add(
         "distance",
@@ -119,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
         steps={"type": int},
         tolerance={"type": float},
         output={"help": "optional JSON with the distance"},
-        threads={"type": int},
     )
     add(
         "geodesic",
@@ -130,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         output={"help": "trajectory JSON"},
         report={"help": "diagnostics JSON"},
         report_csv={"help": "diagnostics CSV (time, energy, residual, drift)"},
-        threads={"type": int},
     )
     add(
         "curvature",
@@ -140,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
         k={"help": "tangent field JSON"},
         l={"help": "tangent field JSON"},
         output={"help": "output tangent-field JSON"},
-        threads={"type": int},
     )
     add(
         "verify",
@@ -149,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
         instances={"type": int},
         seed={"type": int},
         output={"help": "oracle report JSON"},
-        threads={"type": int},
     )
     add(
         "reparam",
@@ -159,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
         steps={"type": int},
         seed={"type": int},
         output={"help": "report JSON"},
-        threads={"type": int},
     )
     add(
         "transport",
@@ -169,9 +149,18 @@ def build_parser() -> argparse.ArgumentParser:
         base={"help": "base map-field JSON (submersion mode)"},
         map={"help": "rearranged map-field JSON (submersion mode)"},
         output={"help": "report JSON"},
-        threads={"type": int},
     )
     return parser
+
+
+def _check_config_value(key: str, value, declared):
+    """Reject a config-file value whose JSON type does not fit its RunConfig field."""
+    allowed = typing.get_args(declared) or (declared,)  # Optional[X] -> (X, NoneType)
+    if float in allowed:
+        allowed += (int,)  # a JSON integer is a valid float
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        names = " or ".join(t.__name__ for t in allowed if t is not type(None))
+        raise ValueError(f"config entry {key!r} must be {names}, got {json.dumps(value)}")
 
 
 def parse_config(argv, config_file: Optional[str] = None) -> RunConfig:
@@ -192,11 +181,12 @@ def parse_config(argv, config_file: Optional[str] = None) -> RunConfig:
         if not isinstance(file_values, dict):
             raise ValueError("config file must hold a JSON object")
     config = RunConfig(subcommand=ns.subcommand)
-    known = {f.name for f in dataclass_fields(RunConfig)}
+    types = typing.get_type_hints(RunConfig)
     for key, value in file_values.items():
         attr = key.replace("-", "_")
-        if attr not in known or attr == "subcommand":
+        if attr not in types or attr == "subcommand":
             raise ValueError(f"unknown config entry {key!r}")
+        _check_config_value(key, value, types[attr])
         setattr(config, attr, value)
     for f in dataclass_fields(RunConfig):
         if f.name == "subcommand":
@@ -204,14 +194,11 @@ def parse_config(argv, config_file: Optional[str] = None) -> RunConfig:
         cli_value = getattr(ns, f.name, None)
         if cli_value is not None:
             setattr(config, f.name, cli_value)
-    if config.threads == 0:
-        config.threads = _default_threads()
-    for attr in ("steps", "snapshots", "steps_per_snapshot", "instances", "threads"):
+    for attr in ("steps", "snapshots", "steps_per_snapshot", "instances"):
         value = getattr(config, attr)
-        if int(value) < 1:
+        if value < 1:
             raise ValueError(f"option {attr} must be positive, got {value}")
-        setattr(config, attr, int(value))
-    if config.tolerance is not None and not (float(config.tolerance) > 0.0):
+    if config.tolerance is not None and not (config.tolerance > 0.0):
         raise ValueError(f"option tolerance must be positive, got {config.tolerance}")
     return config
 
@@ -318,9 +305,7 @@ def run(config: RunConfig) -> int:
     if cmd == "verify":
         _require(config, "manifold")
         man = make_manifold(config.manifold)
-        reports = verification.standard_checks(
-            man, instances=config.instances, seed=config.seed, threads=config.threads
-        )
+        reports = verification.standard_checks(man, instances=config.instances, seed=config.seed)
         print(verification.format_report_table(reports))
         if config.output:
             _write_json([r.to_json() for r in reports], config.output)
@@ -377,7 +362,7 @@ def run(config: RunConfig) -> int:
             doc = {"w2_cost": solved.cost, "permutation": solved.perm.tolist()}
             print(f"w2 cost (assignment solver): {solved.cost!r}")
             if mu.size <= 8:
-                brute = transport.wasserstein2_bruteforce(mu, nu, threads=config.threads)
+                brute = transport.wasserstein2_bruteforce(mu, nu)
                 doc["w2_cost_bruteforce"] = brute.cost
                 print(f"w2 cost (brute force):       {brute.cost!r}")
             print(f"optimal permutation: {solved.perm.tolist()}")

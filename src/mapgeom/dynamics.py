@@ -20,10 +20,7 @@ import numpy as np
 
 from .errors import FieldMismatchError, ShootingError
 from .manifold import (
-    ChartManifold,
-    EmbeddedManifold,
     Manifold,
-    _gamma_pair,
     integrate_spray,
     spray_accel,
     transport_along_samples,
@@ -140,10 +137,7 @@ def _diagnose(path: FieldPath, xs: np.ndarray, vs: np.ndarray) -> GeodesicReport
         residual[1:-1] = diff.reshape(T - 2, -1).max(axis=1)
         residual[0] = residual[1]
         residual[-1] = residual[-2]
-    if isinstance(man, EmbeddedManifold):
-        drift = np.array([float(np.max(man.residual(x))) for x in xs])
-    else:
-        drift = np.zeros(T)
+    drift = np.array([float(np.max(man.residual(x))) for x in xs])
     interior_max = float(residual[1:-1].max()) if T >= 3 else 0.0
     return GeodesicReport(
         times=path.times,
@@ -193,13 +187,7 @@ def covariant_derivative_along_path(
     dstack = np.gradient(stack, path.times, axis=0, edge_order=2)
     out = []
     for j in range(path.snapshots):
-        x = path.maps[j].values
-        if isinstance(man, ChartManifold):
-            vec = dstack[j] + _gamma_pair(
-                man.christoffel_eval(x), path.velocities[j].vecs, stack[j]
-            )
-        else:
-            vec = man.project(x, dstack[j])
+        vec = man.connector(path.maps[j].values, stack[j], path.velocities[j].vecs, dstack[j])
         out.append(TangentField(path.maps[j], vec))
     return out
 
@@ -217,72 +205,72 @@ def parallel_transport_field(path: FieldPath, v0: TangentField) -> TangentField:
 # log map by shooting
 
 
-def _tangent_bases(man: EmbeddedManifold, points: np.ndarray) -> np.ndarray:
-    """Per-sample orthonormal tangent bases, shape (m, d, k)."""
-    P = np.asarray(man.tangent_projector(points))
-    u, s, _ = np.linalg.svd(P)
-    return u[..., :, : man.intrinsic_dim]
-
-
 def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray,
            steps: int, tol: float, max_iter: int):
-    """Damped Newton on initial velocities, batched over samples."""
-    m, n = x0.shape
-    if isinstance(man, EmbeddedManifold):
-        basis = _tangent_bases(man, x0)  # (m, n, k)
-        z = np.einsum("sik,si->sk", basis, v_init)
-        to_vec = lambda zz: np.einsum("sik,sk->si", basis, zz)
-    else:
-        basis = None
-        z = v_init.copy()
-        to_vec = lambda zz: zz
+    """Damped Newton on initial velocities, batched over samples.
 
-    def residual(zz):
-        end, _ = integrate_spray(man, x0, to_vec(zz), steps)
-        return end - target
-
-    r = residual(z)
-    rmax = np.max(np.abs(r), axis=1)
+    Each sample accepts its own line-search step: halving continues only
+    for the samples whose residual did not improve.  A sample is frozen
+    once it converges or its line search fails, so one stuck sample
+    neither stalls the others nor is blamed for them.
+    """
+    basis = man.tangent_basis(x0)  # (m, n, k)
+    z = np.einsum("sik,si->sk", basis, v_init)
     k = z.shape[1]
+
+    def residual(rows, zz):
+        end, _ = integrate_spray(man, x0[rows], np.einsum("sik,sk->si", basis[rows], zz), steps)
+        return end - target[rows]
+
+    r = residual(np.arange(x0.shape[0]), z)
+    rmax = np.max(np.abs(r), axis=1)
+    stuck = np.zeros(x0.shape[0], dtype=bool)
     for _ in range(max_iter):
-        if np.all(rmax <= tol):
+        active = np.flatnonzero((rmax > tol) & ~stuck)
+        if active.size == 0:
             break
-        delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(z), axis=1))
-        J = np.empty((m, r.shape[1], k))
+        za = z[active]
+        delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(za), axis=1))
+        J = np.empty((active.size, r.shape[1], k))
         for c in range(k):
-            zp = z.copy()
-            zm = z.copy()
+            zp = za.copy()
+            zm = za.copy()
             zp[:, c] += delta
             zm[:, c] -= delta
-            J[:, :, c] = (residual(zp) - residual(zm)) / (2.0 * delta[:, None])
+            J[:, :, c] = (residual(active, zp) - residual(active, zm)) / (2.0 * delta[:, None])
         JtJ = np.einsum("sic,sid->scd", J, J)
-        Jtr = np.einsum("sic,si->sc", J, r)
+        Jtr = np.einsum("sic,si->sc", J, r[active])
         try:
             step = np.linalg.solve(JtJ, Jtr[..., None])[..., 0]
         except np.linalg.LinAlgError:
             JtJ = JtJ + 1e-12 * np.eye(k)
             step = np.linalg.solve(JtJ, Jtr[..., None])[..., 0]
         alpha = 1.0
-        best = None
+        pending = np.ones(active.size, dtype=bool)  # over active: not yet improved
         for _ in range(20):
-            z_try = z - alpha * step
-            r_try = residual(z_try)
+            idx = np.flatnonzero(pending)
+            rows = active[idx]
+            z_try = za[idx] - alpha * step[idx]
+            r_try = residual(rows, z_try)
             r_try_max = np.max(np.abs(r_try), axis=1)
-            if np.max(r_try_max) < np.max(rmax):
-                best = (z_try, r_try, r_try_max)
+            better = r_try_max < rmax[rows]
+            z[rows[better]] = z_try[better]
+            r[rows[better]] = r_try[better]
+            rmax[rows[better]] = r_try_max[better]
+            pending[idx[better]] = False
+            if not pending.any():
                 break
             alpha *= 0.5
-        if best is None:
-            break
-        z, r, rmax = best
-    if np.any(rmax > tol):
-        bad = int(np.argmax(rmax > tol))
+        stuck[active[pending]] = True
+    bad = np.flatnonzero(rmax > tol)
+    if bad.size:
+        listing = ", ".join(f"{i} (residual {rmax[i]:.3e})" for i in bad)
         raise ShootingError(
-            f"log shooting did not converge at sample {bad} "
-            f"(residual {rmax[bad]:.3e} > {tol:.1e})",
-            sample=bad,
+            f"log shooting did not converge at sample{'s' if bad.size > 1 else ''} "
+            f"{listing}; tolerance {tol:.1e}",
+            sample=int(bad[0]),
         )
-    return to_vec(z)
+    return np.einsum("sik,sk->si", basis, z)
 
 
 def log_field(q0: MapField, q1: MapField, steps: int = 1000,
@@ -300,10 +288,8 @@ def log_field(q0: MapField, q1: MapField, steps: int = 1000,
     man = q0.manifold
     if man.closed_form_log is not None:
         v = np.asarray(man.closed_form_log(q0.values, q1.values), dtype=float)
-    elif isinstance(man, EmbeddedManifold):
-        v = man.project(q0.values, q1.values - q0.values)
     else:
-        v = q1.values - q0.values
+        v = man.project(q0.values, q1.values - q0.values)
     v[np.all(q0.values == q1.values, axis=1)] = 0.0
     v = _shoot(man, q0.values, q1.values, v, steps, tol, max_iter)
     return TangentField(q0, v)

@@ -7,11 +7,33 @@ Two representations of a target manifold are supported:
 * :class:`EmbeddedManifold` works with ambient coordinates, an orthogonal
   tangent projector, and a retraction for drift control.
 
+Both classes offer the same pointwise interface, and every operator in
+this package reaches the target only through it.  Each method is batched
+over leading axes of ``(..., n)`` point arrays:
+
+* ``point_dim`` -- length n of a point's coordinate vector;
+* ``valid(x)`` -- per-point membership (chart domain, or the embedding
+  constraint within tolerance); ``require_valid(x, what)`` raises
+  :class:`ChartBoundaryError` or :class:`OffManifoldError` instead;
+* ``residual(x)`` -- embedding-constraint residual (zero for charts);
+* ``inner(x, h, k)`` -- the metric g_x(h, k);
+* ``project(x, v)`` -- orthogonal projection onto the tangent space (the
+  identity for charts); ``tangent_basis(x)`` -- an orthonormal basis of it
+  (the coordinate basis for charts);
+* ``accel(x, v)`` -- the vertical part of the geodesic spray;
+* ``connector(x, h, k, l)`` -- the connector of (x, h; k, l);
+* ``transport_rhs(x, xdot, X)`` -- the parallel transport equation;
+* ``post_step(x_prev, x, v)`` -- drift control after an integrator step:
+  retract the rows of x that moved and re-project v there (a no-op for
+  charts).
+
 Sign conventions: ``christoffel`` callbacks return the classical
 Levi-Civita symbols of the metric, the covariant derivative acts as
 ``DY.X + Gamma(X, Y)`` in coordinates, geodesics solve
 ``q'' + Gamma(q', q') = 0``, and the connector maps ``(x, h; k, l)`` to
-``(x, l + Gamma(k, h))``.
+``(x, l + Gamma(k, h))``.  On an embedded target the connector is the
+tangent projection of l, and the spray and transport equations use the
+derivative of the tangent projector.
 
 All manifold callbacks are vectorized: a point argument has shape
 ``(..., n)`` and results carry the same leading axes.  Use
@@ -20,7 +42,7 @@ All manifold callbacks are vectorized: a point argument has shape
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -142,6 +164,40 @@ class ChartManifold:
             return np.asarray(self.christoffel_jacobian(x))
         return _central_diff(self.christoffel_eval, x)
 
+    @property
+    def point_dim(self) -> int:
+        return self.dim
+
+    valid = in_domain
+
+    def require_valid(self, x, what: str):
+        if not np.all(self.in_domain(x)):
+            raise ChartBoundaryError(f"chart boundary: {what} outside the chart domain")
+
+    def residual(self, x) -> np.ndarray:
+        return np.zeros(np.shape(x)[:-1])
+
+    def inner(self, x, h, k) -> np.ndarray:
+        return np.einsum("...ij,...i,...j->...", np.asarray(self.metric(x)), h, k)
+
+    def project(self, x, v) -> np.ndarray:
+        return np.asarray(v, dtype=float)
+
+    def tangent_basis(self, x) -> np.ndarray:
+        return np.broadcast_to(np.eye(self.dim), np.shape(x)[:-1] + (self.dim, self.dim))
+
+    def accel(self, x, v) -> np.ndarray:
+        return -_gamma_pair(self.christoffel_eval(x), v, v)
+
+    def connector(self, x, h, k, l) -> np.ndarray:
+        return np.asarray(l, dtype=float) + _gamma_pair(self.christoffel_eval(x), k, h)
+
+    def transport_rhs(self, x, xdot, X) -> np.ndarray:
+        return -_gamma_pair(self.christoffel_eval(x), xdot, X)
+
+    def post_step(self, x_prev, x, v):
+        return x, v
+
     def random_points(self, rng, m: int) -> np.ndarray:
         if self.sample_box is None:
             raise ValueError("manifold has no sample_box for random sweeps")
@@ -181,16 +237,49 @@ class EmbeddedManifold:
     def on_manifold(self, p) -> np.ndarray:
         return self.residual(p) <= self.on_manifold_tol
 
+    @property
+    def point_dim(self) -> int:
+        return self.ambient_dim
+
+    valid = on_manifold
+
+    def require_valid(self, p, what: str):
+        if not np.all(self.on_manifold(p)):
+            raise OffManifoldError(
+                f"point off manifold: embedding residual of {what} above tolerance"
+            )
+
+    def inner(self, p, h, k) -> np.ndarray:
+        return np.einsum("...i,...i->...", h, k)
+
     def project(self, p, v) -> np.ndarray:
         P = np.asarray(self.tangent_projector(np.asarray(p, dtype=float)))
         return np.einsum("...ij,...j->...i", P, np.asarray(v, dtype=float))
 
+    def tangent_basis(self, p) -> np.ndarray:
+        """Orthonormal tangent bases, shape (..., ambient_dim, intrinsic_dim)."""
+        u, _, _ = np.linalg.svd(np.asarray(self.tangent_projector(np.asarray(p, dtype=float))))
+        return u[..., :, : self.intrinsic_dim]
+
+    def accel(self, p, v) -> np.ndarray:
+        return _projector_derivative(self, p, v, v)
+
+    def connector(self, p, h, k, l) -> np.ndarray:
+        return self.project(p, l)
+
+    def transport_rhs(self, p, pdot, X) -> np.ndarray:
+        return _projector_derivative(self, p, pdot, X)
+
+    def post_step(self, p_prev, p, v):
+        # retract only rows that moved, so zero-velocity samples stay
+        # bitwise fixed
+        moved = np.any(p != p_prev, axis=-1)[..., None]
+        p = np.where(moved, self.retract(p), p)
+        return p, np.where(moved, self.project(p, v), v)
+
     def retract(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         return np.asarray(self.retraction(p, np.zeros_like(p)))
-
-    def tangency_residual(self, p, v) -> np.ndarray:
-        return np.max(np.abs(self.project(p, v) - np.asarray(v)), axis=-1)
 
     def random_points(self, rng, m: int) -> np.ndarray:
         if self.sample_points is None:
@@ -278,62 +367,45 @@ def _gamma_pair(gamma, a, b) -> np.ndarray:
     return np.einsum("...ijk,...j,...k->...i", gamma, a, b)
 
 
+def _projector_derivative(man: EmbeddedManifold, p, w, X) -> np.ndarray:
+    """(DP(p)[w]) X from a central difference of the tangent projector along w."""
+    p = np.asarray(p, dtype=float)
+    w = np.asarray(w, dtype=float)
+    delta = _fd_scale(p) / np.maximum(1.0, np.max(np.abs(w), axis=-1))
+    step = delta[..., None] * w
+    Pp = np.asarray(man.tangent_projector(p + step))
+    Pm = np.asarray(man.tangent_projector(p - step))
+    dP = (Pp - Pm) / (2.0 * delta[..., None, None])
+    return np.einsum("...ij,...j->...i", dP, X)
+
+
 # ---------------------------------------------------------------------------
 # connector
 
 
-def connector_apply(man: ChartManifold, xi: SecondTangentVector) -> TangentVector:
-    """Connector of the Levi-Civita derivative in chart coordinates.
+def connector(man: Manifold, xi: SecondTangentVector) -> TangentVector:
+    """Connector of the Levi-Civita derivative at one point of the target.
 
-    Maps (x, h; k, l) to the tangent vector l + Gamma(k, h) at x.
+    Maps (x, h; k, l) to the tangent vector l + Gamma(k, h) at x in a chart,
+    and to the tangent projection of l on an embedded target.  A base point
+    off the target raises ChartBoundaryError or OffManifoldError.
     """
     x = np.asarray(xi.base, dtype=float)
-    if not np.all(man.in_domain(x)):
-        raise ChartBoundaryError("chart boundary: connector base point outside domain")
-    gamma = man.christoffel_eval(x)
-    return TangentVector(x, np.asarray(xi.dvec, dtype=float) + _gamma_pair(gamma, xi.dbase, xi.vec))
+    man.require_valid(x, "connector base point")
+    return TangentVector(x, man.connector(x, xi.vec, xi.dbase, xi.dvec))
 
 
-def connector_apply_embedded(man: EmbeddedManifold, xi: SecondTangentVector) -> TangentVector:
-    """Ambient connector followed by the orthogonal tangent projection."""
-    p = np.asarray(xi.base, dtype=float)
-    if not np.all(man.on_manifold(p)):
-        raise OffManifoldError("point off manifold: embedding residual above tolerance")
-    return TangentVector(p, man.project(p, xi.dvec))
-
-
-def connector(man: Manifold, xi: SecondTangentVector) -> TangentVector:
-    """Representation-dispatching connector."""
-    if isinstance(man, ChartManifold):
-        return connector_apply(man, xi)
-    return connector_apply_embedded(man, xi)
+# the representation-specific spellings of the same function
+connector_apply = connector_apply_embedded = connector
 
 
 # ---------------------------------------------------------------------------
 # geodesic spray and exponential map
 
 
-def _chart_accel(man: ChartManifold, x, v) -> np.ndarray:
-    return -_gamma_pair(man.christoffel_eval(x), v, v)
-
-
-def _embedded_accel(man: EmbeddedManifold, x, v) -> np.ndarray:
-    """Geodesic acceleration (DP(x)[v]) v from differentiating the projector."""
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    delta = _fd_scale(x) / np.maximum(1.0, np.max(np.abs(v), axis=-1))
-    step = delta[..., None] * v
-    Pp = np.asarray(man.tangent_projector(x + step))
-    Pm = np.asarray(man.tangent_projector(x - step))
-    dP = (Pp - Pm) / (2.0 * delta[..., None, None])
-    return np.einsum("...ij,...j->...i", dP, v)
-
-
 def spray_accel(man: Manifold, x, v) -> np.ndarray:
     """Vertical part of the geodesic spray at (x, v)."""
-    if isinstance(man, ChartManifold):
-        return _chart_accel(man, x, v)
-    return _embedded_accel(man, x, v)
+    return man.accel(x, v)
 
 
 def spray_eval(man: Manifold, v: TangentVector) -> SecondTangentVector:
@@ -352,11 +424,7 @@ def _first_bad_index(ok: np.ndarray):
 
 
 def _check_state(man: Manifold, x, t: float):
-    finite = np.all(np.isfinite(x), axis=-1)
-    if isinstance(man, ChartManifold):
-        ok = finite & man.in_domain(x)
-    else:
-        ok = finite & man.on_manifold(x)
+    ok = np.all(np.isfinite(x), axis=-1) & man.valid(x)
     if not np.all(ok):
         raise DomainExitError(
             f"geodesic left domain at t={t:.6g}", time=t, sample=_first_bad_index(ok)
@@ -368,15 +436,15 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
 
     Returns ``(x, v)`` at t = 1, or the stacked snapshot arrays
     ``(xs, vs)`` (leading time axis) when ``record_every`` is given.
-    Embedded targets are retracted after every step and the velocity is
-    re-projected onto the tangent space.
+    After every step the target's ``post_step`` controls drift: embedded
+    targets are retracted and the velocity is re-projected onto the
+    tangent space.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
     _check_state(man, x, 0.0)
-    embedded = isinstance(man, EmbeddedManifold)
     dt = 1.0 / steps
     snaps = None
     if record_every is not None:
@@ -394,14 +462,7 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
         v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         t = (s + 1) * dt
         _check_state(man, x_new, t)
-        if embedded:
-            # retract only rows that moved, so zero-velocity samples stay
-            # bitwise fixed
-            moved = np.any(x_new != x, axis=-1)
-            retracted = man.retract(x_new)
-            x_new = np.where(moved[..., None], retracted, x_new)
-            v = np.where(moved[..., None], man.project(x_new, v), v)
-        x = x_new
+        x, v = man.post_step(x, x_new, v)
         if snaps is not None and (s + 1) % record_every == 0:
             snaps[0].append(x.copy())
             snaps[1].append(v.copy())
@@ -429,8 +490,7 @@ def curvature_point(man: ChartManifold, x, h, k, l) -> np.ndarray:
     curvature +1.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(man.in_domain(x)):
-        raise ChartBoundaryError("chart boundary: curvature base point outside domain")
+    man.require_valid(x, "curvature base point")
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
     l = np.asarray(l, dtype=float)
@@ -465,16 +525,7 @@ def sectional_curvature(man: ChartManifold, x, h, k) -> np.ndarray:
 
 def transport_ode_rhs(man: Manifold, x, xdot, X) -> np.ndarray:
     """Right-hand side of the parallel transport equation d X / ds."""
-    if isinstance(man, ChartManifold):
-        return -_gamma_pair(man.christoffel_eval(x), xdot, X)
-    x = np.asarray(x, dtype=float)
-    xdot = np.asarray(xdot, dtype=float)
-    delta = _fd_scale(x) / np.maximum(1.0, np.max(np.abs(xdot), axis=-1))
-    step = delta[..., None] * xdot
-    Pp = np.asarray(man.tangent_projector(x + step))
-    Pm = np.asarray(man.tangent_projector(x - step))
-    dP = (Pp - Pm) / (2.0 * delta[..., None, None])
-    return np.einsum("...ij,...j->...i", dP, X)
+    return man.transport_rhs(x, xdot, X)
 
 
 def transport_along_samples(man: Manifold, points: np.ndarray, v0: np.ndarray) -> np.ndarray:
@@ -486,7 +537,6 @@ def transport_along_samples(man: Manifold, points: np.ndarray, v0: np.ndarray) -
     """
     points = np.asarray(points, dtype=float)
     X = np.array(v0, dtype=float)
-    embedded = isinstance(man, EmbeddedManifold)
     for i in range(points.shape[0] - 1):
         p0 = points[i]
         chord = points[i + 1] - p0
@@ -499,11 +549,10 @@ def transport_along_samples(man: Manifold, points: np.ndarray, v0: np.ndarray) -
         k3 = rhs(0.5, X + 0.5 * k2)
         k4 = rhs(1.0, X + k3)
         X = X + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if embedded:
-            # re-project only rows that moved, keeping stationary samples
-            # bitwise fixed
-            moved = np.any(chord != 0.0, axis=-1)
-            X = np.where(moved[..., None], man.project(points[i + 1], X), X)
+        # re-project only rows that moved, keeping stationary samples
+        # bitwise fixed; the path points are given, so nothing is retracted
+        moved = np.any(chord != 0.0, axis=-1)
+        X = np.where(moved[..., None], man.project(points[i + 1], X), X)
     return X
 
 
@@ -516,12 +565,8 @@ def parallel_transport_point(man: Manifold, curve: np.ndarray, v0: np.ndarray) -
     curve = np.asarray(curve, dtype=float)
     if curve.ndim != 2:
         raise ValueError("curve must be a (S, n) array of points")
-    if isinstance(man, ChartManifold):
-        if not np.all(man.in_domain(curve)):
-            raise DomainExitError("curve left domain", sample=None)
-    else:
-        if not np.all(man.on_manifold(curve)):
-            raise DomainExitError("curve left domain", sample=None)
+    if not np.all(man.valid(curve)):
+        raise DomainExitError("curve left domain", sample=None)
     return transport_along_samples(man, curve, np.asarray(v0, dtype=float))
 
 

@@ -20,12 +20,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import FieldMismatchError, LiftError, NotVerticalError, OffManifoldError
+from .errors import ChartBoundaryError, FieldMismatchError, LiftError, NotVerticalError
 from .manifold import (
     ChartManifold,
     EmbeddedManifold,
     Manifold,
-    _gamma_pair,
     curvature_point,
     integrate_spray,
     make_manifold,
@@ -132,16 +131,15 @@ class MapField:
         if vals.ndim != 2 or vals.shape[0] != self.domain.size:
             raise ValueError("values must be an (m, n) array matching the domain")
         man = self.manifold
-        if isinstance(man, ChartManifold):
-            if vals.shape[1] != man.dim:
-                raise ValueError("value dimension does not match the chart dimension")
-            if not np.all(man.in_domain(vals)):
-                raise ValueError("map values leave the chart domain")
-        else:
-            if vals.shape[1] != man.ambient_dim:
-                raise ValueError("value dimension does not match the ambient dimension")
-            if not np.all(man.on_manifold(vals)):
-                raise OffManifoldError("point off manifold: map values violate the constraint")
+        if vals.shape[1] != man.point_dim:
+            raise ValueError(
+                f"value dimension {vals.shape[1]} does not match the manifold's {man.point_dim}"
+            )
+        try:
+            man.require_valid(vals, "map values")
+        except ChartBoundaryError as exc:
+            # values outside the chart are bad input, not a failed computation
+            raise ValueError(str(exc)) from None
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -162,11 +160,11 @@ class TangentField:
         v = np.asarray(self.vecs, dtype=float)
         if v.shape != self.base.values.shape:
             raise ValueError("vecs must match the shape of the base values")
-        man = self.base.manifold
-        if isinstance(man, EmbeddedManifold):
-            scale = np.maximum(1.0, np.max(np.abs(v), axis=-1))
-            if np.any(man.tangency_residual(self.base.values, v) > _TANGENCY_TOL * scale):
-                raise ValueError("vecs are not tangent to the embedded manifold")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vecs are not finite")
+        resid = np.max(np.abs(self.base.manifold.project(self.base.values, v) - v), axis=-1)
+        if np.any(resid > _TANGENCY_TOL * np.maximum(1.0, np.max(np.abs(v), axis=-1))):
+            raise ValueError("vecs are not tangent to the embedded manifold")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vecs", v)
@@ -238,11 +236,7 @@ def pointwise_inner(q: MapField, h: TangentField, k: TangentField) -> np.ndarray
     """Per-sample metric values g(h_i, k_i), shape (m,)."""
     _require_based(q, h)
     _require_based(q, k)
-    man = q.manifold
-    if isinstance(man, ChartManifold):
-        g = np.asarray(man.metric(q.values))
-        return np.einsum("sij,si,sj->s", g, h.vecs, k.vecs)
-    return np.einsum("si,si->s", h.vecs, k.vecs)
+    return q.manifold.inner(q.values, h.vecs, k.vecs)
 
 
 def l2_inner(q: MapField, h: TangentField, k: TangentField) -> float:
@@ -309,15 +303,9 @@ def lift_left_composition(fn: Callable, field, manifold: Optional[Manifold] = No
 
 
 def connector_field(xi: SecondTangentField) -> TangentField:
-    """Samplewise connector: (x, h; k, l) -> l + Gamma(k, h) at x."""
-    man = xi.manifold
-    base = MapField(xi.domain, man, xi.base)
-    if isinstance(man, ChartManifold):
-        gamma = man.christoffel_eval(xi.base)
-        vecs = xi.dvec + _gamma_pair(gamma, xi.dbase, xi.vec)
-    else:
-        vecs = man.project(xi.base, xi.dvec)
-    return TangentField(base, vecs)
+    """Samplewise connector: (x, h; k, l) -> l + Gamma(k, h) at x in a chart."""
+    base = MapField(xi.domain, xi.manifold, xi.base)
+    return TangentField(base, xi.manifold.connector(xi.base, xi.vec, xi.dbase, xi.dvec))
 
 
 def spray_field(h: TangentField) -> SecondTangentField:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import GeometryError, MeasureError
-from .manifold import ChartManifold, Manifold
+from .manifold import Manifold
 from .mapspace import MapField
 
 _BRUTE_LIMIT = 8
@@ -109,12 +108,7 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, manifold: Optional[Ma
     x = np.repeat(mu.atoms, n, axis=0)
     y = np.tile(nu.atoms, (n, 1))
     v = np.asarray(manifold.closed_form_log(x, y))
-    if isinstance(manifold, ChartManifold):
-        g = np.asarray(manifold.metric(x))
-        d2 = np.einsum("sij,si,sj->s", g, v, v)
-    else:
-        d2 = np.einsum("si,si->s", v, v)
-    return d2.reshape(n, n)
+    return manifold.inner(x, v, v).reshape(n, n)
 
 
 def assignment_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, perm,
@@ -127,13 +121,11 @@ def assignment_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, perm,
 
 
 def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
-                            manifold: Optional[Manifold] = None,
-                            threads: int = 1) -> Assignment:
+                            manifold: Optional[Manifold] = None) -> Assignment:
     """Exact squared Wasserstein-2 matching by factorial enumeration.
 
     Requires n <= 8 equal-mass atoms on both sides.  Ties are broken by
-    the lexicographically smallest permutation, independent of the thread
-    count.
+    the lexicographically smallest permutation.
     """
     n = _monge_pair(mu, nu)
     if n > _BRUTE_LIMIT:
@@ -141,25 +133,9 @@ def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
     C = _cost_matrix(mu, nu, manifold)
     mass = 1.0 / n
     rows = np.arange(n)
-    perms = list(itertools.permutations(range(n)))
-
-    def scan(block):
-        best_perm, best_cost = None, np.inf
-        for p in block:
-            c = math.fsum((mass * C[rows, p]).tolist())
-            if c < best_cost:
-                best_perm, best_cost = p, c
-        return best_perm, best_cost
-
-    if threads > 1 and len(perms) > 1024:
-        chunk = math.ceil(len(perms) / threads)
-        blocks = [perms[i : i + chunk] for i in range(0, len(perms), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(scan, blocks))
-    else:
-        results = [scan(perms)]
     best_perm, best_cost = None, np.inf
-    for p, c in results:  # in block order, so ties keep the lex-smallest
+    for p in itertools.permutations(range(n)):  # lexicographic, so ties keep the first
+        c = math.fsum((mass * C[rows, p]).tolist())
         if c < best_cost:
             best_perm, best_cost = p, c
     return Assignment(np.asarray(best_perm, dtype=int), best_cost)

@@ -10,7 +10,6 @@ here shares caches or stencils with :mod:`mapgeom.manifold`.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ import numpy as np
 from .errors import ChartBoundaryError
 from .manifold import (
     ChartManifold,
-    EmbeddedManifold,
     Manifold,
     SecondTangentVector,
     _gamma_pair,
@@ -186,9 +184,7 @@ def oracle_first_variation(q: MapField, h: TangentField, k: TangentField, m: Tan
 
 def _random_tangents(man: Manifold, rng, points: np.ndarray, count: int) -> np.ndarray:
     raw = rng.uniform(-1.0, 1.0, size=(count,) + points.shape)
-    if isinstance(man, EmbeddedManifold):
-        return np.stack([man.project(points, r) for r in raw])
-    return raw
+    return np.stack([man.project(points, r) for r in raw])
 
 
 def _connector_vec(man: Manifold, x, h, k, l) -> np.ndarray:
@@ -199,14 +195,13 @@ def _max_rows(err: np.ndarray) -> float:
     return float(np.max(np.abs(err))) if err.size else 0.0
 
 
-def run_axiom_sweep(man: Manifold, instances: int = 100, seed: int = 0, threads: int = 1):
+def run_axiom_sweep(man: Manifold, instances: int = 100, seed: int = 0):
     """Evaluate the four connector axioms on seeded random valid inputs.
 
     Returns one :class:`OracleReport` per axiom (vertical-lift projection,
     linearity for each vector bundle structure, flip symmetry), each at
-    tolerance 1e-10.  Identical seeds give bit-identical reports for any
-    thread count: inputs are drawn once in a fixed order and the
-    evaluation is pure.
+    tolerance 1e-10.  Identical seeds give bit-identical reports: inputs
+    are drawn once in a fixed order and the evaluation is pure.
     """
     if instances < 1:
         raise ValueError("instances must be >= 1")
@@ -216,35 +211,13 @@ def run_axiom_sweep(man: Manifold, instances: int = 100, seed: int = 0, threads:
     a = rng.uniform(-1.0, 1.0, size=(instances, 1))
     b = rng.uniform(-1.0, 1.0, size=(instances, 1))
 
-    def eval_chunk(sl):
-        xs, hs, ks, ls = x[sl], h[sl], k[sl], l[sl]
-        h2s, k2s, l2s, as_, bs = h2[sl], k2[sl], l2[sl], a[sl], b[sl]
-        zero = np.zeros_like(hs)
-        e1 = _connector_vec(man, xs, hs, zero, ks) - ks
-        lhs2 = _connector_vec(man, xs, hs, as_ * ks + bs * k2s, as_ * ls + bs * l2s)
-        rhs2 = as_ * _connector_vec(man, xs, hs, ks, ls) + bs * _connector_vec(
-            man, xs, hs, k2s, l2s
-        )
-        lhs3 = _connector_vec(man, xs, as_ * hs + bs * h2s, ks, as_ * ls + bs * l2s)
-        rhs3 = as_ * _connector_vec(man, xs, hs, ks, ls) + bs * _connector_vec(
-            man, xs, h2s, ks, l2s
-        )
-        e4 = _connector_vec(man, xs, ks, hs, ls) - _connector_vec(man, xs, hs, ks, ls)
-        return (
-            _max_rows(e1),
-            _max_rows(lhs2 - rhs2),
-            _max_rows(lhs3 - rhs3),
-            _max_rows(e4),
-        )
-
-    chunk = max(1, math.ceil(instances / max(1, threads)))
-    slices = [slice(i, min(i + chunk, instances)) for i in range(0, instances, chunk)]
-    if threads > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_chunk, slices))
-    else:
-        results = [eval_chunk(sl) for sl in slices]
-    errs = [max(r[i] for r in results) for i in range(4)]
+    e1 = _connector_vec(man, x, h, np.zeros_like(h), k) - k
+    lhs2 = _connector_vec(man, x, h, a * k + b * k2, a * l + b * l2)
+    rhs2 = a * _connector_vec(man, x, h, k, l) + b * _connector_vec(man, x, h, k2, l2)
+    lhs3 = _connector_vec(man, x, a * h + b * h2, k, a * l + b * l2)
+    rhs3 = a * _connector_vec(man, x, h, k, l) + b * _connector_vec(man, x, h2, k, l2)
+    e4 = _connector_vec(man, x, k, h, l) - _connector_vec(man, x, h, k, l)
+    errs = [_max_rows(e1), _max_rows(lhs2 - rhs2), _max_rows(lhs3 - rhs3), _max_rows(e4)]
     names = [
         "connector_vertical_lift",
         "connector_linear_first_structure",
@@ -263,25 +236,17 @@ def run_axiom_sweep(man: Manifold, instances: int = 100, seed: int = 0, threads:
 def _speed_drift(man: Manifold, rng, count: int, steps: int = 500) -> float:
     x = man.random_points(rng, count)
     v = _random_tangents(man, rng, x, 1)[0]
-    if isinstance(man, ChartManifold):
-        g = np.asarray(man.metric(x))
-        speed = np.sqrt(np.einsum("sij,si,sj->s", g, v, v))
-    else:
-        speed = np.linalg.norm(v, axis=-1)
+    speed = np.sqrt(man.inner(x, v, v))
     v = 0.2 * v / np.maximum(speed, 1e-9)[:, None]
     xs, vs = integrate_spray(man, x, v, steps, record_every=steps // 10)
-    if isinstance(man, ChartManifold):
-        gs = np.asarray(man.metric(xs))
-        energies = np.einsum("tsij,tsi,tsj->ts", gs, vs, vs)
-    else:
-        energies = np.einsum("tsi,tsi->ts", vs, vs)
+    energies = man.inner(xs, vs, vs)
     e0 = energies[0]
     return float(np.max(np.abs(energies - e0) / e0))
 
 
-def standard_checks(man: Manifold, instances: int = 100, seed: int = 0, threads: int = 1):
+def standard_checks(man: Manifold, instances: int = 100, seed: int = 0):
     """The full oracle battery for one registry manifold."""
-    reports = list(run_axiom_sweep(man, instances, seed, threads))
+    reports = list(run_axiom_sweep(man, instances, seed))
     rng = np.random.default_rng(seed + 1)
     if isinstance(man, ChartManifold):
         pts = man.random_points(rng, min(instances, 25))

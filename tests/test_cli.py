@@ -230,6 +230,28 @@ def test_config_rejects_unknown_keys(tmp_path, sphere_files):
     assert "unknown config entry" in err
 
 
+@pytest.mark.parametrize(
+    "entry", [{"seed": "abc"}, {"steps": 2.7}, {"instances": True}, {"field": 7}]
+)
+def test_config_value_of_wrong_type_exit_2(tmp_path, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    code, _, err = run_cli("--config", str(cfg), "exp", "--output", str(tmp_path / "x.json"))
+    assert code == 2
+    (key,) = entry
+    assert f"config entry {key!r}" in err and "Traceback" not in err
+
+
+def test_nonfinite_vecs_exit_2(tmp_path, capsys):
+    doc = {"domain": {"weights": [0.5, 0.5]}, "manifold": "halfplane",
+           "values": [[0.0, 1.0], [0.5, 1.5]], "vecs": [[0.1, 0.2], [float("nan"), 0.0]]}
+    hf = tmp_path / "h.json"
+    hf.write_text(json.dumps(doc))
+    code = main(["exp", "--field", str(hf), "--output", str(tmp_path / "o.json")])
+    assert code == 2
+    assert "vecs are not finite" in capsys.readouterr().err
+
+
 def test_nonpositive_numeric_option_rejected(sphere_files):
     q, h, qf, hf, d = sphere_files
     code, _, err = run_cli("exp", "--field", str(hf), "--output", str(d / "x.json"),
@@ -257,16 +279,6 @@ def test_emitted_field_files_reparse_equal(sphere_files):
 def test_parse_config_in_process():
     cfg = parse_config(["exp", "--field", "f.json", "--output", "o.json", "--steps", "7"])
     assert cfg.subcommand == "exp" and cfg.steps == 7
-    assert cfg.threads >= 1
-
-
-def test_threads_env_var_sets_default(monkeypatch):
-    monkeypatch.setenv("MAPGEOM_THREADS", "3")
-    cfg = parse_config(["list-manifolds"])
-    assert cfg.threads == 3
-    monkeypatch.setenv("MAPGEOM_THREADS", "not-a-number")
-    cfg = parse_config(["list-manifolds"])
-    assert cfg.threads >= 1
 
 
 def test_main_in_process_distance(sphere_files, capsys):

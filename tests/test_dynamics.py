@@ -325,6 +325,22 @@ def test_log_paraboloid_shooting_without_closed_form():
     assert np.max(np.abs(h.vecs - h0.vecs)) < 1e-6
 
 
+def test_log_stuck_sample_does_not_stall_or_hide_behind_others():
+    # sample 0 converges on its own; sample 1 cannot, and only it is named
+    base = np.array([[-0.20100114739577413, 0.4350969891076264, 0.22971085118493967],
+                     [-0.4923236672385574, 0.2967249479799092, 0.33042828807690167]])
+    vecs = np.array([[-0.5401274912111081, -0.3245553006471559, -0.06529357727412843],
+                     [0.6356364202997007, -1.8070916238809076, -1.6982960431266596]])
+    q0 = MapField(circle_domain(2), PARABOLOID, base)
+    q1 = exp_field(TangentField(q0, vecs), steps=100)
+    with pytest.raises(ShootingError) as err:
+        log_field(q0, q1, steps=100)
+    assert err.value.sample == 1
+    assert "sample 0" not in str(err.value) and "sample 1 (residual" in str(err.value)
+    alone = MapField(circle_domain(1), PARABOLOID, base[:1])
+    log_field(alone, MapField(alone.domain, PARABOLOID, q1.values[:1]), steps=100)
+
+
 def test_log_antipodal_reports_sample():
     dom = circle_domain(2)
     q0 = MapField(dom, SPHERE_EMB, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))

@@ -113,15 +113,6 @@ def test_bruteforce_limit_and_monge_guards():
         wasserstein2_bruteforce(uniform_measure([[0.0]]), uniform_measure([[0.0], [1.0]]))
 
 
-def test_bruteforce_threads_deterministic():
-    rng = np.random.default_rng(0)
-    mu = uniform_measure(rng.normal(size=(8, 2)))
-    nu = uniform_measure(rng.normal(size=(8, 2)))
-    a = wasserstein2_bruteforce(mu, nu)
-    b = wasserstein2_bruteforce(mu, nu, threads=4)
-    assert a.cost == b.cost and np.array_equal(a.perm, b.perm)
-
-
 # ---------------------------------------------------------------------------
 # assignment solver vs brute force
 
