@@ -11,7 +11,7 @@ import numpy as np
 from mapgeom import (
     SecondTangentVector,
     TangentVector,
-    connector_apply,
+    connector,
     exp_point,
     list_manifolds,
     make_manifold,
@@ -36,7 +36,7 @@ print(f"  Gamma^y_yy = {gamma[1, 1, 1]}   (analytic: -1/y = -1)")
 # K(x, h; k, l) = l + Gamma(k, h); feeding it a vertical lift returns the
 # second slot untouched
 xi = SecondTangentVector(x, np.array([0.7, -0.2]), np.zeros(2), np.array([1.5, 2.5]))
-print("\nconnector on a vertical lift:", connector_apply(halfplane, xi).vec, "(returns l)")
+print("\nconnector on a vertical lift:", connector(halfplane, xi).vec, "(returns l)")
 
 # --- geodesics on the sphere vs the closed form ------------------------------
 sphere = make_manifold("sphere:r=1.0:rep=embedded")

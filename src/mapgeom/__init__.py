@@ -29,8 +29,6 @@ from .manifold import (
     canonical_flip,
     christoffel_from_metric,
     connector,
-    connector_apply,
-    connector_apply_embedded,
     curvature_point,
     exp_point,
     from_pointwise,

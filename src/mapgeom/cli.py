@@ -8,7 +8,6 @@ codes: 0 success, 1 a computation or check failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import typing
 from dataclasses import dataclass, fields as dataclass_fields
@@ -16,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import dynamics, mapspace, reparam, transport, verification
+from . import dynamics, files, mapspace, reparam, transport, verification
 from .errors import (
     FieldMismatchError,
     GeometryError,
@@ -62,7 +61,7 @@ class RunConfig:
     steps_per_snapshot: int = 100
     instances: int = 100
     seed: int = 0
-    tolerance: Optional[float] = None
+    tolerance: float = dynamics.LOG_TOL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
         base={"help": "base map-field JSON"},
         target={"help": "target map-field JSON"},
         steps={"type": int},
-        tolerance={"type": float, "help": "shooting endpoint tolerance (default 1e-10)"},
+        tolerance={
+            "type": float, "help": f"shooting endpoint tolerance (default {dynamics.LOG_TOL})"
+        },
         output={"help": "output tangent-field JSON"},
     )
     add(
@@ -153,14 +154,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_config_value(key: str, value, declared):
-    """Reject a config-file value whose JSON type does not fit its RunConfig field."""
-    allowed = typing.get_args(declared) or (declared,)  # Optional[X] -> (X, NoneType)
-    if float in allowed:
-        allowed += (int,)  # a JSON integer is a valid float
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        names = " or ".join(t.__name__ for t in allowed if t is not type(None))
-        raise ValueError(f"config entry {key!r} must be {names}, got {json.dumps(value)}")
+def _config_from_json(doc) -> dict:
+    """RunConfig values from a config document, each checked against its field's type."""
+    doc = files.Document(doc, "config")
+    types = typing.get_type_hints(RunConfig)
+    values = {}
+    for key in doc.get():
+        attr = key.replace("-", "_")
+        if attr not in types or attr == "subcommand":
+            raise ValueError(f"unknown config entry {key!r}")
+        allowed = typing.get_args(types[attr]) or (types[attr],)  # Optional[X] -> (X, NoneType)
+        values[attr] = doc.get(key, allowed[0], optional=type(None) in allowed)
+    return values
 
 
 def parse_config(argv, config_file: Optional[str] = None) -> RunConfig:
@@ -171,23 +176,10 @@ def parse_config(argv, config_file: Optional[str] = None) -> RunConfig:
     parser = build_parser()
     ns = parser.parse_args(argv)
     cfg_path = config_file if config_file is not None else ns.config
-    file_values = {}
-    if cfg_path:
-        with open(cfg_path) as fh:
-            try:
-                file_values = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"config file {cfg_path}: line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(file_values, dict):
-            raise ValueError("config file must hold a JSON object")
     config = RunConfig(subcommand=ns.subcommand)
-    types = typing.get_type_hints(RunConfig)
-    for key, value in file_values.items():
-        attr = key.replace("-", "_")
-        if attr not in types or attr == "subcommand":
-            raise ValueError(f"unknown config entry {key!r}")
-        _check_config_value(key, value, types[attr])
-        setattr(config, attr, value)
+    if cfg_path:
+        for attr, value in files.read_json(cfg_path, _config_from_json).items():
+            setattr(config, attr, value)
     for f in dataclass_fields(RunConfig):
         if f.name == "subcommand":
             continue
@@ -198,7 +190,7 @@ def parse_config(argv, config_file: Optional[str] = None) -> RunConfig:
         value = getattr(config, attr)
         if value < 1:
             raise ValueError(f"option {attr} must be positive, got {value}")
-    if config.tolerance is not None and not (config.tolerance > 0.0):
+    if not config.tolerance > 0.0:
         raise ValueError(f"option tolerance must be positive, got {config.tolerance}")
     return config
 
@@ -224,9 +216,8 @@ def _require(config: RunConfig, *names):
 
 
 def _write_json(doc, path):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    """Write a CLI output document (distance, verify, reparam, transport)."""
+    files.write_json(doc, path)
 
 
 def run(config: RunConfig) -> int:
@@ -249,8 +240,7 @@ def run(config: RunConfig) -> int:
         _require(config, "base", "target", "output")
         q0 = _load_map(config.base)
         q1 = _load_map(config.target)
-        tol = config.tolerance if config.tolerance is not None else 1e-10
-        h = dynamics.log_field(q0, q1, steps=config.steps, tol=tol)
+        h = dynamics.log_field(q0, q1, steps=config.steps, tol=config.tolerance)
         save_field(h, config.output)
         print(f"log: wrote {h.size} samples to {config.output}")
         return 0
@@ -259,9 +249,7 @@ def run(config: RunConfig) -> int:
         _require(config, "base", "target")
         q0 = _load_map(config.base)
         q1 = _load_map(config.target)
-        tol = config.tolerance if config.tolerance is not None else 1e-10
-        h = dynamics.log_field(q0, q1, steps=config.steps, tol=tol)
-        dist = float(np.sqrt(mapspace.l2_inner(q0, h, h)))
+        dist = dynamics.geodesic_distance(q0, q1, steps=config.steps, tol=config.tolerance)
         print(repr(dist))
         if config.output:
             _write_json({"distance": dist}, config.output)
@@ -337,14 +325,7 @@ def run(config: RunConfig) -> int:
         print(verification.format_report_table(reports))
         if config.output:
             _write_json(
-                {
-                    "invariance": {
-                        "lhs": inv.lhs,
-                        "rhs": inv.rhs,
-                        "measure_preserving": inv.measure_preserving,
-                    },
-                    "equivariance": [r.to_json() for r in reports],
-                },
+                {"invariance": files.as_json(inv), "equivariance": [r.to_json() for r in reports]},
                 config.output,
             )
         return 0 if ok and invariance_ok else 1
@@ -361,7 +342,7 @@ def run(config: RunConfig) -> int:
             solved = transport.wasserstein2_assignment(mu, nu)
             doc = {"w2_cost": solved.cost, "permutation": solved.perm.tolist()}
             print(f"w2 cost (assignment solver): {solved.cost!r}")
-            if mu.size <= 8:
+            if mu.size <= transport.BRUTE_LIMIT:
                 brute = transport.wasserstein2_bruteforce(mu, nu)
                 doc["w2_cost_bruteforce"] = brute.cost
                 print(f"w2 cost (brute force):       {brute.cost!r}")
@@ -402,7 +383,6 @@ def main(argv=None) -> int:
     except (
         ValueError,
         OSError,
-        json.JSONDecodeError,
         MeasureError,
         FieldMismatchError,
         OffManifoldError,

@@ -11,13 +11,13 @@ by a closed form where the registry target provides one.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from . import files
 from .errors import FieldMismatchError, ShootingError
 from .manifold import (
     Manifold,
@@ -34,6 +34,8 @@ from .mapspace import (
     l2_inner,
     same_manifold,
 )
+
+LOG_TOL = 1e-10  # default shooting endpoint tolerance of the log map
 
 
 @dataclass(frozen=True)
@@ -274,7 +276,7 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
 
 
 def log_field(q0: MapField, q1: MapField, steps: int = 1000,
-              tol: float = 1e-10, max_iter: int = 50) -> TangentField:
+              tol: float = LOG_TOL, max_iter: int = 50) -> TangentField:
     """Inverse of exp_field by per-sample shooting.
 
     Seeds with the target's closed-form log when available, otherwise with
@@ -295,13 +297,14 @@ def log_field(q0: MapField, q1: MapField, steps: int = 1000,
     return TangentField(q0, v)
 
 
-def geodesic_distance(q0: MapField, q1: MapField, steps: int = 1000) -> float:
-    """L2 geodesic distance sqrt(G(log, log)).
+def geodesic_distance(q0: MapField, q1: MapField, steps: int = 1000,
+                      tol: float = LOG_TOL) -> float:
+    """L2 geodesic distance sqrt(G(log, log)), the log shot to ``tol``.
 
     Equals the square root of the weighted sum of squared pointwise
     target-manifold distances.
     """
-    h = log_field(q0, q1, steps=steps)
+    h = log_field(q0, q1, steps=steps, tol=tol)
     return math.sqrt(l2_inner(q0, h, h))
 
 
@@ -319,56 +322,34 @@ def path_to_json(path: FieldPath) -> dict:
     return doc
 
 
-def path_from_json(doc: dict) -> FieldPath:
-    times = np.asarray(doc["times"], dtype=float)
-    maps = tuple(field_from_json(d) for d in doc["maps"])
-    vels = None
-    if doc.get("velocities") is not None:
-        vels = tuple(
-            TangentField(maps[j], np.asarray(v, dtype=float))
-            for j, v in enumerate(doc["velocities"])
-        )
+def path_from_json(doc) -> FieldPath:
+    doc = files.Document(doc, "path")
+    times = doc.get("times", float, 1)
+    maps = tuple(field_from_json(d) for d in doc.each("maps"))
+    vels = doc.get("velocities", float, 3, optional=True)
+    if vels is not None:
+        if len(vels) != len(maps):
+            raise ValueError("malformed path entry 'velocities': one snapshot per map needed")
+        vels = tuple(TangentField(q, v) for q, v in zip(maps, vels))
     return FieldPath(times, maps, vels)
 
 
 def save_path(path: FieldPath, filename):
-    with open(filename, "w") as fh:
-        json.dump(path_to_json(path), fh, sort_keys=True)
-        fh.write("\n")
+    files.write_json(path_to_json(path), filename)
 
 
 def load_path(filename) -> FieldPath:
-    with open(filename) as fh:
-        return path_from_json(json.load(fh))
-
-
-def report_to_json(report: GeodesicReport) -> dict:
-    return {
-        "times": report.times.tolist(),
-        "energy_series": report.energy_series.tolist(),
-        "residual_series": report.residual_series.tolist(),
-        "drift_series": report.drift_series.tolist(),
-        "max_pointwise_geodesic_residual": report.max_pointwise_geodesic_residual,
-        "constraint_drift": report.constraint_drift,
-    }
+    return files.read_json(filename, path_from_json)
 
 
 def save_report_json(report: GeodesicReport, filename):
-    with open(filename, "w") as fh:
-        json.dump(report_to_json(report), fh, sort_keys=True)
-        fh.write("\n")
+    files.write_json(files.as_json(report), filename)
 
 
 def save_report_csv(report: GeodesicReport, filename):
     with open(filename, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["time", "energy", "residual", "drift"])
-        for j in range(report.times.size):
-            writer.writerow(
-                [
-                    repr(float(report.times[j])),
-                    repr(float(report.energy_series[j])),
-                    repr(float(report.residual_series[j])),
-                    repr(float(report.drift_series[j])),
-                ]
-            )
+        series = (report.times, report.energy_series, report.residual_series, report.drift_series)
+        for row in zip(*series):
+            writer.writerow([repr(float(v)) for v in row])

@@ -395,10 +395,6 @@ def connector(man: Manifold, xi: SecondTangentVector) -> TangentVector:
     return TangentVector(x, man.connector(x, xi.vec, xi.dbase, xi.dvec))
 
 
-# the representation-specific spellings of the same function
-connector_apply = connector_apply_embedded = connector
-
-
 # ---------------------------------------------------------------------------
 # geodesic spray and exponential map
 

@@ -13,13 +13,13 @@ index order with exact (error-free) summation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import files
 from .errors import ChartBoundaryError, FieldMismatchError, LiftError, NotVerticalError
 from .manifold import (
     ChartManifold,
@@ -135,6 +135,8 @@ class MapField:
             raise ValueError(
                 f"value dimension {vals.shape[1]} does not match the manifold's {man.point_dim}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("values are not finite")
         try:
             man.require_valid(vals, "map values")
         except ChartBoundaryError as exc:
@@ -213,10 +215,6 @@ class SecondTangentField:
     @property
     def size(self) -> int:
         return self.domain.size
-
-
-def base_map(xi: SecondTangentField) -> MapField:
-    return MapField(xi.domain, xi.manifold, xi.base)
 
 
 # ---------------------------------------------------------------------------
@@ -379,50 +377,42 @@ def embed_tangent_field(h: TangentField, target: EmbeddedManifold) -> TangentFie
 
 def field_to_json(field) -> dict:
     """Serializable dict for a map or tangent field (registry manifolds only)."""
-    if isinstance(field, TangentField):
-        base = field.base
-        vecs = field.vecs
-    elif isinstance(field, MapField):
-        base = field
-        vecs = None
-    else:
+    if not isinstance(field, (MapField, TangentField)):
         raise TypeError("only map and tangent fields have a file format")
+    base = field.base if isinstance(field, TangentField) else field
     if base.manifold.name is None:
         raise ValueError("only registry manifolds can be serialized")
     domain = {"weights": base.domain.weights.tolist()}
     if base.domain.points is not None:
         domain["points"] = base.domain.points.tolist()
     doc = {"domain": domain, "manifold": base.manifold.name, "values": base.values.tolist()}
-    if vecs is not None:
-        doc["vecs"] = vecs.tolist()
+    if isinstance(field, TangentField):
+        doc["vecs"] = field.vecs.tolist()
     return doc
 
 
-def field_from_json(doc: dict, manifold: Optional[Manifold] = None):
-    """Rebuild a map or tangent field from its JSON dict."""
-    try:
-        weights = np.asarray(doc["domain"]["weights"], dtype=float)
-        name = doc["manifold"]
-        values = np.asarray(doc["values"], dtype=float)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed field document: missing {exc}") from exc
-    points = doc["domain"].get("points")
+def field_from_json(doc, manifold: Optional[Manifold] = None):
+    """Rebuild a map or tangent field from its JSON dict.
+
+    ``doc`` may also be a :class:`files.Document`, for a field held inside
+    another document.
+    """
+    if not isinstance(doc, files.Document):
+        doc = files.Document(doc, "field")
     domain = QuadratureDomain(
-        weights, points=None if points is None else np.asarray(points, dtype=float)
+        doc.get("domain.weights", float, 1),
+        points=doc.get("domain.points", float, None, optional=True),
     )
+    name = doc.get("manifold", str)
     man = manifold if manifold is not None else make_manifold(name)
-    q = MapField(domain, man, values)
-    if "vecs" in doc and doc["vecs"] is not None:
-        return TangentField(q, np.asarray(doc["vecs"], dtype=float))
-    return q
+    q = MapField(domain, man, doc.get("values", float, 2))
+    vecs = doc.get("vecs", float, 2, optional=True)
+    return q if vecs is None else TangentField(q, vecs)
 
 
 def save_field(field, path):
-    with open(path, "w") as fh:
-        json.dump(field_to_json(field), fh, sort_keys=True)
-        fh.write("\n")
+    files.write_json(field_to_json(field), path)
 
 
 def load_field(path, manifold: Optional[Manifold] = None):
-    with open(path) as fh:
-        return field_from_json(json.load(fh), manifold=manifold)
+    return files.read_json(path, field_from_json, manifold=manifold)

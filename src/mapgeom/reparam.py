@@ -17,12 +17,12 @@ reparametrization preserves some volume form.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import files
 from .errors import FieldMismatchError
 from .mapspace import (
     MapField,
@@ -204,13 +204,11 @@ def check_equivariance(
 
 
 def load_permutation(path) -> DiscreteDiffeo:
-    """Read a permutation from a JSON array file."""
-    with open(path) as fh:
-        data = json.load(fh)
-    return DiscreteDiffeo(np.asarray(data, dtype=int))
+    """Read a permutation from a JSON array of integer indices."""
+    return files.read_json(
+        path, lambda doc: DiscreteDiffeo(files.Document(doc, "permutation").get(None, int, 1))
+    )
 
 
 def save_permutation(phi: DiscreteDiffeo, path):
-    with open(path, "w") as fh:
-        json.dump(phi.perm.tolist(), fh)
-        fh.write("\n")
+    files.write_json(phi.perm.tolist(), path)

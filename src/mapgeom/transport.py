@@ -11,7 +11,6 @@ geodesic distance on a registry target is available on request.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -19,11 +18,12 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from . import files
 from .errors import GeometryError, MeasureError
 from .manifold import Manifold
 from .mapspace import MapField
 
-_BRUTE_LIMIT = 8
+BRUTE_LIMIT = 8  # largest n the factorial brute force accepts
 _MASS_TOL = 1e-12
 
 
@@ -128,7 +128,7 @@ def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
     the lexicographically smallest permutation.
     """
     n = _monge_pair(mu, nu)
-    if n > _BRUTE_LIMIT:
+    if n > BRUTE_LIMIT:
         raise MeasureError(f"use assignment solver: n={n} exceeds the brute-force limit")
     C = _cost_matrix(mu, nu, manifold)
     mass = 1.0 / n
@@ -182,7 +182,7 @@ def submersion_check(base: MapField, rearranged: MapField,
     l2_cost = assignment_cost(mu, nu, np.arange(n), manifold)
     best = (
         wasserstein2_bruteforce(mu, nu, manifold)
-        if n <= _BRUTE_LIMIT
+        if n <= BRUTE_LIMIT
         else wasserstein2_assignment(mu, nu, manifold)
     )
     if l2_cost < best.cost - 1e-12:
@@ -194,25 +194,14 @@ def submersion_check(base: MapField, rearranged: MapField,
 # measure files
 
 
-def measure_to_json(mu: DiscreteMeasure) -> dict:
-    return {"atoms": mu.atoms.tolist(), "masses": mu.masses.tolist()}
-
-
-def measure_from_json(doc: dict) -> DiscreteMeasure:
-    try:
-        return DiscreteMeasure(
-            np.asarray(doc["atoms"], dtype=float), np.asarray(doc["masses"], dtype=float)
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed measure document: {exc}") from exc
+def measure_from_json(doc) -> DiscreteMeasure:
+    doc = files.Document(doc, "measure")
+    return DiscreteMeasure(doc.get("atoms", float, 2), doc.get("masses", float, 1))
 
 
 def save_measure(mu: DiscreteMeasure, path):
-    with open(path, "w") as fh:
-        json.dump(measure_to_json(mu), fh, sort_keys=True)
-        fh.write("\n")
+    files.write_json(files.as_json(mu), path)
 
 
 def load_measure(path) -> DiscreteMeasure:
-    with open(path) as fh:
-        return measure_from_json(json.load(fh))
+    return files.read_json(path, measure_from_json)

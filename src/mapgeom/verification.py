@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import files
 from .errors import ChartBoundaryError
 from .manifold import (
     ChartManifold,
@@ -45,13 +46,7 @@ class OracleReport:
         return OracleReport(name, err, float(tol), err <= tol, int(count))
 
     def to_json(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "max_abs_error": self.max_abs_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "instance_count": self.instance_count,
-        }
+        return files.as_json(self)
 
 
 def format_report_table(reports) -> str:

@@ -252,6 +252,51 @@ def test_nonfinite_vecs_exit_2(tmp_path, capsys):
     assert "vecs are not finite" in capsys.readouterr().err
 
 
+FLAT_FIELD = {"domain": {"weights": [0.5, 0.5]}, "manifold": "flat:n=2",
+              "values": [[0.0, 1.0], [0.5, 1.5]], "vecs": [[0.1, 0.2], [0.0, 0.3]]}
+MEASURE = {"atoms": [[0.0], [1.0]], "masses": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "flag, text, key",
+    [
+        ("--perm", '{"a": 1}', "permutation document"),
+        ("--perm", "[0, 1.5]", "permutation document"),
+        ("--perm", "[true, false]", "permutation document"),
+        ("--mu", json.dumps({**MEASURE, "masses": "x"}), "'masses'"),
+        ("--field", json.dumps({**FLAT_FIELD, "domain": [0.5, 0.5]}), "'domain'"),
+        ("--field", json.dumps({**FLAT_FIELD, "domain": {"weights": [0.5, 0.5], "points": "ab"}}),
+         "'domain.points'"),
+        ("--field", "not json", "line 1"),
+        ("--field", json.dumps({**FLAT_FIELD, "values": [[0.0, float("nan")], [0.5, 1.5]]}),
+         "values are not finite"),
+        ("--field", json.dumps({**FLAT_FIELD, "manifold": "sphere:r=1.0:rep=embedded",
+                                "values": [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]]}), "values"),
+        ("--mu", json.dumps({**MEASURE, "masses": [0.5, 0.4]}), "masses"),
+        ("--config", '["exp"]', "config document"),
+    ],
+    ids=["perm-object", "perm-float-index", "perm-bools", "measure-masses-string",
+         "field-domain-array", "field-points-string", "field-not-json", "field-nan-values",
+         "field-off-manifold", "measure-not-normalized", "config-not-object"],
+)
+def test_malformed_file_exit_2(tmp_path, capsys, flag, text, key):
+    field, mu, bad = tmp_path / "field.json", tmp_path / "mu.json", tmp_path / "bad.json"
+    field.write_text(json.dumps(FLAT_FIELD))
+    mu.write_text(json.dumps(MEASURE))
+    bad.write_text(text)
+    out = str(tmp_path / "out.json")
+    argv = {
+        "--perm": ["reparam", "--field", str(field), "--perm", str(bad)],
+        "--mu": ["transport", "--mu", str(bad), "--nu", str(mu)],
+        "--field": ["exp", "--field", str(bad), "--output", out],
+        "--config": ["--config", str(bad), "exp", "--field", str(field), "--output", out],
+    }[flag]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(bad) in err and key in err and "Traceback" not in err
+
+
 def test_nonpositive_numeric_option_rejected(sphere_files):
     q, h, qf, hf, d = sphere_files
     code, _, err = run_cli("exp", "--field", str(hf), "--output", str(d / "x.json"),

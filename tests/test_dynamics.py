@@ -396,6 +396,19 @@ def test_path_json_round_trip(tmp_path):
         assert np.array_equal(a.vecs, b.vecs)
 
 
+def test_path_json_malformed_names_nested_key():
+    q0, h0 = sphere_setup(m=2, seed=25)
+    path, _ = integrate_geodesic(q0, h0, snapshots=3, steps_per_snapshot=5)
+    doc = path_to_json(path)
+    doc["maps"][1]["values"] = [[0.0, 0.0, 1.0], [True, 0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"malformed path entry 'maps\[1\]\.values'"):
+        path_from_json(doc)
+    doc = path_to_json(path)
+    doc["velocities"] = doc["velocities"][:2]
+    with pytest.raises(ValueError, match="'velocities'"):
+        path_from_json(doc)
+
+
 def test_report_files(tmp_path):
     q0, h0 = sphere_setup(m=4, seed=23)
     _, report = integrate_geodesic(q0, h0, snapshots=6, steps_per_snapshot=10)

@@ -9,8 +9,7 @@ from mapgeom import (
     SecondTangentVector,
     TangentVector,
     christoffel_from_metric,
-    connector_apply,
-    connector_apply_embedded,
+    connector,
     curvature_point,
     exp_point,
     from_pointwise,
@@ -113,7 +112,7 @@ def test_from_pointwise_wrapper_batches():
 def test_connector_flat_returns_dvec():
     xi = SecondTangentVector(np.array([0.1, 0.2]), np.array([1.0, 2.0]),
                              np.array([3.0, 4.0]), np.array([5.0, 6.0]))
-    out = connector_apply(FLAT2, xi)
+    out = connector(FLAT2, xi)
     assert np.array_equal(out.vec, np.array([5.0, 6.0]))
 
 
@@ -123,7 +122,7 @@ def test_connector_vertical_lift_identity(man):
     x = man.random_points(rng, 1)[0]
     h, k = rng.uniform(-1, 1, size=(2, 2))
     xi = SecondTangentVector(x, h, np.zeros(2), k)
-    out = connector_apply(man, xi)
+    out = connector(man, xi)
     assert np.array_equal(out.vec, k)
 
 
@@ -132,7 +131,7 @@ def test_connector_halfplane_value():
     # correction is Gamma^x_{yx} = -1/y, so the result is (-1, 0)
     xi = SecondTangentVector(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
                              np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    out = connector_apply(HALFPLANE, xi)
+    out = connector(HALFPLANE, xi)
     np.testing.assert_allclose(out.vec, [-1.0, 0.0], atol=1e-14)
 
 
@@ -140,10 +139,10 @@ def test_connector_embedded_projects_dvec():
     pole = np.array([0.0, 0.0, 1.0])
     tangent = np.array([1.0, 0.0, 0.0])
     xi = SecondTangentVector(pole, tangent, tangent, np.array([0.0, 0.0, 5.0]))
-    out = connector_apply_embedded(SPHERE_EMB, xi)
+    out = connector(SPHERE_EMB, xi)
     np.testing.assert_allclose(out.vec, [0.0, 0.0, 0.0], atol=1e-15)
     xi2 = SecondTangentVector(pole, tangent, tangent, np.array([1.0, 2.0, 3.0]))
-    out2 = connector_apply_embedded(SPHERE_EMB, xi2)
+    out2 = connector(SPHERE_EMB, xi2)
     np.testing.assert_allclose(out2.vec, [1.0, 2.0, 0.0], atol=1e-15)
 
 
@@ -152,7 +151,7 @@ def test_connector_embedded_paraboloid_origin():
     l = np.array([0.7, -0.3, 0.9])
     xi = SecondTangentVector(origin, np.array([1.0, 0.0, 0.0]),
                              np.array([0.0, 1.0, 0.0]), l)
-    out = connector_apply_embedded(PARABOLOID, xi)
+    out = connector(PARABOLOID, xi)
     np.testing.assert_allclose(out.vec, [0.7, -0.3, 0.0], atol=1e-15)
 
 
@@ -163,7 +162,7 @@ def test_connector_embedded_paraboloid_origin():
 def test_connector_rejects_chart_boundary():
     xi = SecondTangentVector(np.array([0.0, 5e-4]), np.ones(2), np.ones(2), np.ones(2))
     with pytest.raises(ChartBoundaryError, match="chart boundary"):
-        connector_apply(HALFPLANE, xi)
+        connector(HALFPLANE, xi)
 
 
 def test_connector_embedded_rejects_off_manifold_point():
@@ -171,7 +170,7 @@ def test_connector_embedded_rejects_off_manifold_point():
 
     xi = SecondTangentVector(np.array([0.0, 0.0, 1.5]), np.zeros(3), np.zeros(3), np.ones(3))
     with pytest.raises(OffManifoldError, match="off manifold"):
-        connector_apply_embedded(SPHERE_EMB, xi)
+        connector(SPHERE_EMB, xi)
 
 
 def test_spray_flat():

@@ -16,7 +16,7 @@ from mapgeom import (
     TangentField,
     canonical_flip_field,
     circle_domain,
-    connector_apply,
+    connector,
     connector_field,
     curvature_field,
     embed_map_field,
@@ -94,6 +94,13 @@ def test_map_field_validates_membership():
         MapField(dom, SPHERE_EMB, np.array([[0.0, 0.0, 1.5]]))
     with pytest.raises(ValueError, match="chart domain"):
         MapField(dom, HALFPLANE, np.array([[0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_map_field_rejects_nonfinite_values(bad):
+    dom = QuadratureDomain(np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="values are not finite"):
+        MapField(dom, make_manifold("flat:n=2"), np.array([[0.0, bad], [1.0, 2.0]]))
 
 
 def test_tangent_field_validates_tangency():
@@ -254,7 +261,7 @@ def test_connector_field_single_sample_reduces_to_point_op():
     arrays = rng.uniform(-1, 1, size=(3, 1, 2))
     xi = SecondTangentField(dom, HALFPLANE, x, arrays[0], arrays[1], arrays[2])
     out = connector_field(xi)
-    point = connector_apply(HALFPLANE, SecondTangentVector(x[0], arrays[0, 0],
+    point = connector(HALFPLANE, SecondTangentVector(x[0], arrays[0, 0],
                                                            arrays[1, 0], arrays[2, 0]))
     assert np.array_equal(out.vecs[0], point.vec)
 

@@ -3,8 +3,9 @@
 ``perfbench/tracer.py`` rebinds module functions and wraps the target
 callbacks on copies of each registry manifold.  A refactor that computes
 the spray, the transport equation or a target callback some other way
-would make those per-layer counts read zero; this test catches that
-without a benchmark run.
+would make those per-layer counts read zero, and one file function that
+calls another through a traced name would count the same bytes twice;
+these tests catch both without a benchmark run.
 """
 
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapgeom import dynamics, manifold, mapspace
+from mapgeom import cli, dynamics, manifold, mapspace, reparam, transport
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,3 +61,48 @@ def test_traced_spans_cover_kernels_and_callbacks(tracer_module):
     }
     missing = [pair for pair in REQUIRED.items() if pair not in seen]
     assert not missing, f"no spans with rows for (name, caller) {missing}"
+
+
+IO_SPANS = {
+    "io.save_field", "io.load_field", "io.save_path", "io.save_report_json",
+    "io.save_report_csv", "io.load_measure", "io.load_permutation", "io.write_json",
+}
+
+
+def test_file_spans_count_bytes_and_never_nest(tracer_module, tmp_path):
+    trace = tracer_module.Tracer()
+    uninstall = tracer_module.install(trace)
+    try:
+        rng = np.random.default_rng(1)
+        man = manifold.make_manifold("halfplane")
+        x = man.random_points(rng, 4)
+        q = mapspace.MapField(mapspace.circle_domain(4), man, x)
+        h = mapspace.TangentField(q, rng.uniform(-0.2, 0.2, x.shape))
+        for field, name in ((q, "q.json"), (h, "h.json")):
+            mapspace.save_field(field, tmp_path / name)
+            mapspace.load_field(tmp_path / name)
+        path, report = dynamics.integrate_geodesic(q, h, snapshots=3, steps_per_snapshot=5)
+        dynamics.save_path(path, tmp_path / "path.json")
+        dynamics.load_path(tmp_path / "path.json")
+        dynamics.save_report_json(report, tmp_path / "report.json")
+        dynamics.save_report_csv(report, tmp_path / "report.csv")
+        transport.save_measure(transport.DiscreteMeasure(x, np.full(4, 0.25)), tmp_path / "mu.json")
+        transport.load_measure(tmp_path / "mu.json")
+        reparam.save_permutation(reparam.random_diffeo(4, rng), tmp_path / "perm.json")
+        reparam.load_permutation(tmp_path / "perm.json")
+        code = cli.main(["distance", "--base", str(tmp_path / "q.json"), "--target",
+                         str(tmp_path / "q.json"), "--steps", "10",
+                         "--output", str(tmp_path / "d.json")])
+    finally:
+        uninstall()
+    assert code == 0
+    NAME, PARENT, COUNT = tracer_module.NAME, tracer_module.PARENT, tracer_module.COUNT
+    spans = trace.spans
+    io = [s for s in spans if s[NAME].startswith("io.")]
+    assert {s[NAME] for s in io} == IO_SPANS
+    for s in io:
+        assert s[COUNT] > 0, f"{s[NAME]} counted no bytes"
+        parent = s[PARENT]
+        while parent >= 0:
+            assert not spans[parent][NAME].startswith("io."), f"{s[NAME]} inside {spans[parent][NAME]}"
+            parent = spans[parent][PARENT]
