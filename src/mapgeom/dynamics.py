@@ -32,10 +32,13 @@ from .mapspace import (
     field_from_json,
     field_to_json,
     l2_inner,
-    same_manifold,
+    own,
+    require_based,
+    require_same_space,
 )
 
 LOG_TOL = 1e-10  # default shooting endpoint tolerance of the log map
+_NEWTON_ITERS = 50  # Newton iterations the log map's shooting may take
 
 
 @dataclass(frozen=True)
@@ -47,27 +50,20 @@ class FieldPath:
     velocities: Optional[tuple] = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("times must hold at least two samples")
-        if t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must start at 0 and increase strictly")
+        t = own(self, "times", ndim=1)
+        if t.size < 2 or t[0] != 0.0 or np.any(np.diff(t) <= 0.0):
+            raise ValueError("times must start at 0 and increase strictly, two samples or more")
         maps = tuple(self.maps)
         if len(maps) != t.size:
             raise ValueError("number of map snapshots must match times")
-        first = maps[0]
         for q in maps[1:]:
-            if not same_manifold(q.manifold, first.manifold) or q.domain.size != first.domain.size:
-                raise ValueError("all snapshots must share domain and manifold")
+            require_same_space(maps[0], q)
+        object.__setattr__(self, "maps", maps)
         if self.velocities is not None:
             vels = tuple(self.velocities)
             if len(vels) != t.size:
                 raise ValueError("number of velocity snapshots must match times")
             object.__setattr__(self, "velocities", vels)
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "maps", maps)
 
     @property
     def snapshots(self) -> int:
@@ -112,8 +108,7 @@ def integrate_geodesic(
     """
     if snapshots < 2 or steps_per_snapshot < 1:
         raise ValueError("need snapshots >= 2 and steps_per_snapshot >= 1")
-    if not np.array_equal(q0.values, h0.base.values):
-        raise FieldMismatchError("field mismatch: tangent field not based at q0")
+    require_based(q0, h0)
     man = q0.manifold
     total = (snapshots - 1) * steps_per_snapshot
     xs, vs = integrate_spray(man, q0.values, h0.vecs, total, record_every=steps_per_snapshot)
@@ -181,9 +176,8 @@ def covariant_derivative_along_path(
         raise FieldMismatchError("field mismatch: series length differs from path length")
     if path.velocities is None:
         raise ValueError("no velocities: path carries no velocity snapshots")
-    for j, s in enumerate(series):
-        if not np.array_equal(s.base.values, path.maps[j].values):
-            raise FieldMismatchError(f"field mismatch: series entry {j} not based on the path")
+    for q, s in zip(path.maps, series):
+        require_based(q, s)
     man = path.manifold
     stack = np.stack([s.vecs for s in series])  # (T, m, n)
     dstack = np.gradient(stack, path.times, axis=0, edge_order=2)
@@ -196,8 +190,7 @@ def covariant_derivative_along_path(
 
 def parallel_transport_field(path: FieldPath, v0: TangentField) -> TangentField:
     """Transport a tangent field along a path, sample by sample."""
-    if not np.array_equal(v0.base.values, path.maps[0].values):
-        raise FieldMismatchError("field mismatch: v0 not based at the path start")
+    require_based(path.maps[0], v0)
     points = np.stack([q.values for q in path.maps])  # (T, m, n)
     X = transport_along_samples(path.manifold, points, v0.vecs)
     return TangentField(path.maps[-1], X)
@@ -208,7 +201,7 @@ def parallel_transport_field(path: FieldPath, v0: TangentField) -> TangentField:
 
 
 def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray,
-           steps: int, tol: float, max_iter: int):
+           steps: int, tol: float):
     """Damped Newton on initial velocities, batched over samples.
 
     Each sample accepts its own line-search step: halving continues only
@@ -227,7 +220,7 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     r = residual(np.arange(x0.shape[0]), z)
     rmax = np.max(np.abs(r), axis=1)
     stuck = np.zeros(x0.shape[0], dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERS):
         active = np.flatnonzero((rmax > tol) & ~stuck)
         if active.size == 0:
             break
@@ -276,24 +269,21 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
 
 
 def log_field(q0: MapField, q1: MapField, steps: int = 1000,
-              tol: float = LOG_TOL, max_iter: int = 50) -> TangentField:
+              tol: float = LOG_TOL) -> TangentField:
     """Inverse of exp_field by per-sample shooting.
 
     Seeds with the target's closed-form log when available, otherwise with
     the coordinate (or projected ambient) chord, and polishes with damped
     Newton until the integrated endpoint matches q1 within ``tol``.
     """
-    if not same_manifold(q0.manifold, q1.manifold):
-        raise FieldMismatchError("field mismatch: different target manifolds")
-    if q0.domain.size != q1.domain.size:
-        raise FieldMismatchError("field mismatch: different quadrature domains")
+    require_same_space(q0, q1)
     man = q0.manifold
     if man.closed_form_log is not None:
         v = np.asarray(man.closed_form_log(q0.values, q1.values), dtype=float)
     else:
         v = man.project(q0.values, q1.values - q0.values)
     v[np.all(q0.values == q1.values, axis=1)] = 0.0
-    v = _shoot(man, q0.values, q1.values, v, steps, tol, max_iter)
+    v = _shoot(man, q0.values, q1.values, v, steps, tol)
     return TangentField(q0, v)
 
 

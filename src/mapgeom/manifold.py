@@ -59,6 +59,7 @@ _EPS = float(np.finfo(float).eps)
 _FD_REL_STEP = float(np.cbrt(_EPS))
 
 POLE_BAND = 1e-3  # excluded band around chart singularities
+ON_MANIFOLD_TOL = 1e-6  # largest embedding residual of a point on the manifold
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,6 @@ class EmbeddedManifold:
     sample_points: Optional[Callable] = None
     closed_form_log: Optional[Callable] = None
     name: Optional[str] = None
-    on_manifold_tol: float = 1e-6
 
     def residual(self, p) -> np.ndarray:
         """Max-abs constraint residual per point, shape (...)."""
@@ -235,7 +235,7 @@ class EmbeddedManifold:
         return r
 
     def on_manifold(self, p) -> np.ndarray:
-        return self.residual(p) <= self.on_manifold_tol
+        return self.residual(p) <= ON_MANIFOLD_TOL
 
     @property
     def point_dim(self) -> int:
@@ -805,13 +805,13 @@ def _paraboloid(name: str) -> EmbeddedManifold:
         n = normal(p)
         return np.eye(3) - n[..., :, None] * n[..., None, :]
 
-    def retraction(p, v, iters=12):
+    def retraction(p, v):
         # closest point on z = x^2 + y^2; Newton on the 2-variable stationarity
         # system, fixed iteration count for determinism
         q = np.asarray(p, dtype=float) + np.asarray(v, dtype=float)
         a, b, c = q[..., 0], q[..., 1], q[..., 2]
         u, w = a.copy(), b.copy()
-        for _ in range(iters):
+        for _ in range(12):
             s = u * u + w * w - c
             f1 = (u - a) + 2.0 * u * s
             f2 = (w - b) + 2.0 * w * s

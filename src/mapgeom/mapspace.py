@@ -38,12 +38,38 @@ _TANGENCY_TOL = 1e-6
 # domains and fields
 
 
+def own(record, name: str, dtype=float, ndim=None) -> np.ndarray:
+    """Check the array entry ``name`` of a frozen record and store it read-only.
+
+    The entry must convert to an array of rank ``ndim`` (of any rank from 1
+    if None).  A float entry must be finite; an int entry must hold exact
+    integers and not booleans.  A failed check raises ``ValueError`` naming
+    the entry.  The record keeps, and this returns, a read-only copy.
+    """
+    try:
+        raw = np.asarray(getattr(record, name))
+        arr = np.array(raw, dtype=float, order="C")
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of numbers") from None
+    if arr.ndim == 0 or ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"{name} must be an array of rank {ndim or '>= 1'}, got rank {arr.ndim}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} are not finite")
+    if dtype is int:
+        if raw.dtype == bool or np.any(arr != np.round(arr)):
+            raise ValueError(f"{name} must hold exact integers")
+        arr = raw.astype(int)
+    arr.setflags(write=False)
+    object.__setattr__(record, name, arr)
+    return arr
+
+
 @dataclass(frozen=True)
 class QuadratureDomain:
     """Discretized source: m sample labels with positive weights.
 
-    ``points`` optionally records source coordinates for provenance; they
-    never enter any computation.
+    ``points`` optionally records source coordinates, one entry per sample,
+    for provenance; they never enter any computation.
     """
 
     weights: np.ndarray
@@ -51,21 +77,11 @@ class QuadratureDomain:
     ids: Optional[tuple] = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.size < 1:
-            raise ValueError("weights must be a non-empty 1-d array")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValueError("all quadrature weights must be positive and finite")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        if self.points is not None:
-            pts = np.asarray(self.points, dtype=float)
-            if pts.shape[0] != w.size:
-                raise ValueError("points and weights must have equal length")
-            pts = pts.copy()
-            pts.setflags(write=False)
-            object.__setattr__(self, "points", pts)
+        w = own(self, "weights", ndim=1)
+        if w.size < 1 or np.any(w <= 0.0):
+            raise ValueError("weights must be non-empty and positive")
+        if self.points is not None and own(self, "points").shape[0] != w.size:
+            raise ValueError("points and weights must have equal length")
         if self.ids is not None and len(self.ids) != w.size:
             raise ValueError("ids and weights must have equal length")
 
@@ -108,16 +124,6 @@ def interval_domain(
     return QuadratureDomain(w, points=xs[:, None])
 
 
-def same_manifold(a: Manifold, b: Manifold) -> bool:
-    if a is b:
-        return True
-    return a.name is not None and a.name == b.name
-
-
-def _same_domain(a: QuadratureDomain, b: QuadratureDomain) -> bool:
-    return a is b or np.array_equal(a.weights, b.weights)
-
-
 @dataclass(frozen=True)
 class MapField:
     """A discretized map: one target point per quadrature sample."""
@@ -127,24 +133,16 @@ class MapField:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 2 or vals.shape[0] != self.domain.size:
-            raise ValueError("values must be an (m, n) array matching the domain")
+        vals = own(self, "values", ndim=2)
         man = self.manifold
-        if vals.shape[1] != man.point_dim:
-            raise ValueError(
-                f"value dimension {vals.shape[1]} does not match the manifold's {man.point_dim}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("values are not finite")
+        if vals.shape != (self.domain.size, man.point_dim):
+            raise ValueError(f"values must be an (m, n) = {(self.domain.size, man.point_dim)} "
+                             f"array matching the domain and the manifold, got {vals.shape}")
         try:
             man.require_valid(vals, "map values")
         except ChartBoundaryError as exc:
             # values outside the chart are bad input, not a failed computation
             raise ValueError(str(exc)) from None
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
     @property
     def size(self) -> int:
@@ -159,17 +157,12 @@ class TangentField:
     vecs: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vecs, dtype=float)
+        v = own(self, "vecs", ndim=2)
         if v.shape != self.base.values.shape:
             raise ValueError("vecs must match the shape of the base values")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vecs are not finite")
         resid = np.max(np.abs(self.base.manifold.project(self.base.values, v) - v), axis=-1)
         if np.any(resid > _TANGENCY_TOL * np.maximum(1.0, np.max(np.abs(v), axis=-1))):
             raise ValueError("vecs are not tangent to the embedded manifold")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vecs", v)
 
     @property
     def domain(self) -> QuadratureDomain:
@@ -196,21 +189,10 @@ class SecondTangentField:
     dvec: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        shape = None
-        for attr in ("base", "vec", "dbase", "dvec"):
-            arr = np.asarray(getattr(self, attr), dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != self.domain.size:
-                raise ValueError(f"{attr} must be an (m, n) array matching the domain")
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
-                raise ValueError("all four component arrays must share one shape")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            arrays[attr] = arr
-        for attr, arr in arrays.items():
-            object.__setattr__(self, attr, arr)
+        shapes = {own(self, attr, ndim=2).shape for attr in ("base", "vec", "dbase", "dvec")}
+        if len(shapes) != 1 or shapes.pop()[0] != self.domain.size:
+            raise ValueError("base, vec, dbase and dvec must be (m, n) arrays of one shape "
+                             "matching the domain")
 
     @property
     def size(self) -> int:
@@ -221,19 +203,30 @@ class SecondTangentField:
 # the L2 metric
 
 
-def _require_based(q: MapField, h: TangentField):
-    if not same_manifold(q.manifold, h.manifold):
+def require_same_space(a, b):
+    """Raise ``FieldMismatchError`` unless two fields share target and domain.
+
+    Targets match by identity or registry name, domains by identity or
+    equal weights.
+    """
+    ma, mb = a.manifold, b.manifold
+    if not (ma is mb or ma.name is not None and ma.name == mb.name):
         raise FieldMismatchError("field mismatch: different target manifolds")
-    if not _same_domain(q.domain, h.domain):
+    if not (a.domain is b.domain or np.array_equal(a.domain.weights, b.domain.weights)):
         raise FieldMismatchError("field mismatch: different quadrature domains")
+
+
+def require_based(q: MapField, h: TangentField):
+    """Raise ``FieldMismatchError`` unless ``h`` is a tangent field along ``q``."""
+    require_same_space(q, h)
     if not np.array_equal(q.values, h.base.values):
         raise FieldMismatchError("field mismatch: tangent field based at a different map")
 
 
 def pointwise_inner(q: MapField, h: TangentField, k: TangentField) -> np.ndarray:
     """Per-sample metric values g(h_i, k_i), shape (m,)."""
-    _require_based(q, h)
-    _require_based(q, k)
+    require_based(q, h)
+    require_based(q, k)
     return q.manifold.inner(q.values, h.vecs, k.vecs)
 
 
@@ -321,7 +314,7 @@ def exp_field(h: TangentField, steps: int = 1000) -> MapField:
 def curvature_field(q: MapField, h: TangentField, k: TangentField, l: TangentField) -> TangentField:
     """Samplewise curvature tensor R(h, k) l along q."""
     for f in (h, k, l):
-        _require_based(q, f)
+        require_based(q, f)
     man = q.manifold
     if not isinstance(man, ChartManifold):
         raise TypeError("curvature_field needs a chart representation")
@@ -331,7 +324,7 @@ def curvature_field(q: MapField, h: TangentField, k: TangentField, l: TangentFie
 
 def vertical_lift_field(h: TangentField, k: TangentField) -> SecondTangentField:
     """vl(h, k) = (x, h; 0, k), samplewise."""
-    _require_based(h.base, k)
+    require_based(h.base, k)
     return SecondTangentField(
         h.domain, h.manifold, h.base.values, h.vecs, np.zeros_like(h.vecs), k.vecs
     )

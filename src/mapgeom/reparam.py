@@ -33,6 +33,7 @@ from .mapspace import (
     curvature_field,
     exp_field,
     l2_inner,
+    own,
     spray_field,
 )
 from .verification import OracleReport
@@ -52,18 +53,11 @@ class DiscreteDiffeo:
     pulled_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        p = np.asarray(self.perm, dtype=int)
-        if p.ndim != 1 or not np.array_equal(np.sort(p), np.arange(p.size)):
+        p = own(self, "perm", int, ndim=1)
+        if not np.array_equal(np.sort(p), np.arange(p.size)):
             raise ValueError("perm must be a permutation of 0..m-1")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "perm", p)
-        if self.pulled_weights is not None:
-            w = np.asarray(self.pulled_weights, dtype=float).copy()
-            if w.shape != p.shape:
-                raise ValueError("pulled_weights must match the permutation length")
-            w.setflags(write=False)
-            object.__setattr__(self, "pulled_weights", w)
+        if self.pulled_weights is not None and own(self, "pulled_weights").shape != p.shape:
+            raise ValueError("pulled_weights must match the permutation length")
 
     @property
     def size(self) -> int:

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import files
 from .errors import GeometryError, MeasureError
 from .manifold import Manifold
-from .mapspace import MapField
+from .mapspace import MapField, own
 
 BRUTE_LIMIT = 8  # largest n the factorial brute force accepts
 _MASS_TOL = 1e-12
@@ -35,20 +34,12 @@ class DiscreteMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=float)
-        masses = np.asarray(self.masses, dtype=float)
-        if atoms.ndim != 2 or masses.ndim != 1 or atoms.shape[0] != masses.size:
+        if own(self, "atoms", ndim=2).shape[0] != own(self, "masses", ndim=1).size:
             raise ValueError("atoms must be (n, d) with one mass per atom")
-        if np.any(masses <= 0.0):
+        if np.any(self.masses <= 0.0):
             raise MeasureError("measure not normalized: masses must be positive")
-        if abs(math.fsum(masses.tolist()) - 1.0) > _MASS_TOL:
+        if abs(math.fsum(self.masses.tolist()) - 1.0) > _MASS_TOL:
             raise MeasureError("measure not normalized: masses must sum to 1")
-        atoms = atoms.copy()
-        masses = masses.copy()
-        atoms.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "masses", masses)
 
     @property
     def size(self) -> int:
@@ -144,6 +135,8 @@ def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
 def wasserstein2_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure,
                             manifold: Optional[Manifold] = None) -> Assignment:
     """Squared Wasserstein-2 matching via an augmenting-path assignment solver."""
+    from scipy.optimize import linear_sum_assignment  # imported here: it is slow to import
+
     n = _monge_pair(mu, nu)
     C = _cost_matrix(mu, nu, manifold)
     _, cols = linear_sum_assignment(C)

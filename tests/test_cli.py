@@ -274,10 +274,13 @@ MEASURE = {"atoms": [[0.0], [1.0]], "masses": [0.5, 0.5]}
                                 "values": [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]]}), "values"),
         ("--mu", json.dumps({**MEASURE, "masses": [0.5, 0.4]}), "masses"),
         ("--config", '["exp"]', "config document"),
+        ("--mu", json.dumps({**MEASURE, "masses": [float("nan"), 1.0]}), "masses"),
+        ("--mu", json.dumps({**MEASURE, "atoms": [[float("nan")], [1.0]]}), "atoms"),
     ],
     ids=["perm-object", "perm-float-index", "perm-bools", "measure-masses-string",
          "field-domain-array", "field-points-string", "field-not-json", "field-nan-values",
-         "field-off-manifold", "measure-not-normalized", "config-not-object"],
+         "field-off-manifold", "measure-not-normalized", "config-not-object",
+         "measure-nan-masses", "measure-nan-atoms"],
 )
 def test_malformed_file_exit_2(tmp_path, capsys, flag, text, key):
     field, mu, bad = tmp_path / "field.json", tmp_path / "mu.json", tmp_path / "bad.json"
@@ -331,3 +334,16 @@ def test_main_in_process_distance(sphere_files, capsys):
     code = main(["distance", "--base", str(qf), "--target", str(qf)])
     assert code == 0
     assert float(capsys.readouterr().out.strip()) == 0.0
+
+
+@pytest.mark.parametrize("cmd", ["distance", "log"])
+def test_maps_on_other_weights_exit_2(tmp_path, capsys, cmd):
+    base, target = tmp_path / "base.json", tmp_path / "target.json"
+    base.write_text(json.dumps({"domain": {"weights": [0.9, 0.1]}, "manifold": "flat:n=1",
+                                "values": [[0.0], [0.0]]}))
+    target.write_text(json.dumps({"domain": {"weights": [0.1, 0.9]}, "manifold": "flat:n=1",
+                                  "values": [[1.0], [3.0]]}))
+    code = main([cmd, "--base", str(base), "--target", str(target),
+                 "--output", str(tmp_path / "out.json")])
+    assert code == 2
+    assert "different quadrature domains" in capsys.readouterr().err

@@ -425,6 +425,18 @@ def test_report_files(tmp_path):
     assert doc["max_pointwise_geodesic_residual"] == report.max_pointwise_geodesic_residual
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_fields_on_other_weights_are_a_mismatch(swap):
+    flat1 = make_manifold("flat:n=1")
+    a = MapField(QuadratureDomain(np.array([0.9, 0.1])), flat1, np.array([[0.0], [0.0]]))
+    b = MapField(QuadratureDomain(np.array([0.1, 0.9])), flat1, np.array([[1.0], [3.0]]))
+    q0, q1 = (b, a) if swap else (a, b)
+    with pytest.raises(FieldMismatchError, match="quadrature domains"):
+        geodesic_distance(q0, q1, steps=10)
+    with pytest.raises(FieldMismatchError, match="quadrature domains"):
+        FieldPath(np.array([0.0, 1.0]), (q0, q1))
+
+
 def test_field_path_invariants():
     q0, _ = sphere_setup(m=3, seed=24)
     with pytest.raises(ValueError):

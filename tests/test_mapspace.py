@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mapgeom import (
+    DiscreteDiffeo,
+    DiscreteMeasure,
     FieldMismatchError,
+    FieldPath,
     LiftError,
     MapField,
     NotVerticalError,
@@ -108,6 +111,38 @@ def test_tangent_field_validates_tangency():
     q = MapField(dom, SPHERE_EMB, np.array([[0.0, 0.0, 1.0]]))
     with pytest.raises(ValueError, match="tangent"):
         TangentField(q, np.array([[0.0, 0.0, 1.0]]))
+
+
+def _flat_map():
+    return MapField(QuadratureDomain(np.array([0.5, 0.5])), make_manifold("flat:n=2"),
+                    np.zeros((2, 2)))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: DiscreteMeasure(np.array([[NAN], [1.0]]), np.array([0.5, 0.5])), "atoms"),
+        (lambda: DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([NAN, 1.0])), "masses"),
+        (lambda: DiscreteDiffeo(np.array([0, 1.5])), "perm"),
+        (lambda: DiscreteDiffeo(np.array([True, False])), "perm"),
+        (lambda: DiscreteDiffeo(np.array([1, 0]), np.array([0.5, NAN])), "pulled_weights"),
+        (lambda: QuadratureDomain(np.ones(2), points=np.float64(5.0)), "points"),
+        (lambda: QuadratureDomain(np.ones(2), points=np.array([[0.0], [NAN]])), "points"),
+        (lambda: FieldPath(np.array([0.0, np.inf]), (_flat_map(), _flat_map())), "times"),
+        (lambda: SecondTangentField(_flat_map().domain, make_manifold("flat:n=2"),
+                                    np.zeros((2, 2)), np.zeros((2, 2)),
+                                    np.full((2, 2), NAN), np.eye(2)), "dbase"),
+    ],
+    ids=["measure-nan-atoms", "measure-nan-masses", "perm-float", "perm-bools",
+         "diffeo-nan-pulled-weights", "domain-scalar-points", "domain-nan-points",
+         "path-infinite-time", "second-tangent-nan"],
+)
+def test_record_rejects_bad_array_entry(build, name):
+    with pytest.raises(ValueError, match=name):
+        build()
 
 
 # ---------------------------------------------------------------------------
