@@ -77,6 +77,7 @@ from .dynamics import (
 )
 from .verification import (
     OracleReport,
+    accel_vs_projector_derivative,
     oracle_christoffel,
     oracle_curvature_commutator,
     oracle_first_variation,

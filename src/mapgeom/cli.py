@@ -282,9 +282,13 @@ def run(config: RunConfig) -> int:
         tangents = []
         for name in ("h", "k", "l"):
             tf = _load_tangent(getattr(config, name))
-            if not np.array_equal(tf.base.values, q.values):
-                raise ValueError(f"tangent field --{name} is not based at --base")
-            tangents.append(TangentField(q, tf.vecs))
+            try:
+                mapspace.require_based(q, tf)
+            except FieldMismatchError as exc:
+                raise FieldMismatchError(
+                    f"tangent field --{name} is not based at --base: {exc}"
+                ) from None
+            tangents.append(tf)
         out = mapspace.curvature_field(q, *tangents)
         save_field(out, config.output)
         print(f"curvature: wrote {out.size} samples to {config.output}")

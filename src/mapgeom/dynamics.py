@@ -63,6 +63,8 @@ class FieldPath:
             vels = tuple(self.velocities)
             if len(vels) != t.size:
                 raise ValueError("number of velocity snapshots must match times")
+            for q, v in zip(maps, vels):
+                require_based(q, v)
             object.__setattr__(self, "velocities", vels)
 
     @property

@@ -5,7 +5,10 @@ Two representations of a target manifold are supported:
 * :class:`ChartManifold` works in local coordinates with a metric callback
   and (optionally analytic) Christoffel symbols.
 * :class:`EmbeddedManifold` works with ambient coordinates, an orthogonal
-  tangent projector, and a retraction for drift control.
+  tangent projector, and a retraction for drift control.  Each embedded
+  target is a level set f(p) = 0 of a function on the ambient space,
+  given by its gradient and Hessian action (or by neither, for an open
+  subset of the ambient space).
 
 Both classes offer the same pointwise interface, and every operator in
 this package reaches the target only through it.  Each method is batched
@@ -33,7 +36,11 @@ Levi-Civita symbols of the metric, the covariant derivative acts as
 ``q'' + Gamma(q', q') = 0``, and the connector maps ``(x, h; k, l)`` to
 ``(x, l + Gamma(k, h))``.  On an embedded target the connector is the
 tangent projection of l, and the spray and transport equations use the
-derivative of the tangent projector.
+derivative of the tangent projector P = I - n n^T, n = grad f / |grad f|,
+in closed form: with Dn[w] = (H w - n <n, H w>) / |grad f| and H the
+Hessian of f, DP[w] X = -(Dn[w] <n, X> + n <Dn[w], X>).  The central
+difference of P that this replaces is kept as an independent oracle in
+:mod:`mapgeom.verification`.
 
 All manifold callbacks are vectorized: a point argument has shape
 ``(..., n)`` and results carry the same leading axes.  Use
@@ -214,6 +221,10 @@ class EmbeddedManifold:
     (scalar or vector per point), ``tangent_projector`` the orthogonal
     projector onto the tangent space, and ``retraction(p, v)`` the closest
     point on the manifold to ``p + v`` (used only to control drift).
+    ``gradient(p)`` and ``hessian_action(p, w)`` give grad f and
+    (Hess f) w of the defining function f of a hypersurface f(p) = 0;
+    both are None when the target is open in the ambient space
+    (``intrinsic_dim == ambient_dim``), where P = I.
     """
 
     ambient_dim: int
@@ -221,6 +232,8 @@ class EmbeddedManifold:
     embed_check: Callable
     tangent_projector: Callable
     retraction: Callable
+    gradient: Optional[Callable] = None
+    hessian_action: Optional[Callable] = None
     sample_points: Optional[Callable] = None
     closed_form_log: Optional[Callable] = None
     name: Optional[str] = None
@@ -262,13 +275,29 @@ class EmbeddedManifold:
         return u[..., :, : self.intrinsic_dim]
 
     def accel(self, p, v) -> np.ndarray:
-        return _projector_derivative(self, p, v, v)
+        return self._dP(p, v, v)
 
     def connector(self, p, h, k, l) -> np.ndarray:
         return self.project(p, l)
 
     def transport_rhs(self, p, pdot, X) -> np.ndarray:
-        return _projector_derivative(self, p, pdot, X)
+        return self._dP(p, pdot, X)
+
+    def _dP(self, p, w, X) -> np.ndarray:
+        """(DP(p)[w]) X in closed form from the level-set description."""
+        X = np.asarray(X, dtype=float)
+        if self.gradient is None:
+            return np.zeros(X.shape)
+        p = np.asarray(p, dtype=float)
+        g = self.gradient(p)
+        gnorm = np.sqrt(np.einsum("...i,...i->...", g, g))[..., None]
+        n = g / gnorm
+        Hw = self.hessian_action(p, np.asarray(w, dtype=float))
+        dn = (Hw - n * np.einsum("...i,...i->...", n, Hw)[..., None]) / gnorm
+        return -(
+            dn * np.einsum("...i,...i->...", n, X)[..., None]
+            + n * np.einsum("...i,...i->...", dn, X)[..., None]
+        )
 
     def post_step(self, p_prev, p, v):
         # retract only rows that moved, so zero-velocity samples stay
@@ -367,16 +396,15 @@ def _gamma_pair(gamma, a, b) -> np.ndarray:
     return np.einsum("...ijk,...j,...k->...i", gamma, a, b)
 
 
-def _projector_derivative(man: EmbeddedManifold, p, w, X) -> np.ndarray:
-    """(DP(p)[w]) X from a central difference of the tangent projector along w."""
-    p = np.asarray(p, dtype=float)
-    w = np.asarray(w, dtype=float)
-    delta = _fd_scale(p) / np.maximum(1.0, np.max(np.abs(w), axis=-1))
-    step = delta[..., None] * w
-    Pp = np.asarray(man.tangent_projector(p + step))
-    Pm = np.asarray(man.tangent_projector(p - step))
-    dP = (Pp - Pm) / (2.0 * delta[..., None, None])
-    return np.einsum("...ij,...j->...i", dP, X)
+def _normal_projector(gradient: Callable) -> Callable:
+    """Tangent projector I - n n^T of a level set, n = grad f / |grad f|."""
+
+    def projector(p):
+        g = gradient(np.asarray(p, dtype=float))
+        gg = np.einsum("...i,...i->...", g, g)[..., None]
+        return np.eye(g.shape[-1]) - g[..., :, None] * (g / gg)[..., None, :]
+
+    return projector
 
 
 # ---------------------------------------------------------------------------
@@ -618,10 +646,12 @@ def _sphere_embedded(radius: float, name: str) -> EmbeddedManifold:
     def embed_check(p):
         return np.linalg.norm(p, axis=-1) - radius
 
-    def projector(p):
-        p = np.asarray(p, dtype=float)
-        pp = np.einsum("...i,...i->...", p, p)
-        return np.eye(p.shape[-1]) - p[..., :, None] * p[..., None, :] / pp[..., None, None]
+    # f(p) = |p|^2 - r^2
+    def gradient(p):
+        return 2.0 * p
+
+    def hessian_action(p, w):
+        return 2.0 * w
 
     def retraction(p, v):
         q = np.asarray(p, dtype=float) + np.asarray(v, dtype=float)
@@ -653,8 +683,10 @@ def _sphere_embedded(radius: float, name: str) -> EmbeddedManifold:
         ambient_dim=3,
         intrinsic_dim=2,
         embed_check=embed_check,
-        tangent_projector=projector,
+        tangent_projector=_normal_projector(gradient),
         retraction=retraction,
+        gradient=gradient,
+        hessian_action=hessian_action,
         sample_points=sample,
         closed_form_log=log,
         name=name,
@@ -796,22 +828,21 @@ def _paraboloid(name: str) -> EmbeddedManifold:
         p = np.asarray(p, dtype=float)
         return p[..., 2] - p[..., 0] ** 2 - p[..., 1] ** 2
 
-    def normal(p):
-        p = np.asarray(p, dtype=float)
-        n = np.stack([-2.0 * p[..., 0], -2.0 * p[..., 1], np.ones_like(p[..., 0])], axis=-1)
-        return n / np.linalg.norm(n, axis=-1, keepdims=True)
+    # f(p) = x^2 + y^2 - z
+    def gradient(p):
+        return np.stack([2.0 * p[..., 0], 2.0 * p[..., 1], -np.ones_like(p[..., 0])], axis=-1)
 
-    def projector(p):
-        n = normal(p)
-        return np.eye(3) - n[..., :, None] * n[..., None, :]
+    def hessian_action(p, w):
+        return np.stack([2.0 * w[..., 0], 2.0 * w[..., 1], np.zeros_like(w[..., 0])], axis=-1)
 
     def retraction(p, v):
         # closest point on z = x^2 + y^2; Newton on the 2-variable stationarity
-        # system, fixed iteration count for determinism
+        # system.  The iteration count is fixed for determinism; three reach
+        # round-off from the O(dt^5) drift an RK4 step leaves to post_step.
         q = np.asarray(p, dtype=float) + np.asarray(v, dtype=float)
         a, b, c = q[..., 0], q[..., 1], q[..., 2]
         u, w = a.copy(), b.copy()
-        for _ in range(12):
+        for _ in range(3):
             s = u * u + w * w - c
             f1 = (u - a) + 2.0 * u * s
             f2 = (w - b) + 2.0 * w * s
@@ -832,8 +863,10 @@ def _paraboloid(name: str) -> EmbeddedManifold:
         ambient_dim=3,
         intrinsic_dim=2,
         embed_check=embed_check,
-        tangent_projector=projector,
+        tangent_projector=_normal_projector(gradient),
         retraction=retraction,
+        gradient=gradient,
+        hessian_action=hessian_action,
         sample_points=sample,
         name=name,
     )

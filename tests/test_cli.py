@@ -347,3 +347,20 @@ def test_maps_on_other_weights_exit_2(tmp_path, capsys, cmd):
                  "--output", str(tmp_path / "out.json")])
     assert code == 2
     assert "different quadrature domains" in capsys.readouterr().err
+
+
+def test_curvature_tangents_on_other_weights_exit_2(tmp_path, capsys):
+    values = [[0.0, 1.0], [0.5, 2.0]]
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"domain": {"weights": [0.9, 0.1]}, "manifold": "halfplane",
+                                "values": values}))
+    args = ["curvature", "--base", str(base), "--output", str(tmp_path / "out.json")]
+    for name in ("h", "k", "l"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"domain": {"weights": [0.1, 0.9]}, "manifold": "halfplane",
+                                    "values": values, "vecs": [[1.0, 0.0], [0.0, 1.0]]}))
+        args += [f"--{name}", str(path)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "--h is not based at --base" in err
+    assert "different quadrature domains" in err

@@ -437,6 +437,14 @@ def test_fields_on_other_weights_are_a_mismatch(swap):
         FieldPath(np.array([0.0, 1.0]), (q0, q1))
 
 
+def test_field_path_rejects_velocities_based_elsewhere():
+    q = MapField(circle_domain(2), HALFPLANE, np.array([[0.0, 1.0], [0.0, 2.0]]))
+    other = MapField(circle_domain(2), HALFPLANE, np.array([[0.0, 5.0], [1.0, 3.0]]))
+    v = TangentField(other, np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(FieldMismatchError, match="different map"):
+        FieldPath(np.array([0.0, 0.5, 1.0]), (q, q, q), (v, v, v))
+
+
 def test_field_path_invariants():
     q0, _ = sphere_setup(m=3, seed=24)
     with pytest.raises(ValueError):

@@ -41,12 +41,14 @@ from mapgeom import (
     vertical_lift_field,
     vertical_projection_field,
 )
+from mapgeom.manifold import ON_MANIFOLD_TOL
 
 FLAT1 = make_manifold("flat:n=1")
 FLAT2 = make_manifold("flat:n=2")
 HALFPLANE = make_manifold("halfplane")
 SPHERE_EMB = make_manifold("sphere:r=1.0:rep=embedded")
 SPHERE_CHART = make_manifold("sphere:r=1.0:rep=chart")
+PARABOLOID = make_manifold("paraboloid")
 
 
 def flat_field(values, weights=None):
@@ -349,6 +351,50 @@ def test_exp_field_reports_sample_and_time_on_domain_exit():
         exp_field(h, steps=1000)
     assert err.value.sample == 1
     assert 0.55 < err.value.time < 0.65
+
+
+def _tangents_of_speed(man, rng, x, speeds):
+    d = man.project(x, rng.normal(size=x.shape))
+    return d * (speeds / np.sqrt(man.inner(x, d, d)))[:, None]
+
+
+SPEEDS = st.lists(st.floats(0.05, 0.7), min_size=2, max_size=2).map(np.array)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), SPEEDS)
+def test_exp_field_embedded_sphere_is_great_circle(seed, speeds):
+    rng = np.random.default_rng(seed)
+    q = MapField(circle_domain(2), SPHERE_EMB, SPHERE_EMB.random_points(rng, 2))
+    h = TangentField(q, _tangents_of_speed(SPHERE_EMB, rng, q.values, speeds))
+    out = exp_field(h, steps=100)
+    s = speeds[:, None]
+    closed = np.cos(s) * q.values + np.sin(s) * h.vecs / s
+    assert np.max(np.abs(out.values - closed)) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), SPEEDS)
+def test_exp_field_sphere_chart_and_embedded_agree(seed, speeds):
+    rng = np.random.default_rng(seed)
+    # within 0.5 of the equator, so no geodesic comes near a pole
+    theta = rng.uniform(np.pi / 2 - 0.5, np.pi / 2 + 0.5, 2)
+    x = np.stack([theta, rng.uniform(-3.0, 3.0, 2)], axis=-1)
+    h = TangentField(MapField(circle_domain(2), SPHERE_CHART, x),
+                     _tangents_of_speed(SPHERE_CHART, rng, x, speeds))
+    via_chart = embed_map_field(exp_field(h, steps=100), SPHERE_EMB)
+    embedded = exp_field(embed_tangent_field(h, SPHERE_EMB), steps=100)
+    assert np.max(np.abs(via_chart.values - embedded.values)) < 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), SPEEDS)
+def test_exp_field_paraboloid_stays_on_level_set(seed, speeds):
+    rng = np.random.default_rng(seed)
+    q = MapField(circle_domain(2), PARABOLOID, PARABOLOID.random_points(rng, 2))
+    h = TangentField(q, _tangents_of_speed(PARABOLOID, rng, q.values, speeds))
+    p = exp_field(h, steps=100).values
+    assert np.max(np.abs(p[:, 0] ** 2 + p[:, 1] ** 2 - p[:, 2])) <= ON_MANIFOLD_TOL
 
 
 def test_connector_field_axioms_samplewise():

@@ -3,9 +3,11 @@
 ``perfbench/tracer.py`` rebinds module functions and wraps the target
 callbacks on copies of each registry manifold.  A refactor that computes
 the spray, the transport equation or a target callback some other way
-would make those per-layer counts read zero, and one file function that
-calls another through a traced name would count the same bytes twice;
-these tests catch both without a benchmark run.
+would make those per-layer counts read zero, a tangent projector built
+inside the spray or transport equation would bring back the cost the
+closed-form level-set kernel removed, and one file function that calls
+another through a traced name would count the same bytes twice; these
+tests catch all three without a benchmark run.
 """
 
 import sys
@@ -23,7 +25,8 @@ REQUIRED = {
     "manifold.spray_accel": "manifold.integrate_spray",
     "manifold.retraction": "manifold.integrate_spray",
     "manifold.christoffel": "manifold.spray_accel",
-    "manifold.tangent_projector": "manifold.spray_accel",
+    # post_step re-projects the velocity after every RK4 step
+    "manifold.tangent_projector": "manifold.integrate_spray",
     "manifold.transport_ode_rhs": "dynamics.parallel_transport_field",
 }
 
@@ -61,6 +64,15 @@ def test_traced_spans_cover_kernels_and_callbacks(tracer_module):
     }
     missing = [pair for pair in REQUIRED.items() if pair not in seen]
     assert not missing, f"no spans with rows for (name, caller) {missing}"
+    # the level-set spray and transport equations build no projector
+    for s in trace.spans:
+        if s[NAME] == "manifold.tangent_projector":
+            parent = s[PARENT]
+            while parent >= 0:
+                assert trace.spans[parent][NAME] not in (
+                    "manifold.spray_accel", "manifold.transport_ode_rhs"
+                ), f"tangent_projector inside {trace.spans[parent][NAME]}"
+                parent = trace.spans[parent][PARENT]
 
 
 IO_SPANS = {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mapgeom import (
     OracleReport,
     QuadratureDomain,
     TangentField,
+    accel_vs_projector_derivative,
     curvature_point,
     make_manifold,
     oracle_christoffel,
@@ -182,3 +185,35 @@ def test_standard_checks_pass(name):
     assert all(r.passed for r in reports), [
         (r.check_name, r.max_abs_error) for r in reports if not r.passed
     ]
+
+
+# ---------------------------------------------------------------------------
+# projector-derivative oracle
+
+
+def _oracle_error(man, seed=3, count=200):
+    rng = np.random.default_rng(seed)
+    p = man.random_points(rng, count)
+    raw = rng.uniform(-1.0, 1.0, size=p.shape)
+    return accel_vs_projector_derivative(man, p, man.project(p, raw), raw)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "sphere:r=1.0:rep=embedded",
+        "sphere:r=2.0:rep=embedded",
+        "paraboloid",
+        "flat:n=3:rep=embedded",
+    ],
+)
+def test_closed_form_spray_matches_projector_difference(name):
+    assert _oracle_error(make_manifold(name)) <= 1e-7
+
+
+def test_projector_difference_oracle_catches_wrong_hessian():
+    man = make_manifold("paraboloid")
+    bad = dataclasses.replace(man, hessian_action=lambda p, w: 1.01 * man.hessian_action(p, w))
+    assert _oracle_error(bad) > 1e-7
+    report = {r.check_name: r for r in standard_checks(bad, instances=20, seed=0)}
+    assert not report["accel_vs_projector_derivative"].passed
