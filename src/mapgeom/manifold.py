@@ -222,9 +222,11 @@ class EmbeddedManifold:
     projector onto the tangent space, and ``retraction(p, v)`` the closest
     point on the manifold to ``p + v`` (used only to control drift).
     ``gradient(p)`` and ``hessian_action(p, w)`` give grad f and
-    (Hess f) w of the defining function f of a hypersurface f(p) = 0;
-    both are None when the target is open in the ambient space
-    (``intrinsic_dim == ambient_dim``), where P = I.
+    (Hess f) w of the defining function f of a hypersurface f(p) = 0.
+    A custom embedded target must be such a hypersurface (codimension 1,
+    both callbacks given) or an open subset of the ambient space
+    (``intrinsic_dim == ambient_dim``), where P = I and neither is needed;
+    anything else raises ValueError.
     """
 
     ambient_dim: int
@@ -237,6 +239,17 @@ class EmbeddedManifold:
     sample_points: Optional[Callable] = None
     closed_form_log: Optional[Callable] = None
     name: Optional[str] = None
+
+    def __post_init__(self):
+        codim = self.ambient_dim - self.intrinsic_dim
+        if codim == 1 and (self.gradient is None or self.hessian_action is None):
+            raise ValueError(
+                "an embedded hypersurface needs both gradient and hessian_action"
+            )
+        if codim not in (0, 1):
+            raise ValueError(
+                f"embedded targets must have codimension 0 or 1, not {codim}"
+            )
 
     def residual(self, p) -> np.ndarray:
         """Max-abs constraint residual per point, shape (...)."""
@@ -286,7 +299,7 @@ class EmbeddedManifold:
     def _dP(self, p, w, X) -> np.ndarray:
         """(DP(p)[w]) X in closed form from the level-set description."""
         X = np.asarray(X, dtype=float)
-        if self.gradient is None:
+        if self.intrinsic_dim == self.ambient_dim:
             return np.zeros(X.shape)
         p = np.asarray(p, dtype=float)
         g = self.gradient(p)

@@ -6,6 +6,7 @@ from mapgeom import (
     ChartManifold,
     DegenerateMetricError,
     DomainExitError,
+    EmbeddedManifold,
     SecondTangentVector,
     TangentVector,
     christoffel_from_metric,
@@ -250,6 +251,46 @@ def test_exp_reports_constraint_blowup_on_embedded_target():
     h = np.array([50.0, 0.0, 0.0])
     with pytest.raises(DomainExitError, match="geodesic left domain"):
         exp_point(SPHERE_EMB, TangentVector(p, h), steps=1)
+
+
+def _custom_sphere(**callbacks):
+    return EmbeddedManifold(
+        ambient_dim=3,
+        intrinsic_dim=2,
+        embed_check=SPHERE_EMB.embed_check,
+        tangent_projector=SPHERE_EMB.tangent_projector,
+        retraction=SPHERE_EMB.retraction,
+        **callbacks,
+    )
+
+
+def test_custom_hypersurface_without_level_set_callbacks_is_rejected():
+    # a projector alone no longer yields the spray; it must not silently
+    # give zero acceleration
+    with pytest.raises(ValueError, match="gradient and hessian_action"):
+        _custom_sphere()
+    with pytest.raises(ValueError, match="gradient and hessian_action"):
+        _custom_sphere(gradient=SPHERE_EMB.gradient)
+
+
+def test_custom_embedded_target_of_codimension_two_is_rejected():
+    with pytest.raises(ValueError, match="codimension 0 or 1"):
+        EmbeddedManifold(
+            ambient_dim=3,
+            intrinsic_dim=1,
+            embed_check=SPHERE_EMB.embed_check,
+            tangent_projector=SPHERE_EMB.tangent_projector,
+            retraction=SPHERE_EMB.retraction,
+        )
+
+
+def test_custom_hypersurface_with_level_set_callbacks_has_sphere_spray():
+    man = _custom_sphere(
+        gradient=SPHERE_EMB.gradient, hessian_action=SPHERE_EMB.hessian_action
+    )
+    p = np.array([0.0, 0.0, 1.0])
+    v = np.array([0.3, -0.4, 0.0])
+    np.testing.assert_allclose(man.accel(p, v), -0.25 * p, atol=1e-15)
 
 
 def test_chart_and_embedded_sphere_geodesics_agree():

@@ -178,7 +178,16 @@ def test_oracle_report_passed_consistency():
 # full battery
 
 
-@pytest.mark.parametrize("name", ["halfplane", "sphere:r=2.0:rep=embedded", "paraboloid"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "halfplane",
+        "sphere:r=1.0:rep=embedded",
+        "sphere:r=2.0:rep=embedded",
+        "paraboloid",
+        "flat:n=3:rep=embedded",
+    ],
+)
 def test_standard_checks_pass(name):
     man = make_manifold(name)
     reports = standard_checks(man, instances=40, seed=2)
@@ -196,19 +205,6 @@ def _oracle_error(man, seed=3, count=200):
     p = man.random_points(rng, count)
     raw = rng.uniform(-1.0, 1.0, size=p.shape)
     return accel_vs_projector_derivative(man, p, man.project(p, raw), raw)
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "sphere:r=1.0:rep=embedded",
-        "sphere:r=2.0:rep=embedded",
-        "paraboloid",
-        "flat:n=3:rep=embedded",
-    ],
-)
-def test_closed_form_spray_matches_projector_difference(name):
-    assert _oracle_error(make_manifold(name)) <= 1e-7
 
 
 def test_projector_difference_oracle_catches_wrong_hessian():
