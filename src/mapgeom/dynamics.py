@@ -5,7 +5,11 @@ pointwise exponential map, so the endpoint of a unit-time trajectory is
 bit-for-bit the value of :func:`mapgeom.mapspace.exp_field` at matching
 step counts.  The log map is computed per sample by shooting: damped
 Newton on the initial velocity with a finite-difference Jacobian, seeded
-by a closed form where the registry target provides one.
+by a closed form where the registry target provides one.  The 2k
+central-difference integrations behind the k Jacobian columns of every
+unconverged sample run as one stacked call, so a Newton iteration costs
+two integrations: one for the Jacobian and one for the first line-search
+trial.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import files
-from .errors import FieldMismatchError, ShootingError
+from .errors import DomainExitError, FieldMismatchError, ShootingError
 from .manifold import (
     Manifold,
     integrate_spray,
@@ -206,17 +210,32 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
            steps: int, tol: float):
     """Damped Newton on initial velocities, batched over samples.
 
+    The Jacobian is a central difference in each of the k tangent-basis
+    coordinates.  The ±delta rows of all k columns of every active sample
+    (2k rows per sample) go through one ``integrate_spray`` call; each
+    row's arithmetic is the same as if it were integrated alone, because
+    the integrator is row-independent.  Each iteration thus costs two
+    integrations: the Jacobian and the first line-search trial.
+
     Each sample accepts its own line-search step: halving continues only
     for the samples whose residual did not improve.  A sample is frozen
     once it converges or its line search fails, so one stuck sample
-    neither stalls the others nor is blamed for them.
+    neither stalls the others nor is blamed for them.  A domain exit
+    names the field sample whose geodesic left.
     """
     basis = man.tangent_basis(x0)  # (m, n, k)
     z = np.einsum("sik,si->sk", basis, v_init)
     k = z.shape[1]
 
     def residual(rows, zz):
-        end, _ = integrate_spray(man, x0[rows], np.einsum("sik,sk->si", basis[rows], zz), steps)
+        try:
+            end, _ = integrate_spray(man, x0[rows], np.einsum("sik,sk->si", basis[rows], zz), steps)
+        except DomainExitError as exc:
+            sample = int(rows[exc.sample])  # exc.sample indexes the integrated rows
+            raise DomainExitError(
+                f"log shooting: geodesic of sample {sample} left domain at t={exc.time:.6g}",
+                time=exc.time, sample=sample,
+            ) from exc
         return end - target[rows]
 
     r = residual(np.arange(x0.shape[0]), z)
@@ -228,13 +247,13 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
             break
         za = z[active]
         delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(za), axis=1))
-        J = np.empty((active.size, r.shape[1], k))
-        for c in range(k):
-            zp = za.copy()
-            zm = za.copy()
-            zp[:, c] += delta
-            zm[:, c] -= delta
-            J[:, :, c] = (residual(active, zp) - residual(active, zm)) / (2.0 * delta[:, None])
+        cols = np.arange(k)
+        zs = np.repeat(za[None], 2 * k, axis=0)  # rows (+delta e_c, then -delta e_c, sample)
+        zs[cols, :, cols] += delta
+        zs[k + cols, :, cols] -= delta
+        rs = residual(np.tile(active, 2 * k), zs.reshape(-1, k)).reshape(2 * k, active.size, -1)
+        # (active, n, k) in C order: einsum's summation order depends on the layout
+        J = np.ascontiguousarray(np.moveaxis((rs[:k] - rs[k:]) / (2.0 * delta[:, None]), 0, 2))
         JtJ = np.einsum("sic,sid->scd", J, J)
         Jtr = np.einsum("sic,si->sc", J, r[active])
         try:
@@ -278,6 +297,10 @@ def log_field(q0: MapField, q1: MapField, steps: int = 1000,
     the coordinate (or projected ambient) chord, and polishes with damped
     Newton until the integrated endpoint matches q1 within ``tol``.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not steps >= 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
     require_same_space(q0, q1)
     man = q0.manifold
     if man.closed_form_log is not None:

@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapgeom import (
+    DomainExitError,
     FieldMismatchError,
     FieldPath,
     MapField,
@@ -348,6 +352,56 @@ def test_log_antipodal_reports_sample():
     with pytest.raises(ShootingError) as err:
         log_field(q0, q1)
     assert err.value.sample == 1
+
+
+def test_log_domain_exit_names_the_field_sample():
+    # sample 0 is stationary and converges at once; sample 1's seed stays in
+    # the narrowed chart, and a later call, which integrates only sample 1's
+    # rows, leaves it at row 0 of that call
+    man = dataclasses.replace(make_manifold("halfplane"), closed_form_log=None, name=None,
+                              chart_domain=lambda x: (x[..., 1] > 0.5) & (x[..., 1] < 2.0))
+    dom = QuadratureDomain(np.array([0.5, 0.5]))
+    q0 = MapField(dom, man, np.array([[0, 1], [-0.7701347334381896, 1.547719652199202]]))
+    q1 = MapField(dom, man, np.array([[0, 1], [0.8548478572491198, 1.85830404690204]]))
+    with pytest.raises(DomainExitError, match="sample 1 left domain") as err:
+        log_field(q0, q1, steps=100)
+    assert err.value.sample == 1
+    assert err.value.time == 0.5
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0}, {"steps": 0},
+])
+def test_log_rejects_bad_tolerance_and_steps(kwargs):
+    name = next(iter(kwargs))
+    q0 = MapField(circle_domain(2), PARABOLOID, np.array([[0.1, 0.2, 0.05], [0.3, -0.1, 0.1]]))
+    q1 = MapField(q0.domain, PARABOLOID, np.array([[0.2, 0.2, 0.08], [0.3, 0.0, 0.09]]))
+    with pytest.raises(ValueError, match=name):
+        log_field(q0, q1, **{"steps": 100, **kwargs})
+    with pytest.raises(ValueError, match=name):
+        geodesic_distance(q0, q1, **{"steps": 100, **kwargs})
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.floats(0.05, 0.4), min_size=2, max_size=4).map(np.array))
+def test_log_paraboloid_round_trip_and_sample_independence(seed, speeds):
+    rng = np.random.default_rng(seed)
+    m = speeds.size
+    q0 = MapField(circle_domain(m), PARABOLOID, PARABOLOID.random_points(rng, m))
+    d = PARABOLOID.project(q0.values, rng.normal(size=(m, 3)))
+    d *= (speeds / np.sqrt(PARABOLOID.inner(q0.values, d, d)))[:, None]
+    q1 = exp_field(TangentField(q0, d), steps=64)
+    h = log_field(q0, q1, steps=64)
+    assert np.max(np.abs(exp_field(h, steps=64).values - q1.values)) < 1e-9
+    # the batched Jacobian integrates rows independently: the field solve is
+    # bit for bit the solves of its samples one at a time
+    one = circle_domain(1)
+    alone = [
+        log_field(MapField(one, PARABOLOID, q0.values[i:i + 1]),
+                  MapField(one, PARABOLOID, q1.values[i:i + 1]), steps=64).vecs
+        for i in range(m)
+    ]
+    assert np.array_equal(h.vecs, np.concatenate(alone))
 
 
 def test_geodesic_distance_flat_weighted():

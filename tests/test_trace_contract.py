@@ -5,9 +5,11 @@ callbacks on copies of each registry manifold.  A refactor that computes
 the spray, the transport equation or a target callback some other way
 would make those per-layer counts read zero, a tangent projector built
 inside the spray or transport equation would bring back the cost the
-closed-form level-set kernel removed, and one file function that calls
-another through a traced name would count the same bytes twice; these
-tests catch all three without a benchmark run.
+closed-form level-set kernel removed, one file function that calls
+another through a traced name would count the same bytes twice, and a
+log map that integrates its Jacobian columns one call at a time would
+pay the fixed per-step cost 2k times per Newton iteration; these tests
+catch all four without a benchmark run.
 """
 
 import sys
@@ -118,3 +120,39 @@ def test_file_spans_count_bytes_and_never_nest(tracer_module, tmp_path):
         while parent >= 0:
             assert not spans[parent][NAME].startswith("io."), f"{s[NAME]} inside {spans[parent][NAME]}"
             parent = spans[parent][PARENT]
+
+
+def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
+    # a log_narrow-shaped solve: m = 4 paraboloid samples, lengths in
+    # [0.1, 0.25], 200 steps; it converges in two Newton iterations
+    man = manifold.make_manifold("paraboloid")
+    rng = np.random.default_rng(0)
+    xy = rng.uniform(-0.5, 0.5, (4, 2))
+    x = np.concatenate([xy, np.sum(xy**2, axis=1, keepdims=True)], 1)
+    d = man.project(x, rng.normal(size=x.shape))
+    d *= (rng.uniform(0.1, 0.25, 4) / np.linalg.norm(d, axis=1))[:, None]
+    q0 = mapspace.MapField(mapspace.circle_domain(4), man, x)
+    q1 = mapspace.exp_field(mapspace.TangentField(q0, d), steps=200)
+    trace = tracer_module.Tracer()
+    uninstall = tracer_module.install(trace)
+    try:
+        dynamics.log_field(q0, q1, steps=200)
+    finally:
+        uninstall()
+    NAME, PARENT, COUNT, STEPS = (tracer_module.NAME, tracer_module.PARENT,
+                                  tracer_module.COUNT, tracer_module.STEPS)
+    spans = trace.spans
+
+    def under_log(s):
+        while s[PARENT] >= 0:
+            s = spans[s[PARENT]]
+            if s[NAME] == "dynamics.log_field":
+                return True
+        return False
+
+    calls = [s for s in spans if s[NAME] == "manifold.integrate_spray" and under_log(s)]
+    # the seed, then per iteration one Jacobian call of 2k * 4 = 16 rows
+    # and one line-search trial
+    assert [(s[COUNT], s[STEPS]) for s in calls] == [(4, 200), (16, 200), (4, 200), (16, 200), (4, 200)]
+    # the same rows x steps as 11 calls with one call per difference column
+    assert sum(s[COUNT] * s[STEPS] for s in calls) == 200 * (4 + 2 * (4 * 4 + 4))
