@@ -26,7 +26,6 @@ from .manifold import (
     EmbeddedManifold,
     SecondTangentVector,
     TangentVector,
-    canonical_flip,
     christoffel_from_metric,
     connector,
     curvature_point,
@@ -37,7 +36,6 @@ from .manifold import (
     parallel_transport_point,
     sectional_curvature,
     spray_eval,
-    vertical_lift,
 )
 from .mapspace import (
     MapField,

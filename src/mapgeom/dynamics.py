@@ -26,6 +26,7 @@ from .errors import DomainExitError, FieldMismatchError, ShootingError
 from .manifold import (
     Manifold,
     integrate_spray,
+    require_count,
     spray_accel,
     transport_along_samples,
 )
@@ -112,8 +113,8 @@ def integrate_geodesic(
     ``exp_field(h0, steps=(snapshots - 1) * steps_per_snapshot)``
     bit for bit.
     """
-    if snapshots < 2 or steps_per_snapshot < 1:
-        raise ValueError("need snapshots >= 2 and steps_per_snapshot >= 1")
+    require_count("snapshots", snapshots, 2)
+    require_count("steps_per_snapshot", steps_per_snapshot)
     require_based(q0, h0)
     man = q0.manifold
     total = (snapshots - 1) * steps_per_snapshot
@@ -299,8 +300,7 @@ def log_field(q0: MapField, q1: MapField, steps: int = 1000,
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    if not steps >= 1:
-        raise ValueError(f"steps must be >= 1, got {steps!r}")
+    require_count("steps", steps)
     require_same_space(q0, q1)
     man = q0.manifold
     if man.closed_form_log is not None:

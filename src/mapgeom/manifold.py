@@ -95,16 +95,6 @@ class SecondTangentVector:
     dvec: np.ndarray
 
 
-def vertical_lift(h: TangentVector, k: np.ndarray) -> SecondTangentVector:
-    """vl(h, k) = (x, h; 0, k)."""
-    return SecondTangentVector(h.base, h.vec, np.zeros_like(h.vec), np.asarray(k))
-
-
-def canonical_flip(xi: SecondTangentVector) -> SecondTangentVector:
-    """kappa(x, h; k, l) = (x, k; h, l)."""
-    return SecondTangentVector(xi.base, xi.dbase, xi.vec, xi.dvec)
-
-
 # ---------------------------------------------------------------------------
 # manifold representations
 
@@ -468,6 +458,15 @@ def _check_state(man: Manifold, x, t: float):
         )
 
 
+def require_count(name: str, value, least: int = 1):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer >= ``least``.
+
+    Python and NumPy integers count; floats and bools do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[int] = None):
     """Classical fixed-step RK4 integration of the spray over unit time.
 
@@ -477,8 +476,7 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
     targets are retracted and the velocity is re-projected onto the
     tangent space.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    require_count("steps", steps)
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
     _check_state(man, x, 0.0)

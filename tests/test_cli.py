@@ -242,6 +242,36 @@ def test_config_value_of_wrong_type_exit_2(tmp_path, entry):
     assert f"config entry {key!r}" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry, argv", [
+    ({"field": "nope.json"}, ["verify", "--manifold", "flat:n=2"]),
+    ({"snapshots": 0}, ["verify", "--manifold", "flat:n=2"]),
+    ({"tolerance": 1e-8}, ["exp", "--field", "h.json", "--output", "end.json"]),
+], ids=["verify-field", "verify-snapshots", "exp-tolerance"])
+def test_config_entry_not_an_option_of_the_subcommand_exit_2(tmp_path, capsys, entry, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    code = main(["--config", str(cfg), *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    (key,) = entry
+    assert str(cfg) in err and f"config entry {key!r}" in err and f"subcommand {argv[0]!r}" in err
+
+
+def test_curvature_on_an_embedded_target_exit_2(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    q = MapField(circle_domain(3), SPHERE, SPHERE.random_points(rng, 3))
+    h = TangentField(q, SPHERE.project(q.values, rng.uniform(-1, 1, (3, 3))))
+    qf, hf = tmp_path / "q.json", tmp_path / "h.json"
+    save_field(q, qf)
+    save_field(h, hf)
+    code = main(["curvature", "--base", str(qf), "--h", str(hf), "--k", str(hf), "--l", str(hf),
+                 "--output", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--base" in err and "sphere:r=1.0:rep=embedded" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_nonfinite_vecs_exit_2(tmp_path, capsys):
     doc = {"domain": {"weights": [0.5, 0.5]}, "manifold": "halfplane",
            "values": [[0.0, 1.0], [0.5, 1.5]], "vecs": [[0.1, 0.2], [float("nan"), 0.0]]}

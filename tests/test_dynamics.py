@@ -382,6 +382,25 @@ def test_log_rejects_bad_tolerance_and_steps(kwargs):
         geodesic_distance(q0, q1, **{"steps": 100, **kwargs})
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda q0, q1, h: exp_field(h, steps=2.5), "steps"),
+    (lambda q0, q1, h: exp_field(h, steps=True), "steps"),
+    (lambda q0, q1, h: log_field(q0, q1, steps=2.5), "steps"),
+    (lambda q0, q1, h: integrate_geodesic(q0, h, steps_per_snapshot=2.5), "steps_per_snapshot"),
+    (lambda q0, q1, h: integrate_geodesic(q0, h, snapshots=2.5), "snapshots"),
+], ids=["exp-steps", "exp-steps-bool", "log-steps", "geodesic-steps-per-snapshot",
+        "geodesic-snapshots"])
+def test_step_counts_must_be_integers(call, name):
+    q0 = MapField(circle_domain(2), PARABOLOID, np.array([[0.1, 0.2, 0.05], [0.3, -0.1, 0.1]]))
+    q1 = MapField(q0.domain, PARABOLOID, np.array([[0.2, 0.2, 0.08], [0.3, 0.0, 0.09]]))
+    d = np.array([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
+    h = TangentField(q0, PARABOLOID.project(q0.values, d))
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(q0, q1, h)
+    # a NumPy integer is a count like any other
+    assert np.array_equal(exp_field(h, steps=np.int64(4)).values, exp_field(h, steps=4).values)
+
+
 @settings(max_examples=2, deadline=None)
 @given(st.integers(0, 10_000), st.lists(st.floats(0.05, 0.4), min_size=2, max_size=4).map(np.array))
 def test_log_paraboloid_round_trip_and_sample_independence(seed, speeds):
