@@ -84,9 +84,7 @@ from .verification import (
 )
 from .reparam import (
     DiscreteDiffeo,
-    act_on_map,
-    act_on_second_tangent,
-    act_on_tangent,
+    act,
     check_equivariance,
     check_metric_invariance,
     identity_diffeo,

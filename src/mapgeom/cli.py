@@ -366,6 +366,8 @@ def parse_config(argv) -> RunConfig:
         value = getattr(config, attr)
         if not value > 0:
             raise ValueError(f"option {attr} must be positive, got {value}")
+    if config.seed < 0:
+        raise ValueError(f"option seed must be non-negative, got {config.seed}")
     return config
 
 

@@ -883,17 +883,50 @@ def _paraboloid(name: str) -> EmbeddedManifold:
     )
 
 
-_REGISTRY_HELP = [
-    ("flat", "Euclidean R^n; keys: n (default 2), rep = chart | embedded (default chart)"),
-    ("sphere", "round sphere in R^3; keys: r > 0 (default 1.0), rep = chart | embedded (default embedded)"),
-    ("halfplane", "hyperbolic upper half-plane, curvature -1; no keys"),
-    ("paraboloid", "z = x^2 + y^2 embedded in R^3; no keys"),
-]
+def _positive(kind, noun: str) -> Callable:
+    """Parser of a registry key that holds a positive ``kind`` value."""
+
+    def parse(key: str, text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(f"invalid parameter {key}={text!r}: expected {noun}") from None
+        if not value > 0:
+            raise ValueError(f"invalid parameter {key}={value}: must be positive")
+        return value
+
+    return parse
+
+
+def _rep(key: str, text: str) -> str:
+    if text not in ("chart", "embedded"):
+        raise ValueError(f"invalid parameter {key}={text!r}: expected chart or embedded")
+    return text
+
+
+def _flat(name: str, n: int, rep: str) -> Manifold:
+    return _flat_chart(n, name) if rep == "chart" else _flat_embedded(n, name)
+
+
+def _sphere(name: str, r: float, rep: str) -> Manifold:
+    return _sphere_chart(r, name) if rep == "chart" else _sphere_embedded(r, name)
+
+
+# name -> (description, {key: (parser, default text)}, builder(canonical name, **values))
+_REGISTRY = {
+    "flat": ("Euclidean R^n; keys: n (default 2), rep = chart | embedded (default chart)",
+             {"n": (_positive(int, "an integer"), "2"), "rep": (_rep, "chart")}, _flat),
+    "sphere": ("round sphere in R^3; keys: r > 0 (default 1.0), rep = chart | embedded "
+               "(default embedded)",
+               {"r": (_positive(float, "a number"), "1.0"), "rep": (_rep, "embedded")}, _sphere),
+    "halfplane": ("hyperbolic upper half-plane, curvature -1; no keys", {}, _halfplane),
+    "paraboloid": ("z = x^2 + y^2 embedded in R^3; no keys", {}, _paraboloid),
+}
 
 
 def list_manifolds():
     """Registry entries as (name, description) pairs."""
-    return list(_REGISTRY_HELP)
+    return [(name, entry[0]) for name, entry in _REGISTRY.items()]
 
 
 def _parse_kv(parts, allowed):
@@ -915,45 +948,15 @@ def make_manifold(spec: str) -> Manifold:
 
     The grammar is the registry name followed by colon-separated key=value
     pairs; see :func:`list_manifolds` for the available names and keys.
+    The canonical name lists every key of the entry, defaults included.
     """
     parts = [p for p in str(spec).split(":") if p != ""]
     if not parts:
         raise ValueError("empty manifold string")
-    head, rest = parts[0], parts[1:]
-    if head == "flat":
-        kv = _parse_kv(rest, {"n", "rep"})
-        try:
-            n = int(kv.get("n", "2"))
-        except ValueError:
-            raise ValueError(f"invalid parameter n={kv['n']!r}: expected an integer") from None
-        if n < 1:
-            raise ValueError(f"invalid parameter n={n}: must be positive")
-        rep = kv.get("rep", "chart")
-        name = f"flat:n={n}:rep={rep}"
-        if rep == "chart":
-            return _flat_chart(n, name)
-        if rep == "embedded":
-            return _flat_embedded(n, name)
-        raise ValueError(f"invalid parameter rep={rep!r}: expected chart or embedded")
-    if head == "sphere":
-        kv = _parse_kv(rest, {"r", "rep"})
-        try:
-            r = float(kv.get("r", "1.0"))
-        except ValueError:
-            raise ValueError(f"invalid parameter r={kv['r']!r}: expected a number") from None
-        if not (r > 0.0):
-            raise ValueError(f"invalid parameter r={r}: must be positive")
-        rep = kv.get("rep", "embedded")
-        name = f"sphere:r={r!r}:rep={rep}"
-        if rep == "chart":
-            return _sphere_chart(r, name)
-        if rep == "embedded":
-            return _sphere_embedded(r, name)
-        raise ValueError(f"invalid parameter rep={rep!r}: expected chart or embedded")
-    if head == "halfplane":
-        _parse_kv(rest, set())
-        return _halfplane("halfplane")
-    if head == "paraboloid":
-        _parse_kv(rest, set())
-        return _paraboloid("paraboloid")
-    raise ValueError(f"unknown manifold {head!r}; known: flat, sphere, halfplane, paraboloid")
+    if parts[0] not in _REGISTRY:
+        raise ValueError(f"unknown manifold {parts[0]!r}; known: {', '.join(_REGISTRY)}")
+    _, keys, build = _REGISTRY[parts[0]]
+    kv = _parse_kv(parts[1:], keys)
+    values = {key: parse(key, kv.get(key, default)) for key, (parse, default) in keys.items()}
+    name = ":".join([parts[0]] + [f"{key}={value}" for key, value in values.items()])
+    return build(name, **values)

@@ -4,7 +4,10 @@ The source manifold enters only through quadrature: a
 :class:`QuadratureDomain` is a list of sample labels with positive weights.
 Maps into the target, tangent vectors along them, and second tangents are
 stored as per-sample arrays, and every geometric operator of
-:mod:`mapgeom.manifold` lifts sample-by-sample.
+:mod:`mapgeom.manifold` lifts sample-by-sample.  The layout of each field
+kind is written down once, in :func:`sample_arrays` and
+:func:`field_from_arrays`; the pointwise lift and the permutation action
+of :mod:`mapgeom.reparam` reach the samples only through these two.
 
 Field operations are pure; per-sample work is batched and row-independent,
 and the quadrature reduction in :func:`l2_inner` always runs in the fixed
@@ -74,7 +77,6 @@ class QuadratureDomain:
 
     weights: np.ndarray
     points: Optional[np.ndarray] = None
-    ids: Optional[tuple] = None
 
     def __post_init__(self):
         w = own(self, "weights", ndim=1)
@@ -82,8 +84,6 @@ class QuadratureDomain:
             raise ValueError("weights must be non-empty and positive")
         if self.points is not None and own(self, "points").shape[0] != w.size:
             raise ValueError("points and weights must have equal length")
-        if self.ids is not None and len(self.ids) != w.size:
-            raise ValueError("ids and weights must have equal length")
 
     @property
     def size(self) -> int:
@@ -248,45 +248,60 @@ def l2_norm(q: MapField, h: TangentField) -> float:
 # functorial lift
 
 
+def sample_arrays(field) -> tuple:
+    """The per-sample arrays of a field, each with the samples along axis 0.
+
+    ``(values,)`` for a map field, ``(values, vecs)`` for a tangent field
+    and ``(base, vec, dbase, dvec)`` for a second tangent field.  This and
+    :func:`field_from_arrays` are the only places that know these layouts.
+    """
+    if isinstance(field, MapField):
+        return (field.values,)
+    if isinstance(field, TangentField):
+        return (field.base.values, field.vecs)
+    if isinstance(field, SecondTangentField):
+        return (field.base, field.vec, field.dbase, field.dvec)
+    raise TypeError(f"cannot lift over {type(field).__name__}")
+
+
+def field_from_arrays(field, arrays, manifold: Optional[Manifold] = None):
+    """A field of the kind and domain of ``field`` with the given per-sample arrays.
+
+    ``arrays`` follow the layout of :func:`sample_arrays`; the new field
+    lives on ``manifold`` (default: the field's own).
+    """
+    target = manifold if manifold is not None else field.manifold
+    if isinstance(field, SecondTangentField):
+        return SecondTangentField(field.domain, target, *arrays)
+    base = MapField(field.domain, target, arrays[0])
+    return base if isinstance(field, MapField) else TangentField(base, arrays[1])
+
+
 def lift_left_composition(fn: Callable, field, manifold: Optional[Manifold] = None):
     """Apply a pointwise map to every sample of a field.
 
-    ``fn`` receives the per-sample data of the field: a point for a map
-    field, ``(point, vector)`` for a tangent field, and ``(x, h, k, l)``
-    for a second tangent field.  It returns either a single point, which
-    yields a :class:`MapField` over ``manifold`` (default: the field's own),
-    or a tuple of the same arity as its input, which yields a field of the
-    input's kind.  A callback failure at sample i raises ``LiftError``
-    carrying i.
+    ``fn`` receives the per-sample data of the field (see
+    :func:`sample_arrays`): a point for a map field, ``(point, vector)``
+    for a tangent field, and ``(x, h, k, l)`` for a second tangent field.
+    It returns either a single point, which yields a :class:`MapField` over
+    ``manifold`` (default: the field's own), or a tuple of the same arity
+    as its input, which yields a field of the input's kind.  A callback
+    failure at sample i raises ``LiftError`` carrying i.
     """
     target = manifold if manifold is not None else field.manifold
-
-    def per_sample(args_list):
-        outs = []
-        for i, args in enumerate(args_list):
-            try:
-                outs.append(fn(*args))
-            except Exception as exc:
-                raise LiftError(f"pointwise map failed at sample {i}: {exc}", sample=i) from exc
-        return outs
-
-    if isinstance(field, MapField):
-        outs = per_sample([(v,) for v in field.values])
-        return MapField(field.domain, target, np.asarray(outs, dtype=float))
-    if isinstance(field, TangentField):
-        outs = per_sample(list(zip(field.base.values, field.vecs)))
-        if all(isinstance(o, tuple) and len(o) == 2 for o in outs):
-            pts = np.asarray([o[0] for o in outs], dtype=float)
-            vecs = np.asarray([o[1] for o in outs], dtype=float)
-            return TangentField(MapField(field.domain, target, pts), vecs)
-        return MapField(field.domain, target, np.asarray(outs, dtype=float))
-    if isinstance(field, SecondTangentField):
-        outs = per_sample(list(zip(field.base, field.vec, field.dbase, field.dvec)))
-        if all(isinstance(o, tuple) and len(o) == 4 for o in outs):
-            comps = [np.asarray([o[j] for o in outs], dtype=float) for j in range(4)]
-            return SecondTangentField(field.domain, target, *comps)
-        return MapField(field.domain, target, np.asarray(outs, dtype=float))
-    raise TypeError(f"cannot lift over {type(field).__name__}")
+    arrays = sample_arrays(field)
+    outs = []
+    for i, args in enumerate(zip(*arrays)):
+        try:
+            outs.append(fn(*args))
+        except Exception as exc:
+            raise LiftError(f"pointwise map failed at sample {i}: {exc}", sample=i) from exc
+    arity = len(arrays)
+    # over a map field a returned tuple is read as a point's coordinates
+    if arity > 1 and all(isinstance(o, tuple) and len(o) == arity for o in outs):
+        comps = [np.asarray([o[j] for o in outs], dtype=float) for j in range(arity)]
+        return field_from_arrays(field, comps, target)
+    return MapField(field.domain, target, np.asarray(outs, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,12 @@ and the metric is invariant exactly in that case.  The lifted geometric
 operators are pointwise and deterministic, so they commute with every
 permutation bit for bit, measure preserving or not.
 
+One action, :func:`act`, serves every field kind: it reindexes the
+per-sample arrays that :mod:`mapgeom.mapspace` lists for the field's kind,
+so nothing here knows how a kind lays out its samples.
+:func:`check_equivariance` reads from one table which lifted operator to
+check and which inputs it takes, and rejects an input it does not take.
+
 Note: every permutation preserves the uniform weight vector, so the
 discrete measure-preserving subgroup is never trivial; this is a
 disanalogy with the smooth setting, where it is unsettled whether each
@@ -22,19 +28,17 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import files
+from . import files, mapspace
 from .errors import FieldMismatchError
 from .mapspace import (
     MapField,
     QuadratureDomain,
     SecondTangentField,
     TangentField,
-    connector_field,
-    curvature_field,
-    exp_field,
+    field_from_arrays,
     l2_inner,
     own,
-    spray_field,
+    sample_arrays,
 )
 from .verification import OracleReport
 
@@ -92,26 +96,15 @@ def random_diffeo(m: int, rng) -> DiscreteDiffeo:
     return DiscreteDiffeo(rng.permutation(m))
 
 
-def act_on_map(phi: DiscreteDiffeo, q: MapField) -> MapField:
-    """Right composition q . phi: reindex the sample values."""
-    if phi.size != q.size:
+def act(phi: DiscreteDiffeo, field):
+    """Right composition field . phi: reindex every per-sample array.
+
+    The same action on map, tangent and second tangent fields; the result
+    is a field of the same kind on the same domain and target.
+    """
+    if phi.size != field.size:
         raise FieldMismatchError("field mismatch: permutation length differs from field")
-    return MapField(q.domain, q.manifold, q.values[phi.perm])
-
-
-def act_on_tangent(phi: DiscreteDiffeo, h: TangentField) -> TangentField:
-    if phi.size != h.size:
-        raise FieldMismatchError("field mismatch: permutation length differs from field")
-    return TangentField(act_on_map(phi, h.base), h.vecs[phi.perm])
-
-
-def act_on_second_tangent(phi: DiscreteDiffeo, xi: SecondTangentField) -> SecondTangentField:
-    if phi.size != xi.size:
-        raise FieldMismatchError("field mismatch: permutation length differs from field")
-    p = phi.perm
-    return SecondTangentField(
-        xi.domain, xi.manifold, xi.base[p], xi.vec[p], xi.dbase[p], xi.dvec[p]
-    )
+    return field_from_arrays(field, [a[phi.perm] for a in sample_arrays(field)])
 
 
 class InvarianceResult(NamedTuple):
@@ -132,11 +125,19 @@ def check_metric_invariance(
     reported with no equality claim.
     """
     rhs = l2_inner(q, h, k)
-    lhs = l2_inner(act_on_map(phi, q), act_on_tangent(phi, h), act_on_tangent(phi, k))
+    lhs = l2_inner(act(phi, q), act(phi, h), act(phi, k))
     return InvarianceResult(lhs, rhs, phi.is_measure_preserving(q.domain))
 
 
-_EQUIVARIANT_OPS = ("connector", "spray", "exp", "curvature")
+# operator -> (name of its lifted operator in mapgeom.mapspace, the fields
+# it takes, its options with their defaults).  The lifted operator is looked
+# up by name at call time, so a rebound module function is the one called.
+_EQUIVARIANT_OPS = {
+    "connector": ("connector_field", ("xi",), {}),
+    "spray": ("spray_field", ("h",), {}),
+    "exp": ("exp_field", ("h",), {"steps": 1000}),
+    "curvature": ("curvature_field", ("q", "h", "k", "l"), {}),
+}
 
 
 def check_equivariance(
@@ -148,49 +149,32 @@ def check_equivariance(
     q: Optional[MapField] = None,
     k: Optional[TangentField] = None,
     l: Optional[TangentField] = None,
-    steps: int = 1000,
+    steps: Optional[int] = None,
 ) -> OracleReport:
     """Bitwise equivariance of one lifted operator under a permutation.
 
     Computes op(inputs . phi) and op(inputs) . phi and requires exact
-    array equality.  Because the lifted operators act sample by sample
-    with row-independent arithmetic, this holds for every permutation,
-    not only measure-preserving ones.
+    equality of every per-sample array.  Because the lifted operators act
+    sample by sample with row-independent arithmetic, this holds for every
+    permutation, not only measure-preserving ones.  ``steps`` (default
+    1000) is an option of ``exp`` only; an input or option the operator
+    does not take raises ``ValueError``.
     """
-    if op_name == "connector":
-        if xi is None:
-            raise ValueError("connector equivariance needs xi")
-        before = connector_field(act_on_second_tangent(phi, xi))
-        after = act_on_tangent(phi, connector_field(xi))
-        pairs = [(before.vecs, after.vecs), (before.base.values, after.base.values)]
-    elif op_name == "spray":
-        if h is None:
-            raise ValueError("spray equivariance needs h")
-        before = spray_field(act_on_tangent(phi, h))
-        after = act_on_second_tangent(phi, spray_field(h))
-        pairs = [
-            (before.base, after.base),
-            (before.vec, after.vec),
-            (before.dbase, after.dbase),
-            (before.dvec, after.dvec),
-        ]
-    elif op_name == "exp":
-        if h is None:
-            raise ValueError("exp equivariance needs h")
-        before = exp_field(act_on_tangent(phi, h), steps=steps)
-        after = act_on_map(phi, exp_field(h, steps=steps))
-        pairs = [(before.values, after.values)]
-    elif op_name == "curvature":
-        if q is None or h is None or k is None or l is None:
-            raise ValueError("curvature equivariance needs q, h, k, l")
-        before = curvature_field(
-            act_on_map(phi, q), act_on_tangent(phi, h), act_on_tangent(phi, k),
-            act_on_tangent(phi, l),
-        )
-        after = act_on_tangent(phi, curvature_field(q, h, k, l))
-        pairs = [(before.vecs, after.vecs)]
-    else:
-        raise ValueError(f"unknown operator {op_name!r}; choose from {_EQUIVARIANT_OPS}")
+    if op_name not in _EQUIVARIANT_OPS:
+        raise ValueError(f"unknown operator {op_name!r}; choose from {tuple(_EQUIVARIANT_OPS)}")
+    op_fn, names, defaults = _EQUIVARIANT_OPS[op_name]
+    given = {key: value for key, value in dict(xi=xi, h=h, q=q, k=k, l=l, steps=steps).items()
+             if value is not None}
+    options = {key: given.pop(key, default) for key, default in defaults.items()}
+    if any(name not in given for name in names):
+        raise ValueError(f"{op_name} equivariance needs {', '.join(names)}")
+    extra = sorted(set(given) - set(names))
+    if extra:
+        raise ValueError(f"{op_name} equivariance does not take {', '.join(extra)}")
+    op = getattr(mapspace, op_fn)
+    before = op(**{name: act(phi, f) for name, f in given.items()}, **options)
+    after = act(phi, op(**given, **options))
+    pairs = list(zip(sample_arrays(before), sample_arrays(after)))
     max_err = max(float(np.max(np.abs(a - b))) if a.size else 0.0 for a, b in pairs)
     exact = all(np.array_equal(a, b) for a, b in pairs)
     err = max_err if exact or max_err > 0.0 else float("inf")

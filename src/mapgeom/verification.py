@@ -22,9 +22,7 @@ from .manifold import (
     ChartManifold,
     EmbeddedManifold,
     Manifold,
-    SecondTangentVector,
     _gamma_pair,
-    connector,
     curvature_point,
     integrate_spray,
 )
@@ -104,36 +102,35 @@ def oracle_christoffel(man: ChartManifold, x) -> np.ndarray:
 
 
 def oracle_curvature_commutator(man: ChartManifold, x, h, k, l) -> np.ndarray:
-    """R(h, k) l from nested covariant derivatives.
+    """R(h, k) l from nested covariant derivatives, batched over ``(..., n)`` rows.
 
     Extends h, k, l to constant-coefficient vector fields, so the bracket
     term vanishes, and evaluates nabla_h nabla_k L - nabla_k nabla_h L
-    with central finite differences of the connector.
+    with central finite differences of the connector, each row with its
+    own step.
     """
     if not isinstance(man, ChartManifold):
         raise TypeError("the commutator oracle needs a chart representation")
-    x = np.asarray(x, dtype=float)
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    l = np.asarray(l, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("the commutator oracle works one point at a time")
+    x, h, k, l = (np.asarray(a, dtype=float) for a in (x, h, k, l))
 
     def covd_const(y, a):
         # nabla_a L at y for the constant extension L == l
-        xi = SecondTangentVector(y, l, a, np.zeros_like(l))
-        return connector(man, xi).vec
+        man.require_valid(y, "connector base point")
+        return man.connector(y, l, a, np.zeros_like(l))
 
     def covd_of_field(direction, field):
-        delta = np.cbrt(np.finfo(float).eps) * max(1.0, float(np.max(np.abs(x))))
-        delta /= max(1.0, float(np.max(np.abs(direction))))
+        delta = np.cbrt(np.finfo(float).eps) * _row_scale(x) / _row_scale(direction)
         dW = (field(x + delta * direction) - field(x - delta * direction)) / (2.0 * delta)
-        xi = SecondTangentVector(x, field(x), direction, dW)
-        return connector(man, xi).vec
+        return man.connector(x, field(x), direction, dW)
 
     inner_k = lambda y: covd_const(y, k)
     inner_h = lambda y: covd_const(y, h)
     return covd_of_field(h, inner_k) - covd_of_field(k, inner_h)
+
+
+def _row_scale(a: np.ndarray) -> np.ndarray:
+    """max(1, max_i |a_i|) of each row, keeping a length-1 last axis."""
+    return np.maximum(1.0, np.max(np.abs(a), axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +209,6 @@ def _random_tangents(man: Manifold, rng, points: np.ndarray, count: int) -> np.n
     return np.stack([man.project(points, r) for r in raw])
 
 
-def _connector_vec(man: Manifold, x, h, k, l) -> np.ndarray:
-    return connector(man, SecondTangentVector(x, h, k, l)).vec
-
-
 def _max_rows(err: np.ndarray) -> float:
     return float(np.max(np.abs(err))) if err.size else 0.0
 
@@ -232,16 +225,17 @@ def run_axiom_sweep(man: Manifold, instances: int = 100, seed: int = 0):
         raise ValueError("instances must be >= 1")
     rng = np.random.default_rng(seed)
     x = man.random_points(rng, instances)
+    man.require_valid(x, "connector base point")
     h, k, l, h2, k2, l2 = (_random_tangents(man, rng, x, 1)[0] for _ in range(6))
     a = rng.uniform(-1.0, 1.0, size=(instances, 1))
     b = rng.uniform(-1.0, 1.0, size=(instances, 1))
 
-    e1 = _connector_vec(man, x, h, np.zeros_like(h), k) - k
-    lhs2 = _connector_vec(man, x, h, a * k + b * k2, a * l + b * l2)
-    rhs2 = a * _connector_vec(man, x, h, k, l) + b * _connector_vec(man, x, h, k2, l2)
-    lhs3 = _connector_vec(man, x, a * h + b * h2, k, a * l + b * l2)
-    rhs3 = a * _connector_vec(man, x, h, k, l) + b * _connector_vec(man, x, h2, k, l2)
-    e4 = _connector_vec(man, x, k, h, l) - _connector_vec(man, x, h, k, l)
+    e1 = man.connector(x, h, np.zeros_like(h), k) - k
+    lhs2 = man.connector(x, h, a * k + b * k2, a * l + b * l2)
+    rhs2 = a * man.connector(x, h, k, l) + b * man.connector(x, h, k2, l2)
+    lhs3 = man.connector(x, a * h + b * h2, k, a * l + b * l2)
+    rhs3 = a * man.connector(x, h, k, l) + b * man.connector(x, h2, k, l2)
+    e4 = man.connector(x, k, h, l) - man.connector(x, h, k, l)
     errs = [_max_rows(e1), _max_rows(lhs2 - rhs2), _max_rows(lhs3 - rhs3), _max_rows(e4)]
     names = [
         "connector_vertical_lift",
@@ -279,14 +273,9 @@ def standard_checks(man: Manifold, instances: int = 100, seed: int = 0):
         reports.append(OracleReport.from_error("christoffel_vs_metric_stencil", err, 1e-5, len(pts)))
         count = min(instances, 50)
         xs = man.random_points(rng, count)
-        hs = rng.uniform(-1.0, 1.0, size=xs.shape)
-        ks = rng.uniform(-1.0, 1.0, size=xs.shape)
-        ls = rng.uniform(-1.0, 1.0, size=xs.shape)
-        err = 0.0
-        for i in range(count):
-            com = oracle_curvature_commutator(man, xs[i], hs[i], ks[i], ls[i])
-            ref = curvature_point(man, xs[i], hs[i], ks[i], ls[i])
-            err = max(err, float(np.max(np.abs(com - ref))))
+        hs, ks, ls = (rng.uniform(-1.0, 1.0, size=xs.shape) for _ in range(3))
+        com = oracle_curvature_commutator(man, xs, hs, ks, ls)
+        err = _max_rows(com - curvature_point(man, xs, hs, ks, ls))
         reports.append(OracleReport.from_error("curvature_vs_commutator", err, 1e-3, count))
         count = min(instances, 25)
         err = 0.0

@@ -338,6 +338,27 @@ def test_nonpositive_numeric_option_rejected(sphere_files):
     assert "positive" in err
 
 
+@pytest.mark.parametrize("cmd", ["verify", "reparam"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exit_2_naming_seed(tmp_path, capsys, cmd, source):
+    field, perm = tmp_path / "h.json", tmp_path / "perm.json"
+    field.write_text(json.dumps({"domain": {"weights": [0.5, 0.5]}, "manifold": "flat:n=2",
+                                 "values": [[0.0, 0.0], [1.0, 0.0]],
+                                 "vecs": [[0.1, 0.0], [0.0, 0.1]]}))
+    perm.write_text("[1, 0]")
+    args = {"verify": ["verify", "--manifold", "flat:n=2", "--instances", "2"],
+            "reparam": ["reparam", "--field", str(field), "--perm", str(perm), "--steps", "5"]}[cmd]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        args = ["--config", str(cfg), *args]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "option seed must be non-negative, got -1" in err
+
+
 def test_missing_file_exit_2(tmp_path):
     code, _, _ = run_cli("exp", "--field", str(tmp_path / "nope.json"),
                          "--output", str(tmp_path / "o.json"))

@@ -6,9 +6,7 @@ from mapgeom import (
     MapField,
     QuadratureDomain,
     TangentField,
-    act_on_map,
-    act_on_second_tangent,
-    act_on_tangent,
+    act,
     check_equivariance,
     check_metric_invariance,
     circle_domain,
@@ -46,14 +44,14 @@ def test_diffeo_validation():
 def test_identity_action_unchanged():
     q, h = sphere_pair(6, seed=1)
     ident = identity_diffeo(6)
-    assert np.array_equal(act_on_map(ident, q).values, q.values)
-    assert np.array_equal(act_on_tangent(ident, h).vecs, h.vecs)
+    assert np.array_equal(act(ident, q).values, q.values)
+    assert np.array_equal(act(ident, h).vecs, h.vecs)
 
 
 def test_swap_exchanges_values():
     dom = QuadratureDomain(np.array([0.5, 0.5]))
     q = MapField(dom, FLAT2, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = act_on_map(DiscreteDiffeo(np.array([1, 0])), q)
+    out = act(DiscreteDiffeo(np.array([1, 0])), q)
     assert np.array_equal(out.values, np.array([[3.0, 4.0], [1.0, 2.0]]))
 
 
@@ -63,16 +61,16 @@ def test_right_action_composition_law():
     phi = random_diffeo(9, rng)
     psi = random_diffeo(9, rng)
     # acting by phi then psi equals acting by the composition phi . psi
-    combined = act_on_map(phi.compose(psi), q)
-    stepwise = act_on_map(psi, act_on_map(phi, q))
+    combined = act(phi.compose(psi), q)
+    stepwise = act(psi, act(phi, q))
     assert np.array_equal(combined.values, stepwise.values)
 
 
 def test_action_preserves_base_compatibility():
     q, h = sphere_pair(7, seed=4)
     phi = random_diffeo(7, np.random.default_rng(5))
-    acted = act_on_tangent(phi, h)
-    assert np.array_equal(acted.base.values, act_on_map(phi, q).values)
+    acted = act(phi, h)
+    assert np.array_equal(acted.base.values, act(phi, q).values)
     # the acted field lives on the same quadrature domain
     assert acted.domain is q.domain
 
@@ -155,6 +153,24 @@ def test_equivariance_unknown_operator():
         check_equivariance(identity_diffeo(3), "log", h=h)
 
 
+@pytest.mark.parametrize("op_name, extra", [
+    ("spray", "xi"),
+    ("spray", "q"),
+    ("spray", "steps"),
+    ("connector", "steps"),
+    ("curvature", "steps"),
+])
+def test_equivariance_rejects_inputs_the_operator_does_not_take(op_name, extra):
+    rng = np.random.default_rng(31)
+    q = MapField(circle_domain(4), HALFPLANE, HALFPLANE.random_points(rng, 4))
+    h, k, l = (TangentField(q, rng.uniform(-1, 1, (4, 2))) for _ in range(3))
+    inputs = {"connector": dict(xi=spray_field(h)), "spray": dict(h=h),
+              "curvature": dict(q=q, h=h, k=k, l=l)}[op_name]
+    inputs[extra] = {"xi": spray_field(h), "q": q, "steps": 7}[extra]
+    with pytest.raises(ValueError, match=f"{op_name} equivariance does not take {extra}"):
+        check_equivariance(identity_diffeo(4), op_name, **inputs)
+
+
 def test_distance_invariant_under_measure_preserving_action():
     rng = np.random.default_rng(13)
     m = 6
@@ -165,7 +181,7 @@ def test_distance_invariant_under_measure_preserving_action():
     q1 = MapField(dom, SPHERE_EMB, vals1)
     phi = random_diffeo(m, rng)
     d = geodesic_distance(q0, q1)
-    d_acted = geodesic_distance(act_on_map(phi, q0), act_on_map(phi, q1))
+    d_acted = geodesic_distance(act(phi, q0), act(phi, q1))
     assert abs(d - d_acted) <= 1e-12
 
 
@@ -173,7 +189,7 @@ def test_second_tangent_action_matches_componentwise():
     q, h = sphere_pair(5, seed=14)
     xi = spray_field(h)
     phi = random_diffeo(5, np.random.default_rng(15))
-    acted = act_on_second_tangent(phi, xi)
+    acted = act(phi, xi)
     assert np.array_equal(acted.base, xi.base[phi.perm])
     assert np.array_equal(acted.dvec, xi.dvec[phi.perm])
 
@@ -189,4 +205,4 @@ def test_permutation_json_round_trip(tmp_path):
 def test_size_mismatch_rejected():
     q, h = sphere_pair(4, seed=16)
     with pytest.raises(Exception, match="mismatch"):
-        act_on_map(identity_diffeo(5), q)
+        act(identity_diffeo(5), q)

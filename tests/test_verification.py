@@ -86,6 +86,16 @@ def test_commutator_matches_curvature_formula(man):
         assert np.max(np.abs(com - ref)) < 1e-3
 
 
+@pytest.mark.parametrize("man", [SPHERE_CHART, HALFPLANE])
+def test_commutator_batch_equals_one_point_calls(man):
+    # each row keeps its own difference step, so a batch is bitwise the stacked points
+    rng = np.random.default_rng(4)
+    x = man.random_points(rng, 12)
+    h, k, l = rng.uniform(-1, 1, (3,) + x.shape)
+    rows = [oracle_curvature_commutator(man, x[i], h[i], k[i], l[i]) for i in range(12)]
+    assert np.array_equal(oracle_curvature_commutator(man, x, h, k, l), np.stack(rows))
+
+
 def test_commutator_antisymmetric_in_first_pair():
     rng = np.random.default_rng(3)
     x = SPHERE_CHART.random_points(rng, 1)[0]
