@@ -49,6 +49,7 @@ All manifold callbacks are vectorized: a point argument has shape
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -884,13 +885,15 @@ def _paraboloid(name: str) -> EmbeddedManifold:
 
 
 def _positive(kind, noun: str) -> Callable:
-    """Parser of a registry key that holds a positive ``kind`` value."""
+    """Parser of a registry key that holds a positive, finite ``kind`` value."""
 
     def parse(key: str, text: str):
         try:
             value = kind(text)
         except ValueError:
             raise ValueError(f"invalid parameter {key}={text!r}: expected {noun}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"invalid parameter {key}={value}: must be finite")
         if not value > 0:
             raise ValueError(f"invalid parameter {key}={value}: must be positive")
         return value

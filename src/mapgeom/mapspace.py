@@ -41,16 +41,15 @@ _TANGENCY_TOL = 1e-6
 # domains and fields
 
 
-def own(record, name: str, dtype=float, ndim=None) -> np.ndarray:
-    """Check the array entry ``name`` of a frozen record and store it read-only.
+def checked_array(value, name: str, dtype=float, ndim=None) -> np.ndarray:
+    """Convert ``value`` to a checked, read-only array; errors name ``name``.
 
-    The entry must convert to an array of rank ``ndim`` (of any rank from 1
-    if None).  A float entry must be finite; an int entry must hold exact
-    integers and not booleans.  A failed check raises ``ValueError`` naming
-    the entry.  The record keeps, and this returns, a read-only copy.
+    The value must convert to an array of rank ``ndim`` (of any rank from 1
+    if None).  A float array must be finite; an int array must hold exact
+    integers and not booleans.  A failed check raises ``ValueError``.
     """
     try:
-        raw = np.asarray(getattr(record, name))
+        raw = np.asarray(value)
         arr = np.array(raw, dtype=float, order="C")
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an array of numbers") from None
@@ -63,6 +62,25 @@ def own(record, name: str, dtype=float, ndim=None) -> np.ndarray:
             raise ValueError(f"{name} must hold exact integers")
         arr = raw.astype(int)
     arr.setflags(write=False)
+    return arr
+
+
+def checked_permutation(value, size=None) -> np.ndarray:
+    """``checked_array`` of a permutation ``perm`` of 0..size-1 (of 0..len-1 if None)."""
+    perm = checked_array(value, "perm", int, ndim=1)
+    m = perm.size if size is None else size
+    if not np.array_equal(np.sort(perm), np.arange(m)):
+        raise ValueError(f"perm must be a permutation of 0..{m - 1}")
+    return perm
+
+
+def own(record, name: str, dtype=float, ndim=None) -> np.ndarray:
+    """Check the array entry ``name`` of a frozen record and store it read-only.
+
+    The checks are those of ``checked_array``.  The record keeps, and this
+    returns, a read-only copy.
+    """
+    arr = checked_array(getattr(record, name), name, dtype, ndim)
     object.__setattr__(record, name, arr)
     return arr
 

@@ -35,6 +35,7 @@ from .mapspace import (
     QuadratureDomain,
     SecondTangentField,
     TangentField,
+    checked_permutation,
     field_from_arrays,
     l2_inner,
     own,
@@ -57,9 +58,8 @@ class DiscreteDiffeo:
     pulled_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        p = own(self, "perm", int, ndim=1)
-        if not np.array_equal(np.sort(p), np.arange(p.size)):
-            raise ValueError("perm must be a permutation of 0..m-1")
+        p = checked_permutation(self.perm)
+        object.__setattr__(self, "perm", p)
         if self.pulled_weights is not None and own(self, "pulled_weights").shape != p.shape:
             raise ValueError("pulled_weights must match the permutation length")
 

@@ -59,6 +59,21 @@ def test_bad_manifold_string_exit_2():
     assert "invalid parameter" in err
 
 
+@pytest.mark.parametrize("rep", ["embedded", "chart"])
+def test_infinite_radius_exit_2_naming_r(rep):
+    code, _, err = run_cli("verify", "--manifold", f"sphere:r=inf:rep={rep}", "--instances", "3")
+    assert code == 2
+    assert err.strip() == "error: invalid parameter r=inf: must be finite"
+
+
+def test_cli_import_leaves_scipy_and_permutation_tables_unloaded():
+    # both are paid on first use, not by every CLI call
+    probe = ("import sys, mapgeom.cli, mapgeom.transport as t; "
+             "print('scipy.optimize' in sys.modules, t._permutation_table.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["False", "0"]
+
+
 def test_list_manifolds():
     code, out, _ = run_cli("list-manifolds")
     assert code == 0

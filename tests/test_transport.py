@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,10 +18,11 @@ from mapgeom import (
     wasserstein2_assignment,
     wasserstein2_bruteforce,
 )
-from mapgeom.transport import assignment_cost, load_measure, save_measure
+from mapgeom.transport import _cost_matrix, assignment_cost, load_measure, save_measure
 
 FLAT1 = make_manifold("flat:n=1")
 FLAT2 = make_manifold("flat:n=2")
+SPHERE_CHART = make_manifold("sphere:r=1.0:rep=chart")
 
 
 def uniform_measure(points):
@@ -111,6 +113,51 @@ def test_bruteforce_limit_and_monge_guards():
         wasserstein2_bruteforce(mu, nu)
     with pytest.raises(MeasureError, match="Monge regime required"):
         wasserstein2_bruteforce(uniform_measure([[0.0]]), uniform_measure([[0.0], [1.0]]))
+
+
+@pytest.mark.parametrize("perm", [[0, 0], [1.7, 0], [0, 1, 1], [5, 0], [True, False], [[1, 0]]])
+def test_assignment_cost_rejects_non_permutations(perm):
+    mu = uniform_measure([[0.0], [1.0]])
+    nu = uniform_measure([[1.0], [0.0]])
+    with pytest.raises(ValueError, match="perm"):
+        assignment_cost(mu, nu, perm)
+
+
+def enumerated_matching(mu, nu, manifold=None):
+    """Every permutation in lexicographic order, exactly summed; the first minimum wins."""
+    n = mu.size
+    C = _cost_matrix(mu, nu, manifold)
+    rows = np.arange(n)
+    best_perm, best_cost = None, math.inf
+    for p in itertools.permutations(range(n)):
+        c = math.fsum(((1.0 / n) * C[rows, p]).tolist())
+        if c < best_cost:
+            best_perm, best_cost = p, c
+    return np.asarray(best_perm, dtype=int), best_cost
+
+
+def random_atoms(kind, rng, n):
+    if kind == "normal":
+        return rng.normal(size=(n, 2))
+    if kind == "lattice":  # points of {0, 1}^2: many exactly tied matchings
+        return rng.integers(0, 2, size=(n, 2)).astype(float)
+    # (theta, phi) on the sphere chart, away from the poles and from antipodal pairs
+    return np.column_stack([rng.uniform(0.3, np.pi - 0.3, n), rng.uniform(-1.5, 1.5, n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.sampled_from(["normal", "lattice", "sphere"]),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_bruteforce_equals_plain_enumeration(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    manifold = SPHERE_CHART if kind == "sphere" else None
+    mu = uniform_measure(random_atoms(kind, rng, n))
+    nu = uniform_measure(random_atoms(kind, rng, n))
+    perm, cost = enumerated_matching(mu, nu, manifold)
+    brute = wasserstein2_bruteforce(mu, nu, manifold)
+    assert brute.perm.dtype == perm.dtype
+    assert np.array_equal(brute.perm, perm)
+    assert brute.cost == cost
 
 
 # ---------------------------------------------------------------------------
