@@ -4,21 +4,23 @@ Two representations of a target manifold are supported:
 
 * :class:`ChartManifold` works in local coordinates with a metric callback
   and (optionally analytic) Christoffel symbols.
-* :class:`EmbeddedManifold` works with ambient coordinates, an orthogonal
-  tangent projector, and a retraction for drift control.  Each embedded
-  target is a level set f(p) = 0 of a function on the ambient space,
-  given by its gradient and Hessian action (or by neither, for an open
-  subset of the ambient space).
+* :class:`EmbeddedManifold` works with ambient coordinates.  Each
+  embedded target is a level set f(p) = 0 of a function on the ambient
+  space, declared only by f, its gradient and its Hessian action (or by
+  none of them, for the whole ambient space).  The residual, the tangent
+  projector, the retraction used for drift control and the dimension are
+  all derived from these three.
 
 Both classes offer the same pointwise interface, and every operator in
 this package reaches the target only through it.  Each method is batched
 over leading axes of ``(..., n)`` point arrays:
 
 * ``point_dim`` -- length n of a point's coordinate vector;
-* ``valid(x)`` -- per-point membership (chart domain, or the embedding
-  constraint within tolerance); ``require_valid(x, what)`` raises
+* ``valid(x)`` -- per-point membership (chart domain, or a residual
+  within ``ON_MANIFOLD_TOL``); ``require_valid(x, what)`` raises
   :class:`ChartBoundaryError` or :class:`OffManifoldError` instead;
-* ``residual(x)`` -- embedding-constraint residual (zero for charts);
+* ``residual(x)`` -- distance to the level set to first order,
+  |f| / |grad f| (zero for charts);
 * ``inner(x, h, k)`` -- the metric g_x(h, k);
 * ``project(x, v)`` -- orthogonal projection onto the tangent space (the
   identity for charts); ``tangent_basis(x)`` -- an orthonormal basis of it
@@ -50,7 +52,7 @@ All manifold callbacks are vectorized: a point argument has shape
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -206,68 +208,113 @@ class ChartManifold:
 
 @dataclass(frozen=True)
 class EmbeddedManifold:
-    """Target manifold given by an embedding into Euclidean space.
+    """Target manifold given as a level set f(p) = 0 in Euclidean space.
 
-    ``embed_check`` returns the residual of the defining constraint
-    (scalar or vector per point), ``tangent_projector`` the orthogonal
-    projector onto the tangent space, and ``retraction(p, v)`` the closest
-    point on the manifold to ``p + v`` (used only to control drift).
-    ``gradient(p)`` and ``hessian_action(p, w)`` give grad f and
-    (Hess f) w of the defining function f of a hypersurface f(p) = 0.
-    A custom embedded target must be such a hypersurface (codimension 1,
-    both callbacks given) or an open subset of the ambient space
-    (``intrinsic_dim == ambient_dim``), where P = I and neither is needed;
-    anything else raises ValueError.
+    A target gives ``level_set`` (f, one scalar per point), ``gradient``
+    (grad f) and ``hessian_action`` ((Hess f) w), or none of the three, in
+    which case it is the whole ambient space and P = I.  Everything else is
+    derived from them once:
+
+    * ``residual(p) = |f(p)| / |grad f(p)|``, the first-order distance to
+      the level set; it does not change when f is rescaled, and a point
+      where grad f = 0 reads as infinitely far;
+    * ``tangent_projector`` -- P = I - n n^T with n = grad f / |grad f|;
+    * ``retraction(p)`` -- Newton steps along grad f back onto f = 0, a
+      retraction in the sense of Absil, Mahony & Sepulchre, *Optimization
+      Algorithms on Matrix Manifolds* (2008), ch. 4; used only to control
+      drift.
+
+    ``tangent_projector`` and ``retraction`` are fields only so that they
+    can be instrumented (wrapped and passed back through
+    ``dataclasses.replace``): leave them out and they are filled in from
+    the level set.
     """
 
     ambient_dim: int
-    intrinsic_dim: int
-    embed_check: Callable
-    tangent_projector: Callable
-    retraction: Callable
+    level_set: Optional[Callable] = None
     gradient: Optional[Callable] = None
     hessian_action: Optional[Callable] = None
     sample_points: Optional[Callable] = None
     closed_form_log: Optional[Callable] = None
     name: Optional[str] = None
+    tangent_projector: Optional[Callable] = field(default=None, repr=False, compare=False)
+    retraction: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        codim = self.ambient_dim - self.intrinsic_dim
-        if codim == 1 and (self.gradient is None or self.hessian_action is None):
+        given = [f is not None for f in (self.level_set, self.gradient, self.hessian_action)]
+        if any(given) and not all(given):
             raise ValueError(
-                "an embedded hypersurface needs both gradient and hessian_action"
+                "a level-set target needs all of level_set, gradient and hessian_action"
             )
-        if codim not in (0, 1):
-            raise ValueError(
-                f"embedded targets must have codimension 0 or 1, not {codim}"
-            )
+        # derive what is not given, and re-derive what dataclasses.replace
+        # carried over from another instance, whose level set may differ
+        for attr, derived in (("tangent_projector", self._projector),
+                              ("retraction", self._newton_retraction)):
+            fn = getattr(self, attr)
+            if fn is None or isinstance(getattr(fn, "__self__", None), EmbeddedManifold):
+                object.__setattr__(self, attr, derived)
 
-    def residual(self, p) -> np.ndarray:
-        """Max-abs constraint residual per point, shape (...)."""
-        r = np.asarray(self.embed_check(np.asarray(p, dtype=float)))
-        if r.ndim > np.asarray(p).ndim - 1:
-            r = np.max(np.abs(r), axis=-1)
-        else:
-            r = np.abs(r)
-        return r
-
-    def on_manifold(self, p) -> np.ndarray:
-        return self.residual(p) <= ON_MANIFOLD_TOL
+    @property
+    def intrinsic_dim(self) -> int:
+        return self.ambient_dim - (self.level_set is not None)
 
     @property
     def point_dim(self) -> int:
         return self.ambient_dim
 
-    valid = on_manifold
+    def _level(self, p) -> np.ndarray:
+        f = np.asarray(self.level_set(p))
+        if f.shape != p.shape[:-1]:
+            raise ValueError(
+                f"level_set must return one scalar per point: got shape {f.shape} "
+                f"for points of shape {p.shape}"
+            )
+        return f
+
+    def residual(self, p) -> np.ndarray:
+        """First-order distance |f| / |grad f| to the level set, shape (...)."""
+        p = np.asarray(p, dtype=float)
+        if self.level_set is None:
+            return np.zeros(p.shape[:-1])
+        g = self.gradient(p)
+        gnorm = np.sqrt(np.einsum("...i,...i->...", g, g))
+        # where grad f = 0 the residual is infinite: such a point is never valid
+        return np.divide(np.abs(self._level(p)), gnorm, out=np.full(gnorm.shape, np.inf),
+                         where=gnorm > 0.0)
+
+    def valid(self, p) -> np.ndarray:
+        return self.residual(p) <= ON_MANIFOLD_TOL
 
     def require_valid(self, p, what: str):
-        if not np.all(self.on_manifold(p)):
+        if not np.all(self.valid(p)):
             raise OffManifoldError(
                 f"point off manifold: embedding residual of {what} above tolerance"
             )
 
     def inner(self, p, h, k) -> np.ndarray:
         return np.einsum("...i,...i->...", h, k)
+
+    def _projector(self, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        eye = np.eye(self.ambient_dim)
+        if self.level_set is None:
+            return np.broadcast_to(eye, p.shape[:-1] + eye.shape).copy()
+        g = self.gradient(p)
+        gg = np.einsum("...i,...i->...", g, g)[..., None]
+        return eye - g[..., :, None] * (g / gg)[..., None, :]
+
+    def _newton_retraction(self, p) -> np.ndarray:
+        q = np.asarray(p, dtype=float)
+        if self.level_set is None:
+            return q
+        # Newton converges quadratically, so from a drift of at most
+        # ON_MANIFOLD_TOL two steps reach round-off.  The count is fixed
+        # rather than tested for convergence so that a row's result never
+        # depends on the other rows of its batch.
+        for _ in range(2):
+            g = self.gradient(q)
+            q = q - (self._level(q) / np.einsum("...i,...i->...", g, g))[..., None] * g
+        return q
 
     def project(self, p, v) -> np.ndarray:
         P = np.asarray(self.tangent_projector(np.asarray(p, dtype=float)))
@@ -290,7 +337,7 @@ class EmbeddedManifold:
     def _dP(self, p, w, X) -> np.ndarray:
         """(DP(p)[w]) X in closed form from the level-set description."""
         X = np.asarray(X, dtype=float)
-        if self.intrinsic_dim == self.ambient_dim:
+        if self.level_set is None:
             return np.zeros(X.shape)
         p = np.asarray(p, dtype=float)
         g = self.gradient(p)
@@ -307,12 +354,8 @@ class EmbeddedManifold:
         # retract only rows that moved, so zero-velocity samples stay
         # bitwise fixed
         moved = np.any(p != p_prev, axis=-1)[..., None]
-        p = np.where(moved, self.retract(p), p)
+        p = np.where(moved, self.retraction(p), p)
         return p, np.where(moved, self.project(p, v), v)
-
-    def retract(self, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        return np.asarray(self.retraction(p, np.zeros_like(p)))
 
     def random_points(self, rng, m: int) -> np.ndarray:
         if self.sample_points is None:
@@ -398,17 +441,6 @@ def christoffel_from_metric(man: ChartManifold, x) -> np.ndarray:
 def _gamma_pair(gamma, a, b) -> np.ndarray:
     """Contract Christoffel symbols with two vectors: Gamma(a, b)."""
     return np.einsum("...ijk,...j,...k->...i", gamma, a, b)
-
-
-def _normal_projector(gradient: Callable) -> Callable:
-    """Tangent projector I - n n^T of a level set, n = grad f / |grad f|."""
-
-    def projector(p):
-        g = gradient(np.asarray(p, dtype=float))
-        gg = np.einsum("...i,...i->...", g, g)[..., None]
-        return np.eye(g.shape[-1]) - g[..., :, None] * (g / gg)[..., None, :]
-
-    return projector
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +633,10 @@ def parallel_transport_point(man: Manifold, curve: np.ndarray, v0: np.ndarray) -
     curve = np.asarray(curve, dtype=float)
     if curve.ndim != 2:
         raise ValueError("curve must be a (S, n) array of points")
-    if not np.all(man.valid(curve)):
-        raise DomainExitError("curve left domain", sample=None)
+    ok = man.valid(curve)
+    if not np.all(ok):
+        bad = _first_bad_index(ok)
+        raise DomainExitError(f"curve left domain at point {bad}", sample=bad)
     return transport_along_samples(man, curve, np.asarray(v0, dtype=float))
 
 
@@ -634,20 +668,8 @@ def _flat_chart(n: int, name: str) -> ChartManifold:
 
 
 def _flat_embedded(n: int, name: str) -> EmbeddedManifold:
-    eye = np.eye(n)
-
-    def embed_check(p):
-        return np.zeros(np.shape(p)[:-1])
-
-    def projector(p):
-        return np.broadcast_to(eye, np.shape(p)[:-1] + (n, n)).copy()
-
     return EmbeddedManifold(
         ambient_dim=n,
-        intrinsic_dim=n,
-        embed_check=embed_check,
-        tangent_projector=projector,
-        retraction=lambda p, v: np.asarray(p, dtype=float) + np.asarray(v, dtype=float),
         sample_points=lambda rng, m: rng.uniform(-1.0, 1.0, size=(m, n)),
         closed_form_log=lambda p0, p1: np.asarray(p1, dtype=float) - np.asarray(p0, dtype=float),
         name=name,
@@ -655,19 +677,15 @@ def _flat_embedded(n: int, name: str) -> EmbeddedManifold:
 
 
 def _sphere_embedded(radius: float, name: str) -> EmbeddedManifold:
-    def embed_check(p):
-        return np.linalg.norm(p, axis=-1) - radius
-
     # f(p) = |p|^2 - r^2
+    def level_set(p):
+        return np.einsum("...i,...i->...", p, p) - radius * radius
+
     def gradient(p):
         return 2.0 * p
 
     def hessian_action(p, w):
         return 2.0 * w
-
-    def retraction(p, v):
-        q = np.asarray(p, dtype=float) + np.asarray(v, dtype=float)
-        return radius * q / np.linalg.norm(q, axis=-1, keepdims=True)
 
     def log(p0, p1):
         p0 = np.asarray(p0, dtype=float)
@@ -693,10 +711,7 @@ def _sphere_embedded(radius: float, name: str) -> EmbeddedManifold:
 
     return EmbeddedManifold(
         ambient_dim=3,
-        intrinsic_dim=2,
-        embed_check=embed_check,
-        tangent_projector=_normal_projector(gradient),
-        retraction=retraction,
+        level_set=level_set,
         gradient=gradient,
         hessian_action=hessian_action,
         sample_points=sample,
@@ -836,35 +851,15 @@ def _halfplane(name: str) -> ChartManifold:
 
 
 def _paraboloid(name: str) -> EmbeddedManifold:
-    def embed_check(p):
-        p = np.asarray(p, dtype=float)
-        return p[..., 2] - p[..., 0] ** 2 - p[..., 1] ** 2
-
     # f(p) = x^2 + y^2 - z
+    def level_set(p):
+        return p[..., 0] ** 2 + p[..., 1] ** 2 - p[..., 2]
+
     def gradient(p):
         return np.stack([2.0 * p[..., 0], 2.0 * p[..., 1], -np.ones_like(p[..., 0])], axis=-1)
 
     def hessian_action(p, w):
         return np.stack([2.0 * w[..., 0], 2.0 * w[..., 1], np.zeros_like(w[..., 0])], axis=-1)
-
-    def retraction(p, v):
-        # closest point on z = x^2 + y^2; Newton on the 2-variable stationarity
-        # system.  The iteration count is fixed for determinism; three reach
-        # round-off from the O(dt^5) drift an RK4 step leaves to post_step.
-        q = np.asarray(p, dtype=float) + np.asarray(v, dtype=float)
-        a, b, c = q[..., 0], q[..., 1], q[..., 2]
-        u, w = a.copy(), b.copy()
-        for _ in range(3):
-            s = u * u + w * w - c
-            f1 = (u - a) + 2.0 * u * s
-            f2 = (w - b) + 2.0 * w * s
-            j11 = 1.0 + 2.0 * s + 4.0 * u * u
-            j22 = 1.0 + 2.0 * s + 4.0 * w * w
-            j12 = 4.0 * u * w
-            det = j11 * j22 - j12 * j12
-            u = u - (j22 * f1 - j12 * f2) / det
-            w = w - (j11 * f2 - j12 * f1) / det
-        return np.stack([u, w, u * u + w * w], axis=-1)
 
     def sample(rng, m):
         xy = rng.uniform(-0.8, 0.8, size=(m, 2))
@@ -873,10 +868,7 @@ def _paraboloid(name: str) -> EmbeddedManifold:
 
     return EmbeddedManifold(
         ambient_dim=3,
-        intrinsic_dim=2,
-        embed_check=embed_check,
-        tangent_projector=_normal_projector(gradient),
-        retraction=retraction,
+        level_set=level_set,
         gradient=gradient,
         hessian_action=hessian_action,
         sample_points=sample,

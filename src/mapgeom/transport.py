@@ -82,10 +82,14 @@ def pushforward_measure(q: MapField) -> DiscreteMeasure:
     return DiscreteMeasure(np.asarray(atoms), np.asarray(masses))
 
 
-def _monge_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> int:
+def _same_size(mu: DiscreteMeasure, nu: DiscreteMeasure) -> int:
     if mu.size != nu.size:
         raise MeasureError("Monge regime required: atom counts differ")
-    n = mu.size
+    return mu.size
+
+
+def _monge_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> int:
+    n = _same_size(mu, nu)
     uniform = np.full(n, 1.0 / n)
     if np.max(np.abs(mu.masses - uniform)) > _MASS_TOL or np.max(
         np.abs(nu.masses - uniform)
@@ -112,9 +116,9 @@ def assignment_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, perm,
     """Cost of one matching: sum_i m_i d(x_i, y_perm(i))^2, exactly summed.
 
     ``perm`` must be a permutation of 0..n-1; anything else raises
-    ``ValueError`` naming it.
+    ``ValueError`` naming it.  Atom counts that differ raise MeasureError.
     """
-    perm = checked_permutation(perm, size=mu.size)
+    perm = checked_permutation(perm, size=_same_size(mu, nu))
     C = _cost_matrix(mu, nu, manifold)
     terms = mu.masses * C[np.arange(mu.size), perm]
     return math.fsum(terms.tolist())
@@ -136,7 +140,8 @@ def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
     Requires n <= 8 equal-mass atoms on both sides.  Every permutation of
     the cached lexicographic table is scored with a plain float sum, one
     column pass at a time; the candidates within 1e-12 relative of the
-    smallest score are then re-summed with ``math.fsum`` in table order.
+    smallest score are then re-summed with ``math.fsum``, once for each
+    distinct multiset of terms, at its first candidate in table order.
     The costs are finite and non-negative, so a plain sum of at most 8
     terms is within ~1e-15 relative of the exact one and every exact
     minimiser is a candidate.  Ties are broken by the lexicographically
@@ -151,13 +156,17 @@ def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
     for i in range(n):
         approx += terms[i, table[:, i]]
     lo = approx.min()
-    rows = np.arange(n)
-    best_perm, best_cost = None, np.inf
-    for k in np.flatnonzero(approx <= lo + 1e-12 * abs(lo)):  # ascending, so ties keep the first
-        c = math.fsum(terms[rows, table[k]].tolist())
+    cand = np.flatnonzero(approx <= lo + 1e-12 * abs(lo))
+    # fsum is exactly rounded, so it depends only on the multiset of a row's
+    # terms: sum each distinct sorted row once, at its first candidate
+    rows = np.sort(terms[np.arange(n), table[cand]], axis=1)
+    _, first = np.unique(rows, axis=0, return_index=True)
+    best_k, best_cost = None, np.inf
+    for k in np.sort(first):  # ascending table order, so ties keep the first
+        c = math.fsum(rows[k].tolist())
         if c < best_cost:
-            best_perm, best_cost = table[k], c
-    return Assignment(best_perm.astype(int), best_cost)
+            best_k, best_cost = k, c
+    return Assignment(table[cand[best_k]].astype(int), best_cost)
 
 
 def wasserstein2_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure,

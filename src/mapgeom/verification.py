@@ -303,7 +303,7 @@ def standard_checks(man: Manifold, instances: int = 100, seed: int = 0):
         reports.append(
             OracleReport.from_error("projector_tangency", _max_rows(resid), 1e-4, len(pts))
         )
-        err = _max_rows(man.retract(pts) - pts)
+        err = _max_rows(man.retraction(pts) - pts)
         reports.append(OracleReport.from_error("retraction_fixpoint", err, 1e-9, len(pts)))
         # measured at most 9.3e-10 on 2,000 paraboloid points, non-tangent X included
         err = accel_vs_projector_derivative(man, pts, vs, raw)

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from mapgeom import (
     DegenerateMetricError,
     DomainExitError,
     EmbeddedManifold,
+    OffManifoldError,
     SecondTangentVector,
     TangentVector,
     christoffel_from_metric,
@@ -18,6 +22,7 @@ from mapgeom import (
     parallel_transport_point,
     sectional_curvature,
     spray_eval,
+    standard_checks,
 )
 from mapgeom.manifold import integrate_spray
 
@@ -254,34 +259,30 @@ def test_exp_reports_constraint_blowup_on_embedded_target():
 
 
 def _custom_sphere(**callbacks):
-    return EmbeddedManifold(
-        ambient_dim=3,
-        intrinsic_dim=2,
-        embed_check=SPHERE_EMB.embed_check,
-        tangent_projector=SPHERE_EMB.tangent_projector,
-        retraction=SPHERE_EMB.retraction,
-        **callbacks,
-    )
+    return EmbeddedManifold(ambient_dim=3, level_set=SPHERE_EMB.level_set, **callbacks)
 
 
 def test_custom_hypersurface_without_level_set_callbacks_is_rejected():
-    # a projector alone no longer yields the spray; it must not silently
-    # give zero acceleration
-    with pytest.raises(ValueError, match="gradient and hessian_action"):
+    # f alone no longer yields the spray; it must not silently give zero
+    # acceleration
+    with pytest.raises(ValueError, match="level_set, gradient and hessian_action"):
         _custom_sphere()
-    with pytest.raises(ValueError, match="gradient and hessian_action"):
+    with pytest.raises(ValueError, match="level_set, gradient and hessian_action"):
         _custom_sphere(gradient=SPHERE_EMB.gradient)
+    with pytest.raises(ValueError, match="level_set, gradient and hessian_action"):
+        EmbeddedManifold(ambient_dim=3, gradient=SPHERE_EMB.gradient,
+                         hessian_action=SPHERE_EMB.hessian_action)
 
 
 def test_custom_embedded_target_of_codimension_two_is_rejected():
-    with pytest.raises(ValueError, match="codimension 0 or 1"):
-        EmbeddedManifold(
-            ambient_dim=3,
-            intrinsic_dim=1,
-            embed_check=SPHERE_EMB.embed_check,
-            tangent_projector=SPHERE_EMB.tangent_projector,
-            retraction=SPHERE_EMB.retraction,
-        )
+    # the unit circle in the plane z = 0 as two equations: not a hypersurface
+    def level_set(p):
+        return np.stack([np.sum(p**2, axis=-1) - 1.0, p[..., 2]], axis=-1)
+
+    man = EmbeddedManifold(ambient_dim=3, level_set=level_set,
+                           gradient=SPHERE_EMB.gradient, hessian_action=SPHERE_EMB.hessian_action)
+    with pytest.raises(ValueError, match="level_set must return one scalar per point"):
+        man.valid(np.array([[1.0, 0.0, 0.0]]))
 
 
 def test_custom_hypersurface_with_level_set_callbacks_has_sphere_spray():
@@ -291,6 +292,70 @@ def test_custom_hypersurface_with_level_set_callbacks_has_sphere_spray():
     p = np.array([0.0, 0.0, 1.0])
     v = np.array([0.3, -0.4, 0.0])
     np.testing.assert_allclose(man.accel(p, v), -0.25 * p, atol=1e-15)
+    assert man.intrinsic_dim == 2
+
+
+def test_replaced_level_set_rederives_projector_and_retraction():
+    man = dataclasses.replace(
+        SPHERE_EMB, level_set=PARABOLOID.level_set, gradient=PARABOLOID.gradient,
+        hessian_action=PARABOLOID.hessian_action,
+    )
+    p = np.array([0.3, -0.2, 0.13 + 1e-7])
+    np.testing.assert_allclose(man.retraction(p), PARABOLOID.retraction(p), atol=1e-15)
+    np.testing.assert_allclose(man.tangent_projector(p), PARABOLOID.tangent_projector(p), atol=1e-15)
+
+
+def _ellipsoid(a=1.0, b=0.7, c=1.3) -> EmbeddedManifold:
+    """x^2/a^2 + y^2/b^2 + z^2/c^2 = 1, declared by f, grad f and (Hess f) w only."""
+    inv2 = 1.0 / np.array([a, b, c]) ** 2
+
+    def sample(rng, m):
+        u = rng.normal(size=(m, 3))
+        return np.array([a, b, c]) * u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+    return EmbeddedManifold(
+        ambient_dim=3,
+        level_set=lambda p: np.sum(inv2 * p**2, axis=-1) - 1.0,
+        gradient=lambda p: 2.0 * inv2 * p,
+        hessian_action=lambda p, w: 2.0 * inv2 * w,
+        sample_points=sample,
+    )
+
+
+def test_ellipsoid_from_level_set_alone_passes_standard_checks():
+    reports = standard_checks(_ellipsoid(), instances=40, seed=3)
+    assert {"retraction_fixpoint", "accel_vs_projector_derivative"} <= {r.check_name for r in reports}
+    failed = [(r.check_name, r.max_abs_error) for r in reports if not r.passed]
+    assert not failed
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 10.0])
+def test_sphere_residual_is_distance_to_first_order(r):
+    man = make_manifold(f"sphere:r={r}")
+    rng = np.random.default_rng(11)
+    u = man.random_points(rng, 20) / r
+    delta = r * rng.uniform(-1e-3, 1e-3, size=20)
+    p = (r + delta)[:, None] * u
+    dist = np.abs(np.linalg.norm(p, axis=-1) - r)
+    assert np.all(np.abs(man.residual(p) - dist) <= delta**2 / r)
+    # the residual does not depend on the scale of f
+    scaled = EmbeddedManifold(
+        ambient_dim=3,
+        level_set=lambda q: 7.0 * man.level_set(q),
+        gradient=lambda q: 7.0 * man.gradient(q),
+        hessian_action=lambda q, w: 7.0 * man.hessian_action(q, w),
+    )
+    np.testing.assert_allclose(scaled.residual(p), man.residual(p), rtol=1e-12)
+
+
+def test_sphere_centre_is_invalid_without_warnings():
+    p = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SPHERE_EMB.residual(p)[0] == np.inf
+        assert SPHERE_EMB.valid(p).tolist() == [False, True]
+        with pytest.raises(OffManifoldError):
+            SPHERE_EMB.require_valid(p, "test point")
 
 
 def test_chart_and_embedded_sphere_geodesics_agree():
@@ -426,6 +491,13 @@ def test_transport_rejects_curve_outside_domain():
     curve = np.array([[0.0, 1.0], [0.0, -1.0]])
     with pytest.raises(DomainExitError, match="curve left domain"):
         parallel_transport_point(HALFPLANE, curve, np.array([1.0, 0.0]))
+
+
+def test_transport_names_first_curve_point_outside_domain():
+    curve = np.array([[0.0, 1.0], [0.0, 0.5], [0.0, -1.0], [0.0, -2.0]])
+    with pytest.raises(DomainExitError, match="curve left domain at point 2") as err:
+        parallel_transport_point(HALFPLANE, curve, np.array([1.0, 0.0]))
+    assert err.value.sample == 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapgeom import (
@@ -123,6 +123,15 @@ def test_assignment_cost_rejects_non_permutations(perm):
         assignment_cost(mu, nu, perm)
 
 
+def test_assignment_cost_rejects_unequal_atom_counts():
+    mu = uniform_measure([[0.0], [1.0]])
+    nu = uniform_measure([[0.0], [1.0], [2.0]])
+    with pytest.raises(MeasureError, match="Monge regime required: atom counts differ"):
+        assignment_cost(mu, nu, [0, 1])
+    with pytest.raises(MeasureError, match="Monge regime required: atom counts differ"):
+        assignment_cost(nu, mu, [0, 1, 2])
+
+
 def enumerated_matching(mu, nu, manifold=None):
     """Every permutation in lexicographic order, exactly summed; the first minimum wins."""
     n = mu.size
@@ -141,13 +150,17 @@ def random_atoms(kind, rng, n):
         return rng.normal(size=(n, 2))
     if kind == "lattice":  # points of {0, 1}^2: many exactly tied matchings
         return rng.integers(0, 2, size=(n, 2)).astype(float)
+    if kind == "equal":  # one repeated point: every matching is tied
+        return np.ones((n, 2))
     # (theta, phi) on the sphere chart, away from the poles and from antipodal pairs
     return np.column_stack([rng.uniform(0.3, np.pi - 0.3, n), rng.uniform(-1.5, 1.5, n)])
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=1, max_value=8), st.sampled_from(["normal", "lattice", "sphere"]),
+@given(st.integers(min_value=1, max_value=8),
+       st.sampled_from(["normal", "lattice", "equal", "sphere"]),
        st.integers(min_value=0, max_value=2**31 - 1))
+@example(8, "equal", 0)
 def test_bruteforce_equals_plain_enumeration(n, kind, seed):
     rng = np.random.default_rng(seed)
     manifold = SPHERE_CHART if kind == "sphere" else None
