@@ -246,13 +246,10 @@ class EmbeddedManifold:
             raise ValueError(
                 "a level-set target needs all of level_set, gradient and hessian_action"
             )
-        # derive what is not given, and re-derive what dataclasses.replace
-        # carried over from another instance, whose level set may differ
-        for attr, derived in (("tangent_projector", self._projector),
-                              ("retraction", self._newton_retraction)):
-            fn = getattr(self, attr)
-            if fn is None or isinstance(getattr(fn, "__self__", None), EmbeddedManifold):
-                object.__setattr__(self, attr, derived)
+        if self.tangent_projector is None:
+            object.__setattr__(self, "tangent_projector", self._projector)
+        if self.retraction is None:
+            object.__setattr__(self, "retraction", self._newton_retraction)
 
     @property
     def intrinsic_dim(self) -> int:

@@ -140,8 +140,7 @@ def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
     Requires n <= 8 equal-mass atoms on both sides.  Every permutation of
     the cached lexicographic table is scored with a plain float sum, one
     column pass at a time; the candidates within 1e-12 relative of the
-    smallest score are then re-summed with ``math.fsum``, once for each
-    distinct multiset of terms, at its first candidate in table order.
+    smallest score are then re-summed with ``math.fsum`` in table order.
     The costs are finite and non-negative, so a plain sum of at most 8
     terms is within ~1e-15 relative of the exact one and every exact
     minimiser is a candidate.  Ties are broken by the lexicographically
@@ -156,17 +155,13 @@ def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
     for i in range(n):
         approx += terms[i, table[:, i]]
     lo = approx.min()
-    cand = np.flatnonzero(approx <= lo + 1e-12 * abs(lo))
-    # fsum is exactly rounded, so it depends only on the multiset of a row's
-    # terms: sum each distinct sorted row once, at its first candidate
-    rows = np.sort(terms[np.arange(n), table[cand]], axis=1)
-    _, first = np.unique(rows, axis=0, return_index=True)
-    best_k, best_cost = None, np.inf
-    for k in np.sort(first):  # ascending table order, so ties keep the first
-        c = math.fsum(rows[k].tolist())
+    rows = np.arange(n)
+    best_perm, best_cost = None, np.inf
+    for k in np.flatnonzero(approx <= lo + 1e-12 * abs(lo)):  # ascending, so ties keep the first
+        c = math.fsum(terms[rows, table[k]].tolist())
         if c < best_cost:
-            best_k, best_cost = k, c
-    return Assignment(table[cand[best_k]].astype(int), best_cost)
+            best_perm, best_cost = table[k], c
+    return Assignment(best_perm.astype(int), best_cost)
 
 
 def wasserstein2_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure,

@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import numpy as np
@@ -293,16 +292,6 @@ def test_custom_hypersurface_with_level_set_callbacks_has_sphere_spray():
     v = np.array([0.3, -0.4, 0.0])
     np.testing.assert_allclose(man.accel(p, v), -0.25 * p, atol=1e-15)
     assert man.intrinsic_dim == 2
-
-
-def test_replaced_level_set_rederives_projector_and_retraction():
-    man = dataclasses.replace(
-        SPHERE_EMB, level_set=PARABOLOID.level_set, gradient=PARABOLOID.gradient,
-        hessian_action=PARABOLOID.hessian_action,
-    )
-    p = np.array([0.3, -0.2, 0.13 + 1e-7])
-    np.testing.assert_allclose(man.retraction(p), PARABOLOID.retraction(p), atol=1e-15)
-    np.testing.assert_allclose(man.tangent_projector(p), PARABOLOID.tangent_projector(p), atol=1e-15)
 
 
 def _ellipsoid(a=1.0, b=0.7, c=1.3) -> EmbeddedManifold:
