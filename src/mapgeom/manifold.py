@@ -28,6 +28,8 @@ over leading axes of ``(..., n)`` point arrays:
 * ``accel(x, v)`` -- the vertical part of the geodesic spray;
 * ``connector(x, h, k, l)`` -- the connector of (x, h; k, l);
 * ``transport_rhs(x, xdot, X)`` -- the parallel transport equation;
+* ``curvature(x, h, k, l)`` -- the curvature tensor R(h, k) l, from the
+  Christoffel symbols on a chart and by the Gauss equation on a level set;
 * ``post_step(x_prev, x, v)`` -- drift control after an integrator step:
   retract the rows of x that moved and re-project v there (a no-op for
   charts).
@@ -196,6 +198,18 @@ class ChartManifold:
     def transport_rhs(self, x, xdot, X) -> np.ndarray:
         return -_gamma_pair(self.christoffel_eval(x), xdot, X)
 
+    def curvature(self, x, h, k, l) -> np.ndarray:
+        """R(h, k) l from the Christoffel symbols and their derivatives."""
+        gamma = self.christoffel_eval(x)
+        dgamma = self.christoffel_jacobian_eval(x)  # (..., i, j, k, m)
+        quad = _gamma_pair(gamma, h, _gamma_pair(gamma, k, l)) - _gamma_pair(
+            gamma, k, _gamma_pair(gamma, h, l)
+        )
+        deriv = np.einsum("...ijkm,...m,...j,...k->...i", dgamma, h, k, l) - np.einsum(
+            "...ijkm,...m,...j,...k->...i", dgamma, k, h, l
+        )
+        return quad + deriv
+
     def post_step(self, x_prev, x, v):
         return x, v
 
@@ -346,6 +360,27 @@ class EmbeddedManifold:
             dn * np.einsum("...i,...i->...", n, X)[..., None]
             + n * np.einsum("...i,...i->...", dn, X)[..., None]
         )
+
+    def curvature(self, p, h, k, l) -> np.ndarray:
+        """R(h, k) l = <Sk, l> Sh - <Sh, l> Sk by the Gauss equation.
+
+        S w = P (Hess f) P w / |grad f| is the shape operator of the level
+        set (do Carmo, *Riemannian Geometry*, ch. 6).  Without a level set
+        the target is the flat ambient space and R = 0.
+        """
+        if self.level_set is None:
+            return np.zeros(np.shape(l))
+        P = np.asarray(self.tangent_projector(p))
+        g = self.gradient(p)
+        gnorm = np.sqrt(np.einsum("...i,...i->...", g, g))[..., None]
+
+        def shape_op(w):
+            Pw = np.einsum("...ij,...j->...i", P, w)
+            return np.einsum("...ij,...j->...i", P, self.hessian_action(p, Pw)) / gnorm
+
+        Sh, Sk = shape_op(h), shape_op(k)
+        return (np.einsum("...i,...i->...", Sk, l)[..., None] * Sh
+                - np.einsum("...i,...i->...", Sh, l)[..., None] * Sk)
 
     def post_step(self, p_prev, p, v):
         # retract only rows that moved, so zero-velocity samples stay
@@ -546,42 +581,34 @@ def exp_point(man: Manifold, v: TangentVector, steps: int = 1000) -> np.ndarray:
 # curvature
 
 
-def curvature_point(man: ChartManifold, x, h, k, l) -> np.ndarray:
-    """Curvature tensor R(h, k) l in chart coordinates.
+def curvature_point(man: Manifold, x, h, k, l) -> np.ndarray:
+    """Curvature tensor R(h, k) l at points of the target.
 
-    Computed from the Christoffel symbols and their derivatives; with the
-    classical symbols this is R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y
-    nabla_X Z - nabla_[X,Y] Z, so the unit sphere has sectional
-    curvature +1.
+    With the classical symbols this is R(X,Y)Z = nabla_X nabla_Y Z -
+    nabla_Y nabla_X Z - nabla_[X,Y] Z, so the unit sphere has sectional
+    curvature +1 in either representation.
     """
     x = np.asarray(x, dtype=float)
     man.require_valid(x, "curvature base point")
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    l = np.asarray(l, dtype=float)
-    gamma = man.christoffel_eval(x)
-    dgamma = man.christoffel_jacobian_eval(x)  # (..., i, j, k, m)
-    quad = _gamma_pair(gamma, h, _gamma_pair(gamma, k, l)) - _gamma_pair(
-        gamma, k, _gamma_pair(gamma, h, l)
-    )
-    deriv = np.einsum("...ijkm,...m,...j,...k->...i", dgamma, h, k, l) - np.einsum(
-        "...ijkm,...m,...j,...k->...i", dgamma, k, h, l
-    )
-    return quad + deriv
+    return man.curvature(x, *(np.asarray(a, dtype=float) for a in (h, k, l)))
 
 
-def sectional_curvature(man: ChartManifold, x, h, k) -> np.ndarray:
-    """g(R(h,k)k, h) / (|h|^2 |k|^2 - g(h,k)^2)."""
+def sectional_curvature(man: Manifold, x, h, k) -> np.ndarray:
+    """g(R(h,k)k, h) / (|h|^2 |k|^2 - g(h,k)^2).
+
+    Raises ``ValueError`` naming the first sample where h and k span no
+    plane (the denominator is 0 or not finite).
+    """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    g = np.asarray(man.metric(x))
     R = curvature_point(man, x, h, k, k)
-    num = np.einsum("...ij,...i,...j->...", g, R, h)
-    hh = np.einsum("...ij,...i,...j->...", g, h, h)
-    kk = np.einsum("...ij,...i,...j->...", g, k, k)
-    hk = np.einsum("...ij,...i,...j->...", g, h, k)
-    return num / (hh * kk - hk**2)
+    den = man.inner(x, h, h) * man.inner(x, k, k) - man.inner(x, h, k) ** 2
+    ok = np.atleast_1d(np.isfinite(den) & (den != 0.0))
+    if not np.all(ok):
+        raise ValueError(f"sectional curvature: h and k span no plane at sample "
+                         f"{_first_bad_index(ok)}")
+    return man.inner(x, R, h) / den
 
 
 # ---------------------------------------------------------------------------

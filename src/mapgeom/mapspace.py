@@ -28,9 +28,9 @@ from .manifold import (
     ChartManifold,
     EmbeddedManifold,
     Manifold,
-    curvature_point,
     integrate_spray,
     make_manifold,
+    require_count,
     spray_accel,
 )
 
@@ -119,8 +119,7 @@ def circle_domain(m: int, total_weight: float = 1.0) -> QuadratureDomain:
     sample carries ``total_weight / m``.  Sample angles are recorded as
     provenance coordinates.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    require_count("m", m)
     angles = 2.0 * np.pi * np.arange(m) / m
     return QuadratureDomain(np.full(m, total_weight / m), points=angles[:, None])
 
@@ -129,8 +128,7 @@ def interval_domain(
     m: int, a: float = 0.0, b: float = 1.0, total_weight: Optional[float] = None
 ) -> QuadratureDomain:
     """Uniform grid on [a, b] with trapezoid weights (endpoints half-weight)."""
-    if m < 2:
-        raise ValueError("interval trapezoid rule needs m >= 2")
+    require_count("m", m, 2)
     if not b > a:
         raise ValueError("need b > a")
     h = (b - a) / (m - 1)
@@ -345,14 +343,15 @@ def exp_field(h: TangentField, steps: int = 1000) -> MapField:
 
 
 def curvature_field(q: MapField, h: TangentField, k: TangentField, l: TangentField) -> TangentField:
-    """Samplewise curvature tensor R(h, k) l along q."""
+    """Samplewise curvature tensor R(h, k) l along q, on any target.
+
+    The fields are already validated, so the target's ``curvature`` runs on
+    their arrays directly: Christoffel symbols on a chart, the Gauss
+    equation on a level set.
+    """
     for f in (h, k, l):
         require_based(q, f)
-    man = q.manifold
-    if not isinstance(man, ChartManifold):
-        raise TypeError("curvature_field needs a chart representation")
-    vecs = curvature_point(man, q.values, h.vecs, k.vecs, l.vecs)
-    return TangentField(q, vecs)
+    return TangentField(q, q.manifold.curvature(q.values, h.vecs, k.vecs, l.vecs))
 
 
 def vertical_lift_field(h: TangentField, k: TangentField) -> SecondTangentField:

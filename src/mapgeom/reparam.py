@@ -30,6 +30,7 @@ import numpy as np
 
 from . import files, mapspace
 from .errors import FieldMismatchError
+from .manifold import require_count
 from .mapspace import (
     MapField,
     QuadratureDomain,
@@ -93,6 +94,7 @@ def identity_diffeo(m: int) -> DiscreteDiffeo:
 
 
 def random_diffeo(m: int, rng) -> DiscreteDiffeo:
+    require_count("m", m)
     return DiscreteDiffeo(rng.permutation(m))
 
 

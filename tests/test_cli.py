@@ -272,19 +272,37 @@ def test_config_entry_not_an_option_of_the_subcommand_exit_2(tmp_path, capsys, e
     assert str(cfg) in err and f"config entry {key!r}" in err and f"subcommand {argv[0]!r}" in err
 
 
-def test_curvature_on_an_embedded_target_exit_2(tmp_path, capsys):
+def test_curvature_on_the_embedded_sphere(tmp_path):
     rng = np.random.default_rng(2)
     q = MapField(circle_domain(3), SPHERE, SPHERE.random_points(rng, 3))
-    h = TangentField(q, SPHERE.project(q.values, rng.uniform(-1, 1, (3, 3))))
-    qf, hf = tmp_path / "q.json", tmp_path / "h.json"
+    qf = tmp_path / "q.json"
     save_field(q, qf)
-    save_field(h, hf)
-    code = main(["curvature", "--base", str(qf), "--h", str(hf), "--k", str(hf), "--l", str(hf),
-                 "--output", str(tmp_path / "r.json")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--base" in err and "sphere:r=1.0:rep=embedded" in err and "Traceback" not in err
-    assert not (tmp_path / "r.json").exists()
+    vecs = {}
+    for name in ("h", "k", "l"):
+        vecs[name] = SPHERE.project(q.values, rng.uniform(-1, 1, (3, 3)))
+        save_field(TangentField(q, vecs[name]), tmp_path / f"{name}.json")
+    out = tmp_path / "r.json"
+    code = main(["curvature", "--base", str(qf), *(f"--{n}={tmp_path / n}.json" for n in "hkl"),
+                 "--output", str(out)])
+    assert code == 0
+    h, k, l = vecs["h"], vecs["k"], vecs["l"]
+    dot = lambda a, b: np.sum(a * b, axis=-1, keepdims=True)
+    # constant curvature 1: R(h, k) l = <k, l> h - <h, l> k
+    assert np.max(np.abs(load_field(out).vecs - (dot(k, l) * h - dot(h, l) * k))) < 1e-12
+
+
+def test_reparam_on_an_embedded_field_checks_curvature(tmp_path):
+    paraboloid = make_manifold("paraboloid")
+    rng = np.random.default_rng(3)
+    q = MapField(circle_domain(4), paraboloid, paraboloid.random_points(rng, 4))
+    hf, pf, rf = tmp_path / "h.json", tmp_path / "perm.json", tmp_path / "rep.json"
+    save_field(TangentField(q, paraboloid.project(q.values, rng.uniform(-1, 1, (4, 3)))), hf)
+    save_permutation(DiscreteDiffeo(np.array([2, 0, 3, 1])), pf)
+    code = main(["reparam", "--field", str(hf), "--perm", str(pf), "--steps", "20",
+                 "--output", str(rf)])
+    assert code == 0
+    reports = {r["check_name"]: r for r in json.loads(rf.read_text())["equivariance"]}
+    assert reports["equivariance_curvature"]["passed"]
 
 
 def test_nonfinite_vecs_exit_2(tmp_path, capsys):

@@ -423,6 +423,42 @@ def test_curvature_with_fd_jacobian_fallback():
     assert abs(sectional_curvature(no_jac, x, h, k) + 1.0) < 1e-6
 
 
+def _tangent_pairs(man, seed, m=50):
+    rng = np.random.default_rng(seed)
+    x = man.random_points(rng, m)
+    h, k, l = (man.project(x, rng.uniform(-1, 1, x.shape)) for _ in range(3))
+    return x, h, k, l
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.5])
+def test_embedded_sphere_gauss_curvature_is_inverse_radius_squared(r):
+    man = make_manifold(f"sphere:r={r}:rep=embedded")
+    x, h, k, _ = _tangent_pairs(man, seed=21)
+    assert np.max(np.abs(sectional_curvature(man, x, h, k) - 1.0 / r**2)) < 1e-10
+
+
+def test_paraboloid_gauss_curvature():
+    x, h, k, _ = _tangent_pairs(PARABOLOID, seed=22)
+    K = 4.0 / (1.0 + 4.0 * x[:, 0] ** 2 + 4.0 * x[:, 1] ** 2) ** 2
+    assert np.max(np.abs(sectional_curvature(PARABOLOID, x, h, k) - K)) < 1e-10
+
+
+def test_flat_embedded_curvature_is_exact_zero():
+    man = make_manifold("flat:n=3:rep=embedded")
+    x, h, k, l = _tangent_pairs(man, seed=23)
+    assert np.all(curvature_point(man, x, h, k, l) == 0.0)
+
+
+def test_sectional_curvature_degenerate_plane_names_the_sample():
+    with pytest.raises(ValueError, match="span no plane at sample 0"):
+        sectional_curvature(HALFPLANE, [0.0, 1.0], [1.0, 0.0], [2.0, 0.0])
+    x = np.array([[0.0, 1.0], [0.5, 2.0], [0.1, 1.5]])
+    h = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    k = np.array([[0.0, 1.0], [-3.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="span no plane at sample 1"):
+        sectional_curvature(HALFPLANE, x, h, k)
+
+
 # ---------------------------------------------------------------------------
 # parallel transport
 

@@ -437,6 +437,17 @@ def test_curvature_field_sphere_sectional():
     assert np.max(np.abs(sec - 1.0)) < 1e-6
 
 
+def test_curvature_field_embedded_sphere_matches_chart():
+    chart, emb = make_manifold("sphere:r=2.0:rep=chart"), make_manifold("sphere:r=2.0:rep=embedded")
+    rng = np.random.default_rng(15)
+    q = MapField(circle_domain(20), chart, chart.random_points(rng, 20))
+    h, k, l = (TangentField(q, rng.uniform(-1, 1, (20, 2))) for _ in range(3))
+    via_chart = embed_tangent_field(curvature_field(q, h, k, l), emb)
+    qe = embed_map_field(q, emb)
+    embedded = curvature_field(qe, *(embed_tangent_field(f, emb) for f in (h, k, l)))
+    assert np.max(np.abs(embedded.vecs - via_chart.vecs)) <= 1e-12
+
+
 def test_curvature_field_single_sample_reduces_to_point_op():
     from mapgeom import curvature_point
 

@@ -138,6 +138,17 @@ def test_equivariance_bitwise_for_all_operators():
     assert check_equivariance(phic, "curvature", q=qc, h=hc, k=kc, l=lc).passed
 
 
+@pytest.mark.parametrize("name", ["sphere:r=1.0:rep=embedded", "paraboloid"])
+def test_curvature_equivariance_bitwise_on_embedded_targets(name):
+    man = make_manifold(name)
+    rng = np.random.default_rng(12)
+    q = MapField(circle_domain(9), man, man.random_points(rng, 9))
+    h, k, l = (TangentField(q, man.project(q.values, rng.uniform(-1, 1, (9, 3))))
+               for _ in range(3))
+    rep = check_equivariance(random_diffeo(9, rng), "curvature", q=q, h=h, k=k, l=l)
+    assert rep.passed and rep.max_abs_error == 0.0
+
+
 def test_equivariance_with_identity_permutation_trivial():
     rng = np.random.default_rng(30)
     dom = circle_domain(4)

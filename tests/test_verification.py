@@ -10,11 +10,14 @@ from mapgeom import (
     QuadratureDomain,
     TangentField,
     accel_vs_projector_derivative,
+    circle_domain,
     curvature_point,
+    interval_domain,
     make_manifold,
     oracle_christoffel,
     oracle_curvature_commutator,
     oracle_first_variation,
+    random_diffeo,
     run_axiom_sweep,
     standard_checks,
 )
@@ -178,6 +181,20 @@ def test_axiom_sweep_rejects_no_instances():
         run_axiom_sweep(FLAT2, instances=0)
 
 
+@pytest.mark.parametrize("value", [2.5, True, 0])
+@pytest.mark.parametrize("name, call", [
+    ("instances", lambda v: standard_checks(HALFPLANE, instances=v)),
+    ("instances", lambda v: run_axiom_sweep(HALFPLANE, instances=v)),
+    ("m", circle_domain),
+    ("m", interval_domain),
+    ("m", lambda v: random_diffeo(v, np.random.default_rng(0))),
+], ids=["standard_checks", "run_axiom_sweep", "circle_domain", "interval_domain",
+        "random_diffeo"])
+def test_count_argument_errors_name_the_argument(name, call, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(value)
+
+
 def test_oracle_report_passed_consistency():
     r = OracleReport.from_error("x", 2e-3, 1e-3, 5)
     assert not r.passed
@@ -201,6 +218,7 @@ def test_oracle_report_passed_consistency():
 def test_standard_checks_pass(name):
     man = make_manifold(name)
     reports = standard_checks(man, instances=40, seed=2)
+    assert "curvature_vs_commutator" in {r.check_name for r in reports}
     assert all(r.passed for r in reports), [
         (r.check_name, r.max_abs_error) for r in reports if not r.passed
     ]
@@ -215,6 +233,14 @@ def _oracle_error(man, seed=3, count=200):
     p = man.random_points(rng, count)
     raw = rng.uniform(-1.0, 1.0, size=p.shape)
     return accel_vs_projector_derivative(man, p, man.project(p, raw), raw)
+
+
+@pytest.mark.parametrize("name", ["sphere:r=1.0:rep=embedded", "paraboloid"])
+def test_commutator_oracle_catches_wrong_hessian(name):
+    man = make_manifold(name)
+    bad = dataclasses.replace(man, hessian_action=lambda p, w: 1.01 * man.hessian_action(p, w))
+    report = {r.check_name: r for r in standard_checks(bad, instances=20, seed=0)}
+    assert not report["curvature_vs_commutator"].passed
 
 
 def test_projector_difference_oracle_catches_wrong_hessian():
