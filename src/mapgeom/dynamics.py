@@ -234,8 +234,8 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
         except DomainExitError as exc:
             sample = int(rows[exc.sample])  # exc.sample indexes the integrated rows
             raise DomainExitError(
-                f"log shooting: geodesic of sample {sample} left domain at t={exc.time:.6g}",
-                time=exc.time, sample=sample,
+                f"log shooting: geodesic of sample {sample} {exc.reason}",
+                time=exc.time, sample=sample, reason=exc.reason,
             ) from exc
         return end - target[rows]
 

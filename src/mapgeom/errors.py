@@ -24,14 +24,16 @@ class FieldMismatchError(GeometryError):
 class DomainExitError(GeometryError):
     """A geodesic or curve left the valid domain during integration.
 
-    Carries the integration time of the exit and, for field operations,
-    the index of the offending sample.
+    Carries the integration time of the exit, for field operations the
+    index of the offending sample, and for a geodesic the reason (left the
+    chart domain, a step too long, a non-finite state) with its time.
     """
 
-    def __init__(self, message, time=None, sample=None):
+    def __init__(self, message, time=None, sample=None, reason=None):
         super().__init__(message)
         self.time = time
         self.sample = sample
+        self.reason = reason
 
 
 class NotVerticalError(GeometryError):

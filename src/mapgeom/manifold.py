@@ -30,9 +30,11 @@ over leading axes of ``(..., n)`` point arrays:
 * ``transport_rhs(x, xdot, X)`` -- the parallel transport equation;
 * ``curvature(x, h, k, l)`` -- the curvature tensor R(h, k) l, from the
   Christoffel symbols on a chart and by the Gauss equation on a level set;
-* ``post_step(x_prev, x, v)`` -- drift control after an integrator step:
-  retract the rows of x that moved and re-project v there (a no-op for
-  charts).
+* ``post_step(x_prev, x, v)`` -- the end of an integrator step: returns
+  ``(x, v, ok)``.  ``ok`` is False when a row of x is not finite or not
+  valid, and x and v then come back as given; otherwise the rows of x that
+  moved are retracted and v is re-projected there (drift control, a no-op
+  for charts).
 
 Sign conventions: ``christoffel`` callbacks return the classical
 Levi-Civita symbols of the metric, the covariant derivative acts as
@@ -41,10 +43,10 @@ Levi-Civita symbols of the metric, the covariant derivative acts as
 ``(x, l + Gamma(k, h))``.  On an embedded target the connector is the
 tangent projection of l, and the spray and transport equations use the
 derivative of the tangent projector P = I - n n^T, n = grad f / |grad f|,
-in closed form: with Dn[w] = (H w - n <n, H w>) / |grad f| and H the
-Hessian of f, DP[w] X = -(Dn[w] <n, X> + n <Dn[w], X>).  The central
-difference of P that this replaces is kept as an independent oracle in
-:mod:`mapgeom.verification`.
+in closed form: with g = grad f, H the Hessian of f and a, b, c the
+products <g, X>, <g, H w> and <H w, X>, each divided by <g, g>,
+DP[w] X = -(a H w + (c - 2 a b) g).  The central difference of P that this
+replaces is kept as an independent oracle in :mod:`mapgeom.verification`.
 
 All manifold callbacks are vectorized: a point argument has shape
 ``(..., n)`` and results carry the same leading axes.  Use
@@ -211,7 +213,7 @@ class ChartManifold:
         return quad + deriv
 
     def post_step(self, x_prev, x, v):
-        return x, v
+        return x, v, _all_valid(self, x)
 
     def random_points(self, rng, m: int) -> np.ndarray:
         if self.sample_box is None:
@@ -233,15 +235,17 @@ class EmbeddedManifold:
       the level set; it does not change when f is rescaled, and a point
       where grad f = 0 reads as infinitely far;
     * ``tangent_projector`` -- P = I - n n^T with n = grad f / |grad f|;
-    * ``retraction(p)`` -- Newton steps along grad f back onto f = 0, a
-      retraction in the sense of Absil, Mahony & Sepulchre, *Optimization
-      Algorithms on Matrix Manifolds* (2008), ch. 4; used only to control
-      drift.
+    * ``retraction(p, f=None, g=None)`` -- two Newton steps along grad f
+      back onto f = 0, a retraction in the sense of Absil, Mahony &
+      Sepulchre, *Optimization Algorithms on Matrix Manifolds* (2008),
+      ch. 4; used only to control drift.  A caller that has f and grad f
+      at p passes them as ``f`` and ``g`` for the first step.
 
     ``tangent_projector`` and ``retraction`` are fields only so that they
     can be instrumented (wrapped and passed back through
     ``dataclasses.replace``): leave them out and they are filled in from
-    the level set.
+    the level set.  A ``dataclasses.replace`` copy derives its own, from
+    its own level set, unless a wrapped callable is passed for them.
     """
 
     ambient_dim: int
@@ -260,10 +264,11 @@ class EmbeddedManifold:
             raise ValueError(
                 "a level-set target needs all of level_set, gradient and hessian_action"
             )
-        if self.tangent_projector is None:
-            object.__setattr__(self, "tangent_projector", self._projector)
-        if self.retraction is None:
-            object.__setattr__(self, "retraction", self._newton_retraction)
+        for name, derived in (("tangent_projector", self._projector),
+                              ("retraction", self._newton_retraction)):
+            given = getattr(self, name)
+            if given is None or getattr(given, "__func__", None) is derived.__func__:
+                object.__setattr__(self, name, derived)
 
     @property
     def intrinsic_dim(self) -> int:
@@ -287,11 +292,7 @@ class EmbeddedManifold:
         p = np.asarray(p, dtype=float)
         if self.level_set is None:
             return np.zeros(p.shape[:-1])
-        g = self.gradient(p)
-        gnorm = np.sqrt(np.einsum("...i,...i->...", g, g))
-        # where grad f = 0 the residual is infinite: such a point is never valid
-        return np.divide(np.abs(self._level(p)), gnorm, out=np.full(gnorm.shape, np.inf),
-                         where=gnorm > 0.0)
+        return _residual(self._level(p), self.gradient(p))
 
     def valid(self, p) -> np.ndarray:
         return self.residual(p) <= ON_MANIFOLD_TOL
@@ -303,7 +304,7 @@ class EmbeddedManifold:
             )
 
     def inner(self, p, h, k) -> np.ndarray:
-        return np.einsum("...i,...i->...", h, k)
+        return _dot(h, k)
 
     def _projector(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)
@@ -311,10 +312,9 @@ class EmbeddedManifold:
         if self.level_set is None:
             return np.broadcast_to(eye, p.shape[:-1] + eye.shape).copy()
         g = self.gradient(p)
-        gg = np.einsum("...i,...i->...", g, g)[..., None]
-        return eye - g[..., :, None] * (g / gg)[..., None, :]
+        return eye - g[..., :, None] * (g / _dot(g, g)[..., None])[..., None, :]
 
-    def _newton_retraction(self, p) -> np.ndarray:
+    def _newton_retraction(self, p, f=None, g=None) -> np.ndarray:
         q = np.asarray(p, dtype=float)
         if self.level_set is None:
             return q
@@ -322,10 +322,11 @@ class EmbeddedManifold:
         # ON_MANIFOLD_TOL two steps reach round-off.  The count is fixed
         # rather than tested for convergence so that a row's result never
         # depends on the other rows of its batch.
-        for _ in range(2):
-            g = self.gradient(q)
-            q = q - (self._level(q) / np.einsum("...i,...i->...", g, g))[..., None] * g
-        return q
+        if f is None:
+            f, g = self._level(q), self.gradient(q)
+        q = q - (f / _dot(g, g))[..., None] * g
+        g = self.gradient(q)
+        return q - (self._level(q) / _dot(g, g))[..., None] * g
 
     def project(self, p, v) -> np.ndarray:
         P = np.asarray(self.tangent_projector(np.asarray(p, dtype=float)))
@@ -346,20 +347,18 @@ class EmbeddedManifold:
         return self._dP(p, pdot, X)
 
     def _dP(self, p, w, X) -> np.ndarray:
-        """(DP(p)[w]) X in closed form from the level-set description."""
+        """(DP(p)[w]) X = -(a H w + (c - 2 a b) g) from four dot products."""
         X = np.asarray(X, dtype=float)
         if self.level_set is None:
             return np.zeros(X.shape)
         p = np.asarray(p, dtype=float)
         g = self.gradient(p)
-        gnorm = np.sqrt(np.einsum("...i,...i->...", g, g))[..., None]
-        n = g / gnorm
         Hw = self.hessian_action(p, np.asarray(w, dtype=float))
-        dn = (Hw - n * np.einsum("...i,...i->...", n, Hw)[..., None]) / gnorm
-        return -(
-            dn * np.einsum("...i,...i->...", n, X)[..., None]
-            + n * np.einsum("...i,...i->...", dn, X)[..., None]
-        )
+        gg = _dot(g, g)
+        a = _dot(g, X) / gg
+        b = _dot(g, Hw) / gg
+        c = _dot(Hw, X) / gg
+        return (2.0 * a * b - c)[..., None] * g - a[..., None] * Hw
 
     def curvature(self, p, h, k, l) -> np.ndarray:
         """R(h, k) l = <Sk, l> Sh - <Sh, l> Sk by the Gauss equation.
@@ -372,22 +371,33 @@ class EmbeddedManifold:
             return np.zeros(np.shape(l))
         P = np.asarray(self.tangent_projector(p))
         g = self.gradient(p)
-        gnorm = np.sqrt(np.einsum("...i,...i->...", g, g))[..., None]
+        gnorm = np.sqrt(_dot(g, g))[..., None]
 
         def shape_op(w):
             Pw = np.einsum("...ij,...j->...i", P, w)
             return np.einsum("...ij,...j->...i", P, self.hessian_action(p, Pw)) / gnorm
 
         Sh, Sk = shape_op(h), shape_op(k)
-        return (np.einsum("...i,...i->...", Sk, l)[..., None] * Sh
-                - np.einsum("...i,...i->...", Sh, l)[..., None] * Sk)
+        return _dot(Sk, l)[..., None] * Sh - _dot(Sh, l)[..., None] * Sk
 
     def post_step(self, p_prev, p, v):
+        if not np.isfinite(p).all():
+            return p, v, False
+        if self.level_set is None:
+            return p, v, True
+        # f and grad f at p serve both the test and the first Newton step
+        f, g = self._level(p), self.gradient(p)
+        if not (_residual(f, g) <= ON_MANIFOLD_TOL).all():
+            return p, v, False
+        q = self.retraction(p, f, g)
+        moved = (p != p_prev).any(axis=-1)
+        if moved.all():
+            return q, self.project(q, v), True
         # retract only rows that moved, so zero-velocity samples stay
         # bitwise fixed
-        moved = np.any(p != p_prev, axis=-1)[..., None]
-        p = np.where(moved, self.retraction(p), p)
-        return p, np.where(moved, self.project(p, v), v)
+        moved = moved[..., None]
+        q = np.where(moved, q, p)
+        return q, np.where(moved, self.project(q, v), v), True
 
     def random_points(self, rng, m: int) -> np.ndarray:
         if self.sample_points is None:
@@ -470,6 +480,17 @@ def christoffel_from_metric(man: ChartManifold, x) -> np.ndarray:
     return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, t1 + t2 - t3)
 
 
+def _dot(a, b) -> np.ndarray:
+    """Row-wise dot products of (..., n) arrays, shape (...)."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _residual(f, g) -> np.ndarray:
+    """|f| / |g| per point, +inf where g = 0: such a point is never valid."""
+    gnorm = np.sqrt(_dot(g, g))
+    return np.divide(np.abs(f), gnorm, out=np.full(gnorm.shape, np.inf), where=gnorm > 0.0)
+
+
 def _gamma_pair(gamma, a, b) -> np.ndarray:
     """Contract Christoffel symbols with two vectors: Gamma(a, b)."""
     return np.einsum("...ijk,...j,...k->...i", gamma, a, b)
@@ -515,12 +536,37 @@ def _first_bad_index(ok: np.ndarray):
     return None if bad.size == 0 else int(bad[0][0])
 
 
-def _check_state(man: Manifold, x, t: float):
-    ok = np.all(np.isfinite(x), axis=-1) & man.valid(x)
-    if not np.all(ok):
-        raise DomainExitError(
-            f"geodesic left domain at t={t:.6g}", time=t, sample=_first_bad_index(ok)
-        )
+def _all_valid(man: Manifold, x) -> bool:
+    """Whether every row of x is finite and valid, reduced to one flag."""
+    return bool(np.isfinite(x).all() and man.valid(x).all())
+
+
+def _exit_error(man: Manifold, x, t: float, step: int, steps: int) -> DomainExitError:
+    """The error for a state x with a row that is not finite or not valid.
+
+    It names the first such row and why it failed: a non-finite state, a
+    level-set residual above ``ON_MANIFOLD_TOL`` (after a step, a step too
+    long for the drift control to undo), or a point outside the chart.
+    """
+    finite = np.all(np.isfinite(x), axis=-1)
+    safe = np.where(finite[..., None], x, 0.0)  # keep inf and NaN out of the callbacks
+    ok = finite & man.valid(safe)
+    sample = _first_bad_index(ok)
+    row = () if sample is None else (sample,)
+    residual = man.residual(safe)[row]
+    when = f"t={t:.6g} (step {step} of {steps})"
+    if not finite[row]:
+        reason = f"is not finite at {when}"
+    elif residual > ON_MANIFOLD_TOL and step == 0:
+        reason = (f"starts off the level set at {when}: residual {residual:.3g} > "
+                  f"{ON_MANIFOLD_TOL:g}")
+    elif residual > ON_MANIFOLD_TOL:
+        reason = (f"took a step too long at {when}: level-set residual {residual:.3g} > "
+                  f"{ON_MANIFOLD_TOL:g} before retraction; use more than {steps} steps")
+    else:
+        reason = f"left domain at {when}"
+    of = "" if sample is None else f" of sample {sample}"
+    return DomainExitError(f"geodesic{of} {reason}", time=t, sample=sample, reason=reason)
 
 
 def require_count(name: str, value, least: int = 1):
@@ -537,14 +583,17 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
 
     Returns ``(x, v)`` at t = 1, or the stacked snapshot arrays
     ``(xs, vs)`` (leading time axis) when ``record_every`` is given.
-    After every step the target's ``post_step`` controls drift: embedded
-    targets are retracted and the velocity is re-projected onto the
-    tangent space.
+    After every step the target's ``post_step`` checks the new state and
+    controls drift: embedded targets are retracted and the velocity is
+    re-projected onto the tangent space.  A state that is not finite or
+    not valid raises :class:`DomainExitError` naming the first such sample
+    and why.
     """
     require_count("steps", steps)
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
-    _check_state(man, x, 0.0)
+    if not _all_valid(man, x):
+        raise _exit_error(man, x, 0.0, 0, steps)
     dt = 1.0 / steps
     snaps = None
     if record_every is not None:
@@ -560,9 +609,9 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
         k4v = spray_accel(man, x + dt * k3x, k4x)
         x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        t = (s + 1) * dt
-        _check_state(man, x_new, t)
-        x, v = man.post_step(x, x_new, v)
+        x, v, ok = man.post_step(x, x_new, v)
+        if not ok:
+            raise _exit_error(man, x_new, (s + 1) * dt, s + 1, steps)
         if snaps is not None and (s + 1) % record_every == 0:
             snaps[0].append(x.copy())
             snaps[1].append(v.copy())
@@ -703,7 +752,7 @@ def _flat_embedded(n: int, name: str) -> EmbeddedManifold:
 def _sphere_embedded(radius: float, name: str) -> EmbeddedManifold:
     # f(p) = |p|^2 - r^2
     def level_set(p):
-        return np.einsum("...i,...i->...", p, p) - radius * radius
+        return _dot(p, p) - radius * radius
 
     def gradient(p):
         return 2.0 * p
@@ -716,7 +765,7 @@ def _sphere_embedded(radius: float, name: str) -> EmbeddedManifold:
         p1 = np.asarray(p1, dtype=float)
         u0 = p0 / radius
         u1 = p1 / radius
-        c = np.clip(np.einsum("...i,...i->...", u0, u1), -1.0, 1.0)
+        c = np.clip(_dot(u0, u1), -1.0, 1.0)
         w = u1 - c[..., None] * u0
         s = np.linalg.norm(w, axis=-1)
         antipodal = (s < 1e-12) & (c < 0.0)
@@ -756,38 +805,41 @@ def _sphere_chart(radius: float, name: str) -> ChartManifold:
 
     def christoffel(x):
         th = np.asarray(x, dtype=float)[..., 0]
+        s, c = np.sin(th), np.cos(th)
         G = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
-        G[..., 0, 1, 1] = -np.sin(th) * np.cos(th)
-        G[..., 1, 0, 1] = G[..., 1, 1, 0] = 1.0 / np.tan(th)
+        G[..., 0, 1, 1] = -s * c
+        G[..., 1, 0, 1] = G[..., 1, 1, 0] = c / s
         return G
 
     def jacobian(x):
         th = np.asarray(x, dtype=float)[..., 0]
+        s = np.sin(th)
         J = np.zeros(np.shape(x)[:-1] + (2, 2, 2, 2))
         J[..., 0, 1, 1, 0] = -np.cos(2.0 * th)
-        J[..., 1, 0, 1, 0] = J[..., 1, 1, 0, 0] = -1.0 / np.sin(th) ** 2
+        J[..., 1, 0, 1, 0] = J[..., 1, 1, 0, 0] = -1.0 / (s * s)
         return J
 
     def domain(x):
         th = np.asarray(x, dtype=float)[..., 0]
         return (th > POLE_BAND) & (th < np.pi - POLE_BAND)
 
-    def embedding(x):
+    def trig(x):
         x = np.asarray(x, dtype=float)
         th, ph = x[..., 0], x[..., 1]
-        return radius * np.stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1
-        )
+        return np.sin(th), np.cos(th), np.sin(ph), np.cos(ph)
+
+    def embedding(x):
+        st, ct, sp, cp = trig(x)
+        return radius * np.stack([st * cp, st * sp, ct], axis=-1)
 
     def embedding_jacobian(x):
-        x = np.asarray(x, dtype=float)
-        th, ph = x[..., 0], x[..., 1]
-        J = np.empty(x.shape[:-1] + (3, 2))
-        J[..., 0, 0] = np.cos(th) * np.cos(ph)
-        J[..., 0, 1] = -np.sin(th) * np.sin(ph)
-        J[..., 1, 0] = np.cos(th) * np.sin(ph)
-        J[..., 1, 1] = np.sin(th) * np.cos(ph)
-        J[..., 2, 0] = -np.sin(th)
+        st, ct, sp, cp = trig(x)
+        J = np.empty(np.shape(x)[:-1] + (3, 2))
+        J[..., 0, 0] = ct * cp
+        J[..., 0, 1] = -st * sp
+        J[..., 1, 0] = ct * sp
+        J[..., 1, 1] = st * cp
+        J[..., 2, 0] = -st
         J[..., 2, 1] = 0.0
         return radius * J
 
@@ -818,26 +870,23 @@ def _sphere_chart(radius: float, name: str) -> ChartManifold:
 
 def _halfplane(name: str) -> ChartManifold:
     def metric(x):
-        y = np.asarray(x, dtype=float)[..., 1]
+        inv2 = 1.0 / np.asarray(x, dtype=float)[..., 1] ** 2
         g = np.zeros(np.shape(x)[:-1] + (2, 2))
-        g[..., 0, 0] = 1.0 / y**2
-        g[..., 1, 1] = 1.0 / y**2
+        g[..., 0, 0] = g[..., 1, 1] = inv2
         return g
 
     def christoffel(x):
-        y = np.asarray(x, dtype=float)[..., 1]
+        inv = 1.0 / np.asarray(x, dtype=float)[..., 1]
         G = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
-        G[..., 0, 0, 1] = G[..., 0, 1, 0] = -1.0 / y
-        G[..., 1, 0, 0] = 1.0 / y
-        G[..., 1, 1, 1] = -1.0 / y
+        G[..., 1, 0, 0] = inv
+        G[..., 0, 0, 1] = G[..., 0, 1, 0] = G[..., 1, 1, 1] = -inv
         return G
 
     def jacobian(x):
-        y = np.asarray(x, dtype=float)[..., 1]
+        inv2 = 1.0 / np.asarray(x, dtype=float)[..., 1] ** 2
         J = np.zeros(np.shape(x)[:-1] + (2, 2, 2, 2))
-        J[..., 0, 0, 1, 1] = J[..., 0, 1, 0, 1] = 1.0 / y**2
-        J[..., 1, 0, 0, 1] = -1.0 / y**2
-        J[..., 1, 1, 1, 1] = 1.0 / y**2
+        J[..., 0, 0, 1, 1] = J[..., 0, 1, 0, 1] = J[..., 1, 1, 1, 1] = inv2
+        J[..., 1, 0, 0, 1] = -inv2
         return J
 
     def domain(x):
@@ -880,10 +929,14 @@ def _paraboloid(name: str) -> EmbeddedManifold:
         return p[..., 0] ** 2 + p[..., 1] ** 2 - p[..., 2]
 
     def gradient(p):
-        return np.stack([2.0 * p[..., 0], 2.0 * p[..., 1], -np.ones_like(p[..., 0])], axis=-1)
+        g = 2.0 * p
+        g[..., 2] = -1.0
+        return g
 
     def hessian_action(p, w):
-        return np.stack([2.0 * w[..., 0], 2.0 * w[..., 1], np.zeros_like(w[..., 0])], axis=-1)
+        hw = 2.0 * w
+        hw[..., 2] = 0.0
+        return hw
 
     def sample(rng, m):
         xy = rng.uniform(-0.8, 0.8, size=(m, 2))

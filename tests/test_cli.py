@@ -92,6 +92,17 @@ def test_exp_zero_field_returns_base(sphere_files, tmp_path):
     assert np.array_equal(result.values, q.values)
 
 
+def test_exp_step_too_long_exit_1_naming_sample_and_reason(tmp_path, capsys):
+    q = MapField(circle_domain(2), SPHERE, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    save_field(TangentField(q, np.array([[0.1, 0.0, 0.0], [400.0, 0.0, 0.0]])), tmp_path / "h.json")
+    code = main(["exp", "--field", str(tmp_path / "h.json"), "--output", str(tmp_path / "o.json"),
+                 "--steps", "1000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "failure: geodesic of sample 1 took a step too long at t=0.001 (step 1 of 1000)" in err
+    assert "use more than 1000 steps" in err
+
+
 def test_exp_requires_tangent_field(sphere_files):
     q, h, qf, hf, d = sphere_files
     out = d / "out.json"

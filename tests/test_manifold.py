@@ -253,8 +253,58 @@ def test_exp_reports_constraint_blowup_on_embedded_target():
     # retraction can catch it
     p = np.array([0.0, 0.0, 1.0])
     h = np.array([50.0, 0.0, 0.0])
-    with pytest.raises(DomainExitError, match="geodesic left domain"):
+    with pytest.raises(DomainExitError, match="geodesic took a step too long"):
         exp_point(SPHERE_EMB, TangentVector(p, h), steps=1)
+
+
+def test_too_long_step_on_a_level_set_is_named_with_residual_and_step_count():
+    # |v| = 400 over 1000 steps turns 0.4 rad per step: the RK4 endpoint of
+    # the first step is off the sphere by more than ON_MANIFOLD_TOL before
+    # any retraction; the sphere has no boundary, so this is no domain exit
+    p = np.array([0.0, 0.0, 1.0])
+    h = np.array([400.0, 0.0, 0.0])
+    with pytest.raises(DomainExitError, match=r"geodesic took a step too long at t=0\.001 "
+                       r"\(step 1 of 1000\): level-set residual (\S+) > 1e-06") as err:
+        integrate_spray(SPHERE_EMB, p, h, 1000)
+    assert "use more than 1000 steps" in str(err.value)
+    assert "left domain" not in str(err.value)
+    assert err.value.time == 0.001
+    assert err.value.sample is None
+    residual = float(str(err.value).split("residual ")[1].split()[0])
+    assert 1e-6 < residual < 1e-3
+
+
+def test_state_check_names_the_first_bad_sample_and_why():
+    rng = np.random.default_rng(3)
+    # a NaN velocity in row 1 of 2 makes that row's state NaN after one step
+    x = PARABOLOID.random_points(rng, 2)
+    v = PARABOLOID.project(x, rng.normal(size=x.shape))
+    v[1] = np.nan
+    with pytest.raises(DomainExitError, match=r"geodesic of sample 1 is not finite at t=0\.01 "
+                       r"\(step 1 of 100\)") as err:
+        integrate_spray(PARABOLOID, x, v, 100)
+    assert err.value.sample == 1
+    # a chart exit: sample 2 of 3 heads straight down, y(t) = 0.5 exp(-16 t),
+    # and crosses the half-plane's boundary band y = 1e-3 at t = ln(500) / 16
+    x = np.array([[0.0, 1.0], [0.5, 1.5], [0.0, 0.5]])
+    v = np.array([[0.1, 0.0], [0.0, 0.2], [0.0, -8.0]])
+    with pytest.raises(DomainExitError, match=r"geodesic of sample 2 left domain at t=0\.39 "
+                       r"\(step 39 of 100\)$") as err:
+        integrate_spray(HALFPLANE, x, v, 100)
+    assert err.value.sample == 2
+    assert np.log(500.0) / 16.0 < err.value.time < np.log(500.0) / 16.0 + 0.01
+    # a step too long in row 1, between two rows that stay valid
+    x = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    v = np.array([[0.1, 0.0, 0.0], [400.0, 0.0, 0.0], [0.0, 0.2, 0.0]])
+    with pytest.raises(DomainExitError, match=r"geodesic of sample 1 took a step too long"
+                       r" at t=0\.001 \(step 1 of 1000\)") as err:
+        integrate_spray(SPHERE_EMB, x, v, 1000)
+    assert err.value.sample == 1
+    # a start off the level set, |f| / |grad f| = 0.21 / 2.2, is no step too long
+    x = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.1]])
+    with pytest.raises(DomainExitError, match=r"geodesic of sample 1 starts off the level set "
+                       r"at t=0 \(step 0 of 10\): residual 0\.0955 > 1e-06"):
+        integrate_spray(SPHERE_EMB, x, np.zeros_like(x), 10)
 
 
 def _custom_sphere(**callbacks):

@@ -8,10 +8,14 @@ inside the spray or transport equation would bring back the cost the
 closed-form level-set kernel removed, one file function that calls
 another through a traced name would count the same bytes twice, and a
 log map that integrates its Jacobian columns one call at a time would
-pay the fixed per-step cost 2k times per Newton iteration; these tests
-catch all four without a benchmark run.
+pay the fixed per-step cost 2k times per Newton iteration, and an RK4
+step that evaluates the level-set callbacks more often than it needs to
+pays for each extra call at every step; these tests catch all five without
+a benchmark run.
 """
 
+import collections
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -156,3 +160,38 @@ def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
     assert [(s[COUNT], s[STEPS]) for s in calls] == [(4, 200), (16, 200), (4, 200), (16, 200), (4, 200)]
     # the same rows x steps as 11 calls with one call per difference column
     assert sum(s[COUNT] * s[STEPS] for s in calls) == 200 * (4 + 2 * (4 * 4 + 4))
+
+
+# per RK4 step on a level set: four accels (grad f and (Hess f) w each), and
+# one end-of-step pass that evaluates f and grad f once for both the validity
+# test and the first Newton step, f and grad f again for the second Newton
+# step, and grad f for the projector at the retracted point
+LEVEL_SET_CALLS_PER_STEP = {"level_set": 2, "gradient": 7, "hessian_action": 4}
+
+
+def test_level_set_callbacks_per_rk4_step():
+    base = manifold.make_manifold("paraboloid")
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(base, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    # the copy derives its projector and retraction from the counted callbacks
+    man = dataclasses.replace(base, **{name: counted(name) for name in LEVEL_SET_CALLS_PER_STEP})
+    rng = np.random.default_rng(0)
+    x = base.random_points(rng, 4)
+    v = base.project(x, rng.uniform(-0.2, 0.2, x.shape))
+    totals = []
+    for steps in (10, 20):
+        calls.clear()
+        end, _ = manifold.integrate_spray(man, x, v, steps)
+        totals.append(dict(calls))
+    per_step = {name: (totals[1][name] - totals[0][name]) / 10 for name in LEVEL_SET_CALLS_PER_STEP}
+    assert per_step == LEVEL_SET_CALLS_PER_STEP
+    assert np.array_equal(end, manifold.integrate_spray(base, x, v, 20)[0])
