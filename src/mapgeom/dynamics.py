@@ -27,6 +27,7 @@ from .manifold import (
     Manifold,
     integrate_spray,
     require_count,
+    sample_fastest,
     spray_accel,
     transport_along_samples,
 )
@@ -135,10 +136,10 @@ def _diagnose(path: FieldPath, xs: np.ndarray, vs: np.ndarray) -> GeodesicReport
     dt = float(path.times[1] - path.times[0])
     residual = np.zeros(T)
     if T >= 3:
-        fd2 = (xs[2:] - 2.0 * xs[1:-1] + xs[:-2]) / dt**2
-        acc = spray_accel(man, xs[1:-1].reshape(-1, xs.shape[-1]), vs[1:-1].reshape(-1, xs.shape[-1]))
-        diff = np.abs(fd2 - acc.reshape(fd2.shape))
-        residual[1:-1] = diff.reshape(T - 2, -1).max(axis=1)
+        # one snapshot at a time, so the kernels' temporaries stay (m, n)
+        for j in range(1, T - 1):
+            fd2 = (xs[j + 1] - 2.0 * xs[j] + xs[j - 1]) / dt**2
+            residual[j] = np.abs(fd2 - spray_accel(man, xs[j], vs[j])).max()
         residual[0] = residual[1]
         residual[-1] = residual[-2]
     drift = np.array([float(np.max(man.residual(x))) for x in xs])
@@ -198,7 +199,9 @@ def covariant_derivative_along_path(
 def parallel_transport_field(path: FieldPath, v0: TangentField) -> TangentField:
     """Transport a tangent field along a path, sample by sample."""
     require_based(path.maps[0], v0)
-    points = np.stack([q.values for q in path.maps])  # (T, m, n)
+    points = sample_fastest((path.snapshots,) + v0.vecs.shape, axis=1)  # (T, m, n)
+    for j, q in enumerate(path.maps):
+        points[j] = q.values
     X = transport_along_samples(path.manifold, points, v0.vecs)
     return TangentField(path.maps[-1], X)
 

@@ -50,7 +50,10 @@ replaces is kept as an independent oracle in :mod:`mapgeom.verification`.
 
 All manifold callbacks are vectorized: a point argument has shape
 ``(..., n)`` and results carry the same leading axes.  Use
-:func:`from_pointwise` to wrap a plain single-point callback.
+:func:`from_pointwise` to wrap a plain single-point callback.  The
+integrator, the transport and the registry charts lay their per-sample
+arrays out with the samples fastest in memory (:func:`sample_fastest`);
+a callback may return either layout, and results do not depend on it.
 """
 
 from __future__ import annotations
@@ -195,13 +198,15 @@ class ChartManifold:
         return -_gamma_pair(self.christoffel_eval(x), v, v)
 
     def connector(self, x, h, k, l) -> np.ndarray:
-        return np.asarray(l, dtype=float) + _gamma_pair(self.christoffel_eval(x), k, h)
+        gamma = self.christoffel_eval(x)
+        return np.asarray(l, dtype=float) + _gamma_pair(gamma, sample_fastest(k), sample_fastest(h))
 
     def transport_rhs(self, x, xdot, X) -> np.ndarray:
         return -_gamma_pair(self.christoffel_eval(x), xdot, X)
 
     def curvature(self, x, h, k, l) -> np.ndarray:
         """R(h, k) l from the Christoffel symbols and their derivatives."""
+        h, k, l = (sample_fastest(a) for a in (h, k, l))
         gamma = self.christoffel_eval(x)
         dgamma = self.christoffel_jacobian_eval(x)  # (..., i, j, k, m)
         quad = _gamma_pair(gamma, h, _gamma_pair(gamma, k, l)) - _gamma_pair(
@@ -330,7 +335,7 @@ class EmbeddedManifold:
 
     def project(self, p, v) -> np.ndarray:
         P = np.asarray(self.tangent_projector(np.asarray(p, dtype=float)))
-        return np.einsum("...ij,...j->...i", P, np.asarray(v, dtype=float))
+        return _dot(P, np.asarray(v, dtype=float)[..., None, :])
 
     def tangent_basis(self, p) -> np.ndarray:
         """Orthonormal tangent bases, shape (..., ambient_dim, intrinsic_dim)."""
@@ -350,7 +355,7 @@ class EmbeddedManifold:
         """(DP(p)[w]) X = -(a H w + (c - 2 a b) g) from four dot products."""
         X = np.asarray(X, dtype=float)
         if self.level_set is None:
-            return np.zeros(X.shape)
+            return sample_fastest(X.shape)
         p = np.asarray(p, dtype=float)
         g = self.gradient(p)
         Hw = self.hessian_action(p, np.asarray(w, dtype=float))
@@ -438,15 +443,17 @@ def _central_diff(fn: Callable, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     delta = _fd_scale(x)
-    cols = []
+    out = None
     for m in range(n):
         xp = x.copy()
         xm = x.copy()
         xp[..., m] += delta
         xm[..., m] -= delta
         df = (np.asarray(fn(xp)) - np.asarray(fn(xm)))
-        cols.append(df / (2.0 * delta[(...,) + (None,) * (df.ndim - delta.ndim)]))
-    return np.stack(cols, axis=-1)
+        if out is None:
+            out = sample_fastest(df.shape + (n,))
+        out[..., m] = df / (2.0 * delta[(...,) + (None,) * (df.ndim - delta.ndim)])
+    return out
 
 
 def christoffel_from_metric(man: ChartManifold, x) -> np.ndarray:
@@ -477,12 +484,22 @@ def christoffel_from_metric(man: ChartManifold, x) -> np.ndarray:
     t1 = np.einsum("...lkj->...ljk", dg)  # d_j g_lk
     t2 = dg  # d_k g_lj
     t3 = np.einsum("...jkl->...ljk", dg)  # d_l g_jk
-    return 0.5 * np.einsum("...il,...ljk->...ijk", ginv, t1 + t2 - t3)
+    return sample_fastest(0.5 * np.einsum("...il,...ljk->...ijk", ginv, t1 + t2 - t3))
 
 
 def _dot(a, b) -> np.ndarray:
-    """Row-wise dot products of (..., n) arrays, shape (...)."""
-    return np.einsum("...i,...i->...", a, b)
+    """Row-wise dot products of (..., n) arrays, shape (...).
+
+    The products are added in index order, one component at a time, so a
+    row's result does not depend on the layout of its batch: NumPy's own
+    reductions sum a contiguous axis pairwise from n = 8 on, and einsum's
+    order depends on the layout at any n.
+    """
+    p = a * b
+    out = p[..., 0]
+    for i in range(1, p.shape[-1]):
+        out = out + p[..., i]
+    return out
 
 
 def _residual(f, g) -> np.ndarray:
@@ -494,6 +511,32 @@ def _residual(f, g) -> np.ndarray:
 def _gamma_pair(gamma, a, b) -> np.ndarray:
     """Contract Christoffel symbols with two vectors: Gamma(a, b)."""
     return np.einsum("...ijk,...j,...k->...i", gamma, a, b)
+
+
+def sample_fastest(a, axis: int = 0, copy: bool = False) -> np.ndarray:
+    """``a`` as a float array laid out with its samples fastest in memory.
+
+    This is the layout of every per-sample array that the RK4 loop and the
+    pointwise kernels touch: axis ``axis`` (the samples) has a stride of
+    one element and the other axes follow it in Fortran order.  An
+    ``(m, ...)`` array is thus Fortran-ordered, and each ``[j]`` of a
+    ``(T, m, n)`` stack laid out with ``axis=1`` is an ``(m, n)`` array of
+    this layout.  NumPy's innermost loop then runs over the long sample
+    axis, not over the n = 2 or 3 components of a point.
+
+    ``a`` is returned itself when it is laid out so already, unless
+    ``copy`` is set.  A tuple ``a`` is a shape, and gives zeros.
+    """
+    if axis:  # move the samples to the front, lay that out, move them back
+        if isinstance(a, tuple):
+            front = a[axis:axis + 1] + a[:axis] + a[axis + 1:]
+        else:
+            front = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
+        return np.moveaxis(sample_fastest(front, copy=copy), 0, axis)
+    if isinstance(a, tuple):
+        return np.zeros(a, order="F")
+    a = np.asarray(a, dtype=float)
+    return np.array(a, order="F") if copy else np.asfortranarray(a)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +568,7 @@ def spray_eval(man: Manifold, v: TangentVector) -> SecondTangentVector:
     """Geodesic spray (x, h; h, a) with a the geodesic acceleration."""
     x = np.asarray(v.base, dtype=float)
     h = np.asarray(v.vec, dtype=float)
-    return SecondTangentVector(x, h, h.copy(), spray_accel(man, x, h))
+    return SecondTangentVector(x, h, h.copy(), spray_accel(man, x, sample_fastest(h)))
 
 
 def _first_bad_index(ok: np.ndarray):
@@ -590,33 +633,40 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
     and why.
     """
     require_count("steps", steps)
-    x = np.array(x0, dtype=float)
-    v = np.array(v0, dtype=float)
+    x = sample_fastest(x0)
+    v = sample_fastest(v0)
     if not _all_valid(man, x):
         raise _exit_error(man, x, 0.0, 0, steps)
     dt = 1.0 / steps
-    snaps = None
+    xs = vs = None
     if record_every is not None:
-        snaps = ([x.copy()], [v.copy()])
-    for s in range(steps):
-        k1x = v
-        k1v = spray_accel(man, x, v)
-        k2x = v + (0.5 * dt) * k1v
-        k2v = spray_accel(man, x + (0.5 * dt) * k1x, k2x)
-        k3x = v + (0.5 * dt) * k2v
-        k3v = spray_accel(man, x + (0.5 * dt) * k2x, k3x)
-        k4x = v + dt * k3v
-        k4v = spray_accel(man, x + dt * k3x, k4x)
-        x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        x, v, ok = man.post_step(x, x_new, v)
-        if not ok:
-            raise _exit_error(man, x_new, (s + 1) * dt, s + 1, steps)
-        if snaps is not None and (s + 1) % record_every == 0:
-            snaps[0].append(x.copy())
-            snaps[1].append(v.copy())
-    if snaps is not None:
-        return np.stack(snaps[0]), np.stack(snaps[1])
+        # (snapshot, sample, component) stacks whose [j] are sample-fastest
+        snaps = steps // record_every + 1
+        xs = sample_fastest((snaps,) + x.shape, axis=1)
+        vs = sample_fastest((snaps,) + v.shape, axis=1)
+        xs[0], vs[0] = x, v
+    # an overflow or a NaN shows as a state that post_step finds not finite,
+    # and the error then names the sample; NumPy's warnings would come first
+    with np.errstate(all="ignore"):
+        for s in range(steps):
+            k1x = v
+            k1v = spray_accel(man, x, v)
+            k2x = v + (0.5 * dt) * k1v
+            k2v = spray_accel(man, x + (0.5 * dt) * k1x, k2x)
+            k3x = v + (0.5 * dt) * k2v
+            k3v = spray_accel(man, x + (0.5 * dt) * k2x, k3x)
+            k4x = v + dt * k3v
+            k4v = spray_accel(man, x + dt * k3x, k4x)
+            x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+            x, v, ok = man.post_step(x, x_new, v)
+            if not ok:
+                raise _exit_error(man, x_new, (s + 1) * dt, s + 1, steps)
+            if xs is not None and (s + 1) % record_every == 0:
+                j = (s + 1) // record_every
+                xs[j], vs[j] = x, v
+    if xs is not None:
+        return xs, vs
     return x, v
 
 
@@ -676,8 +726,8 @@ def transport_along_samples(man: Manifold, points: np.ndarray, v0: np.ndarray) -
     controlled by the sampling density.  Transport does not depend on the
     time parametrization, only on the path.
     """
-    points = np.asarray(points, dtype=float)
-    X = np.array(v0, dtype=float)
+    points = sample_fastest(points, axis=1)  # one conversion, so each points[i] is a view
+    X = sample_fastest(v0, copy=True)
     for i in range(points.shape[0] - 1):
         p0 = points[i]
         chord = points[i + 1] - p0
@@ -724,10 +774,10 @@ def _flat_chart(n: int, name: str) -> ChartManifold:
         return np.broadcast_to(eye, np.shape(x)[:-1] + (n, n)).copy()
 
     def christoffel(x):
-        return np.zeros(np.shape(x)[:-1] + (n, n, n))
+        return sample_fastest(np.shape(x)[:-1] + (n, n, n))
 
     def jacobian(x):
-        return np.zeros(np.shape(x)[:-1] + (n, n, n, n))
+        return sample_fastest(np.shape(x)[:-1] + (n, n, n, n))
 
     return ChartManifold(
         dim=n,
@@ -806,7 +856,7 @@ def _sphere_chart(radius: float, name: str) -> ChartManifold:
     def christoffel(x):
         th = np.asarray(x, dtype=float)[..., 0]
         s, c = np.sin(th), np.cos(th)
-        G = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
+        G = sample_fastest(np.shape(x)[:-1] + (2, 2, 2))
         G[..., 0, 1, 1] = -s * c
         G[..., 1, 0, 1] = G[..., 1, 1, 0] = c / s
         return G
@@ -814,7 +864,7 @@ def _sphere_chart(radius: float, name: str) -> ChartManifold:
     def jacobian(x):
         th = np.asarray(x, dtype=float)[..., 0]
         s = np.sin(th)
-        J = np.zeros(np.shape(x)[:-1] + (2, 2, 2, 2))
+        J = sample_fastest(np.shape(x)[:-1] + (2, 2, 2, 2))
         J[..., 0, 1, 1, 0] = -np.cos(2.0 * th)
         J[..., 1, 0, 1, 0] = J[..., 1, 1, 0, 0] = -1.0 / (s * s)
         return J
@@ -877,14 +927,14 @@ def _halfplane(name: str) -> ChartManifold:
 
     def christoffel(x):
         inv = 1.0 / np.asarray(x, dtype=float)[..., 1]
-        G = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
+        G = sample_fastest(np.shape(x)[:-1] + (2, 2, 2))
         G[..., 1, 0, 0] = inv
         G[..., 0, 0, 1] = G[..., 0, 1, 0] = G[..., 1, 1, 1] = -inv
         return G
 
     def jacobian(x):
         inv2 = 1.0 / np.asarray(x, dtype=float)[..., 1] ** 2
-        J = np.zeros(np.shape(x)[:-1] + (2, 2, 2, 2))
+        J = sample_fastest(np.shape(x)[:-1] + (2, 2, 2, 2))
         J[..., 0, 0, 1, 1] = J[..., 0, 1, 0, 1] = J[..., 1, 1, 1, 1] = inv2
         J[..., 1, 0, 0, 1] = -inv2
         return J

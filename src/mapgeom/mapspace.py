@@ -31,6 +31,7 @@ from .manifold import (
     integrate_spray,
     make_manifold,
     require_count,
+    sample_fastest,
     spray_accel,
 )
 
@@ -332,7 +333,7 @@ def connector_field(xi: SecondTangentField) -> TangentField:
 
 def spray_field(h: TangentField) -> SecondTangentField:
     """Samplewise geodesic spray (x, h; h, a)."""
-    accel = spray_accel(h.manifold, h.base.values, h.vecs)
+    accel = spray_accel(h.manifold, h.base.values, sample_fastest(h.vecs))
     return SecondTangentField(h.domain, h.manifold, h.base.values, h.vecs, h.vecs.copy(), accel)
 
 

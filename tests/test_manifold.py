@@ -307,6 +307,23 @@ def test_state_check_names_the_first_bad_sample_and_why():
         integrate_spray(SPHERE_EMB, x, np.zeros_like(x), 10)
 
 
+@pytest.mark.parametrize("man", [SPHERE_EMB, SPHERE_CHART, HALFPLANE, PARABOLOID],
+                         ids=lambda man: man.name)
+def test_overflow_is_the_named_state_error_not_a_numpy_warning(man):
+    # |v| = 1e200 overflows inside the first step's kernels; the step's end
+    # check must name the sample before NumPy warns about the overflow
+    rng = np.random.default_rng(4)
+    x = man.random_points(rng, 3)
+    v = man.project(x, rng.normal(size=x.shape))
+    v *= (1e200 / np.sqrt(man.inner(x, v, v)))[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainExitError, match=r"geodesic of sample 0 is not finite at "
+                           r"t=0\.1 \(step 1 of 10\)") as err:
+            integrate_spray(man, x, v, 10)
+    assert err.value.sample == 0
+
+
 def _custom_sphere(**callbacks):
     return EmbeddedManifold(ambient_dim=3, level_set=SPHERE_EMB.level_set, **callbacks)
 
