@@ -8,16 +8,8 @@ holonomy.
 
 import numpy as np
 
-from mapgeom import (
-    SecondTangentVector,
-    TangentVector,
-    connector,
-    exp_point,
-    list_manifolds,
-    make_manifold,
-    parallel_transport_point,
-    sectional_curvature,
-)
+from mapgeom import list_manifolds, make_manifold, sectional_curvature
+from mapgeom.manifold import integrate_spray, transport_along_samples
 
 print("registry:")
 for name, description in list_manifolds():
@@ -34,15 +26,17 @@ print(f"  Gamma^y_yy = {gamma[1, 1, 1]}   (analytic: -1/y = -1)")
 
 # --- the connector annihilates geodesic data --------------------------------
 # K(x, h; k, l) = l + Gamma(k, h); feeding it a vertical lift returns the
-# second slot untouched
-xi = SecondTangentVector(x, np.array([0.7, -0.2]), np.zeros(2), np.array([1.5, 2.5]))
-print("\nconnector on a vertical lift:", connector(halfplane, xi).vec, "(returns l)")
+# second slot untouched.  A single point goes straight to the manifold
+# interface: check that it is on the target, then apply the method.
+halfplane.require_valid(x, "connector base point")
+lift = halfplane.connector(x, np.array([0.7, -0.2]), np.zeros(2), np.array([1.5, 2.5]))
+print("\nconnector on a vertical lift:", lift, "(returns l)")
 
 # --- geodesics on the sphere vs the closed form ------------------------------
 sphere = make_manifold("sphere:r=1.0:rep=embedded")
 pole = np.array([0.0, 0.0, 1.0])
 h = (np.pi / 2) * np.array([1.0, 0.0, 0.0])
-end = exp_point(sphere, TangentVector(pole, h), steps=1000)
+end, _ = integrate_spray(sphere, pole, h, 1000)
 closed = np.cos(np.pi / 2) * pole + np.sin(np.pi / 2) * np.array([1.0, 0.0, 0.0])
 print("\nsphere exp from the north pole, |h| = pi/2:")
 print(f"  integrated endpoint   {end}")
@@ -71,7 +65,7 @@ a = np.array([1.0, 0.0, 0.0])
 b = np.array([0.0, 1.0, 0.0])
 loop = np.vstack([arc(north, a, 3334), arc(a, b, 3334)[1:], arc(b, north, 3334)[1:]])
 v0 = np.array([1.0, 0.0, 0.0])
-out = parallel_transport_point(sphere, loop, v0)
+out = transport_along_samples(sphere, loop, v0)
 angle = np.arctan2(np.cross(v0, out)[2], v0 @ out)
 print("\nparallel transport around the octant triangle (three right angles):")
 print(f"  started with {v0}, returned {np.round(out, 10)}")

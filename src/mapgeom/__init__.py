@@ -24,18 +24,11 @@ from .errors import (
 from .manifold import (
     ChartManifold,
     EmbeddedManifold,
-    SecondTangentVector,
-    TangentVector,
     christoffel_from_metric,
-    connector,
-    curvature_point,
-    exp_point,
     from_pointwise,
     list_manifolds,
     make_manifold,
-    parallel_transport_point,
     sectional_curvature,
-    spray_eval,
 )
 from .mapspace import (
     MapField,

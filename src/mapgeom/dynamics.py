@@ -177,7 +177,8 @@ def covariant_derivative_along_path(
     """Covariant time derivative of a tangent-field series along a path.
 
     Differentiates the series in t (central differences inside, one-sided
-    second order at the ends) and applies the connector samplewise.
+    second order at the ends, or the one difference quotient of a
+    two-snapshot path) and applies the connector samplewise.
     """
     series = list(series)
     if len(series) != path.snapshots:
@@ -188,7 +189,8 @@ def covariant_derivative_along_path(
         require_based(q, s)
     man = path.manifold
     stack = np.stack([s.vecs for s in series])  # (T, m, n)
-    dstack = np.gradient(stack, path.times, axis=0, edge_order=2)
+    # a second-order edge needs three snapshots; FieldPath allows two
+    dstack = np.gradient(stack, path.times, axis=0, edge_order=min(2, path.snapshots - 1))
     out = []
     for j in range(path.snapshots):
         vec = man.connector(path.maps[j].values, stack[j], path.velocities[j].vecs, dstack[j])

@@ -36,17 +36,37 @@ over leading axes of ``(..., n)`` point arrays:
   moved are retracted and v is re-projected there (drift control, a no-op
   for charts).
 
+This interface is also the API for single points: a point is an ``(n,)``
+array, and its results are bitwise those of a one-row batch.  The
+connector at a point is ``man.require_valid(x, what)`` then
+``man.connector(x, h, k, l)``, and likewise for ``man.curvature``; the
+spray is :func:`spray_accel`, the exponential map
+``integrate_spray(man, x, h, steps)[0]`` and parallel transport along an
+``(S, n)`` curve :func:`transport_along_samples`.  Fields of points go
+through :mod:`mapgeom.mapspace`.  Two caveats:
+
+* A chart's ``accel`` and ``transport_rhs`` give the same bits on
+  C-ordered ``(m, n)`` vectors, but run on a slow path that mixes layouts
+  with the sample-fastest Christoffel tensor (335 -> 581 us on the
+  half-plane at m = 2048).  :func:`sample_fastest` converts; the
+  integrator, the transport and the field operators already do.
+* :func:`transport_along_samples` does not check that its points are
+  valid; the field layer (:class:`mapgeom.mapspace.MapField`) does.
+
 Sign conventions: ``christoffel`` callbacks return the classical
 Levi-Civita symbols of the metric, the covariant derivative acts as
 ``DY.X + Gamma(X, Y)`` in coordinates, geodesics solve
-``q'' + Gamma(q', q') = 0``, and the connector maps ``(x, h; k, l)`` to
-``(x, l + Gamma(k, h))``.  On an embedded target the connector is the
-tangent projection of l, and the spray and transport equations use the
-derivative of the tangent projector P = I - n n^T, n = grad f / |grad f|,
-in closed form: with g = grad f, H the Hessian of f and a, b, c the
-products <g, X>, <g, H w> and <H w, X>, each divided by <g, g>,
-DP[w] X = -(a H w + (c - 2 a b) g).  The central difference of P that this
-replaces is kept as an independent oracle in :mod:`mapgeom.verification`.
+``q'' + Gamma(q', q') = 0``, the connector maps ``(x, h; k, l)`` to
+``(x, l + Gamma(k, h))``, and the curvature is
+``R(X, Y) Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z``, so
+the unit sphere has sectional curvature +1 in either representation.  On
+an embedded target the connector is the tangent projection of l, and the
+spray and transport equations use the derivative of the tangent projector
+P = I - n n^T, n = grad f / |grad f|, in closed form: with g = grad f, H
+the Hessian of f and a, b, c the products <g, X>, <g, H w> and <H w, X>,
+each divided by <g, g>, DP[w] X = -(a H w + (c - 2 a b) g).  The
+central difference of P that this replaces is kept as an independent
+oracle in :mod:`mapgeom.verification`.
 
 All manifold callbacks are vectorized: a point argument has shape
 ``(..., n)`` and results carry the same leading axes.  Use
@@ -77,32 +97,6 @@ _FD_REL_STEP = float(np.cbrt(_EPS))
 
 POLE_BAND = 1e-3  # excluded band around chart singularities
 ON_MANIFOLD_TOL = 1e-6  # largest embedding residual of a point on the manifold
-
-
-# ---------------------------------------------------------------------------
-# tangent containers
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent vector: base point and vector, in matching coordinates."""
-
-    base: np.ndarray
-    vec: np.ndarray
-
-
-@dataclass(frozen=True)
-class SecondTangentVector:
-    """An element (x, h; k, l) of the second tangent bundle.
-
-    ``base`` is the point x, ``vec`` the tangent h at x, ``dbase`` the
-    variation k of the point, ``dvec`` the variation l of the tangent.
-    """
-
-    base: np.ndarray
-    vec: np.ndarray
-    dbase: np.ndarray
-    dvec: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +149,6 @@ class ChartManifold:
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
-    def in_domain(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.chart_domain is None:
-            return np.ones(x.shape[:-1], dtype=bool)
-        return np.asarray(self.chart_domain(x), dtype=bool)
-
     def christoffel_eval(self, x) -> np.ndarray:
         if self.christoffel is not None:
             return np.asarray(self.christoffel(np.asarray(x, dtype=float)))
@@ -176,10 +164,14 @@ class ChartManifold:
     def point_dim(self) -> int:
         return self.dim
 
-    valid = in_domain
+    def valid(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self.chart_domain is None:
+            return np.ones(x.shape[:-1], dtype=bool)
+        return np.asarray(self.chart_domain(x), dtype=bool)
 
     def require_valid(self, x, what: str):
-        if not np.all(self.in_domain(x)):
+        if not np.all(self.valid(x)):
             raise ChartBoundaryError(f"chart boundary: {what} outside the chart domain")
 
     def residual(self, x) -> np.ndarray:
@@ -463,7 +455,7 @@ def christoffel_from_metric(man: ChartManifold, x) -> np.ndarray:
     using central differences with step ``cbrt(eps) * max(1, |x|)``.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(man.in_domain(x)):
+    if not np.all(man.valid(x)):
         raise ChartBoundaryError("chart boundary: point outside chart domain")
     n = x.shape[-1]
     delta = _fd_scale(x)
@@ -471,7 +463,7 @@ def christoffel_from_metric(man: ChartManifold, x) -> np.ndarray:
         for sign in (+1.0, -1.0):
             xs = x.copy()
             xs[..., m] += sign * delta
-            if not np.all(man.in_domain(xs)):
+            if not np.all(man.valid(xs)):
                 raise ChartBoundaryError(
                     "chart boundary: finite-difference stencil leaves chart domain"
                 )
@@ -540,35 +532,14 @@ def sample_fastest(a, axis: int = 0, copy: bool = False) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# connector
-
-
-def connector(man: Manifold, xi: SecondTangentVector) -> TangentVector:
-    """Connector of the Levi-Civita derivative at one point of the target.
-
-    Maps (x, h; k, l) to the tangent vector l + Gamma(k, h) at x in a chart,
-    and to the tangent projection of l on an embedded target.  A base point
-    off the target raises ChartBoundaryError or OffManifoldError.
-    """
-    x = np.asarray(xi.base, dtype=float)
-    man.require_valid(x, "connector base point")
-    return TangentVector(x, man.connector(x, xi.vec, xi.dbase, xi.dvec))
-
-
-# ---------------------------------------------------------------------------
 # geodesic spray and exponential map
 
 
+# not inlined: perfbench traces it by name as the span manifold.spray_accel,
+# which its per-layer metrics and REQUIRED in tests/test_trace_contract.py read
 def spray_accel(man: Manifold, x, v) -> np.ndarray:
     """Vertical part of the geodesic spray at (x, v)."""
     return man.accel(x, v)
-
-
-def spray_eval(man: Manifold, v: TangentVector) -> SecondTangentVector:
-    """Geodesic spray (x, h; h, a) with a the geodesic acceleration."""
-    x = np.asarray(v.base, dtype=float)
-    h = np.asarray(v.vec, dtype=float)
-    return SecondTangentVector(x, h, h.copy(), spray_accel(man, x, sample_fastest(h)))
 
 
 def _first_bad_index(ok: np.ndarray):
@@ -670,26 +641,8 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
     return x, v
 
 
-def exp_point(man: Manifold, v: TangentVector, steps: int = 1000) -> np.ndarray:
-    """Endpoint of the unit-time geodesic with initial data (x, h)."""
-    x, _ = integrate_spray(man, v.base, v.vec, steps)
-    return x
-
-
 # ---------------------------------------------------------------------------
 # curvature
-
-
-def curvature_point(man: Manifold, x, h, k, l) -> np.ndarray:
-    """Curvature tensor R(h, k) l at points of the target.
-
-    With the classical symbols this is R(X,Y)Z = nabla_X nabla_Y Z -
-    nabla_Y nabla_X Z - nabla_[X,Y] Z, so the unit sphere has sectional
-    curvature +1 in either representation.
-    """
-    x = np.asarray(x, dtype=float)
-    man.require_valid(x, "curvature base point")
-    return man.curvature(x, *(np.asarray(a, dtype=float) for a in (h, k, l)))
 
 
 def sectional_curvature(man: Manifold, x, h, k) -> np.ndarray:
@@ -701,7 +654,8 @@ def sectional_curvature(man: Manifold, x, h, k) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
-    R = curvature_point(man, x, h, k, k)
+    man.require_valid(x, "curvature base point")
+    R = man.curvature(x, h, k, k)
     den = man.inner(x, h, h) * man.inner(x, k, k) - man.inner(x, h, k) ** 2
     ok = np.atleast_1d(np.isfinite(den) & (den != 0.0))
     if not np.all(ok):
@@ -714,6 +668,8 @@ def sectional_curvature(man: Manifold, x, h, k) -> np.ndarray:
 # parallel transport
 
 
+# not inlined: perfbench traces it by name as the span manifold.transport_ode_rhs,
+# which its per-layer metrics and REQUIRED in tests/test_trace_contract.py read
 def transport_ode_rhs(man: Manifold, x, xdot, X) -> np.ndarray:
     """Right-hand side of the parallel transport equation d X / ds."""
     return man.transport_rhs(x, xdot, X)
@@ -745,22 +701,6 @@ def transport_along_samples(man: Manifold, points: np.ndarray, v0: np.ndarray) -
         moved = np.any(chord != 0.0, axis=-1)
         X = np.where(moved[..., None], man.project(points[i + 1], X), X)
     return X
-
-
-def parallel_transport_point(man: Manifold, curve: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    """Transport v0 along a time-sampled curve in the target manifold.
-
-    ``curve`` is an (S, n) array of points; a zero-length curve (S = 1 or
-    all samples equal) returns v0 unchanged.
-    """
-    curve = np.asarray(curve, dtype=float)
-    if curve.ndim != 2:
-        raise ValueError("curve must be a (S, n) array of points")
-    ok = man.valid(curve)
-    if not np.all(ok):
-        bad = _first_bad_index(ok)
-        raise DomainExitError(f"curve left domain at point {bad}", sample=bad)
-    return transport_along_samples(man, curve, np.asarray(v0, dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -240,20 +240,15 @@ def require_based(q: MapField, h: TangentField):
         raise FieldMismatchError("field mismatch: tangent field based at a different map")
 
 
-def pointwise_inner(q: MapField, h: TangentField, k: TangentField) -> np.ndarray:
-    """Per-sample metric values g(h_i, k_i), shape (m,)."""
-    require_based(q, h)
-    require_based(q, k)
-    return q.manifold.inner(q.values, h.vecs, k.vecs)
-
-
 def l2_inner(q: MapField, h: TangentField, k: TangentField) -> float:
     """Quadrature of the pointwise metric: sum_i w_i g(h_i, k_i).
 
     The reduction runs in the fixed index order with exact summation, so
     permutation arguments can assert equalities at machine precision.
     """
-    terms = q.domain.weights * pointwise_inner(q, h, k)
+    require_based(q, h)
+    require_based(q, k)
+    terms = q.domain.weights * q.manifold.inner(q.values, h.vecs, k.vecs)
     return math.fsum(terms.tolist())
 
 

@@ -157,6 +157,15 @@ def test_covariant_derivative_of_geodesic_velocity_vanishes():
     assert worst < 1e-5
 
 
+def test_covariant_derivative_on_a_two_snapshot_path():
+    # FieldPath allows two snapshots, one too few for a second-order edge
+    q0, h0 = flat_setup()
+    path, _ = integrate_geodesic(q0, h0, snapshots=2, steps_per_snapshot=10)
+    assert path.snapshots == 2
+    for s in covariant_derivative_along_path(path, list(path.velocities)):
+        assert np.all(s.vecs == 0.0)
+
+
 def test_covariant_derivative_flat_linear_series():
     q0, h0 = flat_setup()
     zero = TangentField(q0, np.zeros_like(h0.vecs))

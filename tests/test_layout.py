@@ -83,9 +83,19 @@ def test_each_row_is_integrated_as_if_alone(spec):
     x, v = _inputs(man, WIDE)
     xe, ve = integrate_spray(man, x, v, STEPS)
     assert _is_sample_fastest(xe) and _is_sample_fastest(ve)
+    # transport along the (T, m, n) path of the same geodesics
+    path, _ = integrate_spray(man, x, v, STEPS, record_every=1)
+    w = man.project(x, np.roll(v, 1, axis=0))
+    Xe = transport_along_samples(man, path, w)
     for i in range(0, WIDE, 31):
         xi, vi = integrate_spray(man, x[i:i + 1], v[i:i + 1], STEPS)
         assert np.array_equal(xi, xe[i:i + 1]) and np.array_equal(vi, ve[i:i + 1]), (spec, i)
+        xi, vi = integrate_spray(man, x[i], v[i], STEPS)  # one (n,) point
+        assert np.array_equal(xi, xe[i]) and np.array_equal(vi, ve[i]), (spec, i)
+        Xi = transport_along_samples(man, path[:, i:i + 1], w[i:i + 1])
+        assert np.array_equal(Xi, Xe[i:i + 1]), (spec, i)
+        Xi = transport_along_samples(man, path[:, i], w[i])  # one (T, n) curve
+        assert np.array_equal(Xi, Xe[i]), (spec, i)
     perm = np.random.default_rng(2).permutation(WIDE)
     xp, vp = integrate_spray(man, x[perm], v[perm], STEPS)
     assert np.array_equal(xp, xe[perm]) and np.array_equal(vp, ve[perm]), spec

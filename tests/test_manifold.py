@@ -10,20 +10,13 @@ from mapgeom import (
     DomainExitError,
     EmbeddedManifold,
     OffManifoldError,
-    SecondTangentVector,
-    TangentVector,
     christoffel_from_metric,
-    connector,
-    curvature_point,
-    exp_point,
     from_pointwise,
     make_manifold,
-    parallel_transport_point,
     sectional_curvature,
-    spray_eval,
     standard_checks,
 )
-from mapgeom.manifold import integrate_spray
+from mapgeom.manifold import integrate_spray, spray_accel, transport_along_samples
 
 FLAT2 = make_manifold("flat:n=2")
 HALFPLANE = make_manifold("halfplane")
@@ -115,10 +108,9 @@ def test_from_pointwise_wrapper_batches():
 
 
 def test_connector_flat_returns_dvec():
-    xi = SecondTangentVector(np.array([0.1, 0.2]), np.array([1.0, 2.0]),
-                             np.array([3.0, 4.0]), np.array([5.0, 6.0]))
-    out = connector(FLAT2, xi)
-    assert np.array_equal(out.vec, np.array([5.0, 6.0]))
+    out = FLAT2.connector(np.array([0.1, 0.2]), np.array([1.0, 2.0]),
+                          np.array([3.0, 4.0]), np.array([5.0, 6.0]))
+    assert np.array_equal(out, np.array([5.0, 6.0]))
 
 
 @pytest.mark.parametrize("man", [FLAT2, HALFPLANE, SPHERE_CHART])
@@ -126,38 +118,33 @@ def test_connector_vertical_lift_identity(man):
     rng = np.random.default_rng(1)
     x = man.random_points(rng, 1)[0]
     h, k = rng.uniform(-1, 1, size=(2, 2))
-    xi = SecondTangentVector(x, h, np.zeros(2), k)
-    out = connector(man, xi)
-    assert np.array_equal(out.vec, k)
+    out = man.connector(x, h, np.zeros(2), k)
+    assert np.array_equal(out, k)
 
 
 def test_connector_halfplane_value():
     # K(x,h;k,l) = l + Gamma(k,h); at (0,1) with h=e_x, k=e_y, l=0 the
     # correction is Gamma^x_{yx} = -1/y, so the result is (-1, 0)
-    xi = SecondTangentVector(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
-                             np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-    out = connector(HALFPLANE, xi)
-    np.testing.assert_allclose(out.vec, [-1.0, 0.0], atol=1e-14)
+    out = HALFPLANE.connector(np.array([0.0, 1.0]), np.array([1.0, 0.0]),
+                              np.array([0.0, 1.0]), np.array([0.0, 0.0]))
+    np.testing.assert_allclose(out, [-1.0, 0.0], atol=1e-14)
 
 
 def test_connector_embedded_projects_dvec():
     pole = np.array([0.0, 0.0, 1.0])
     tangent = np.array([1.0, 0.0, 0.0])
-    xi = SecondTangentVector(pole, tangent, tangent, np.array([0.0, 0.0, 5.0]))
-    out = connector(SPHERE_EMB, xi)
-    np.testing.assert_allclose(out.vec, [0.0, 0.0, 0.0], atol=1e-15)
-    xi2 = SecondTangentVector(pole, tangent, tangent, np.array([1.0, 2.0, 3.0]))
-    out2 = connector(SPHERE_EMB, xi2)
-    np.testing.assert_allclose(out2.vec, [1.0, 2.0, 0.0], atol=1e-15)
+    out = SPHERE_EMB.connector(pole, tangent, tangent, np.array([0.0, 0.0, 5.0]))
+    np.testing.assert_allclose(out, [0.0, 0.0, 0.0], atol=1e-15)
+    out2 = SPHERE_EMB.connector(pole, tangent, tangent, np.array([1.0, 2.0, 3.0]))
+    np.testing.assert_allclose(out2, [1.0, 2.0, 0.0], atol=1e-15)
 
 
 def test_connector_embedded_paraboloid_origin():
     origin = np.array([0.0, 0.0, 0.0])
     l = np.array([0.7, -0.3, 0.9])
-    xi = SecondTangentVector(origin, np.array([1.0, 0.0, 0.0]),
-                             np.array([0.0, 1.0, 0.0]), l)
-    out = connector(PARABOLOID, xi)
-    np.testing.assert_allclose(out.vec, [0.7, -0.3, 0.0], atol=1e-15)
+    e_x, e_y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    out = PARABOLOID.connector(origin, e_x, e_y, l)
+    np.testing.assert_allclose(out, [0.7, -0.3, 0.0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -165,59 +152,49 @@ def test_connector_embedded_paraboloid_origin():
 
 
 def test_connector_rejects_chart_boundary():
-    xi = SecondTangentVector(np.array([0.0, 5e-4]), np.ones(2), np.ones(2), np.ones(2))
     with pytest.raises(ChartBoundaryError, match="chart boundary"):
-        connector(HALFPLANE, xi)
+        HALFPLANE.require_valid(np.array([0.0, 5e-4]), "connector base point")
 
 
 def test_connector_embedded_rejects_off_manifold_point():
-    from mapgeom import OffManifoldError
-
-    xi = SecondTangentVector(np.array([0.0, 0.0, 1.5]), np.zeros(3), np.zeros(3), np.ones(3))
     with pytest.raises(OffManifoldError, match="off manifold"):
-        connector(SPHERE_EMB, xi)
+        SPHERE_EMB.require_valid(np.array([0.0, 0.0, 1.5]), "connector base point")
 
 
 def test_spray_flat():
-    v = TangentVector(np.array([0.1, 0.2]), np.array([1.5, -2.0]))
-    xi = spray_eval(FLAT2, v)
-    assert np.array_equal(xi.dbase, v.vec)
-    assert np.all(xi.dvec == 0.0)
+    assert np.all(spray_accel(FLAT2, np.array([0.1, 0.2]), np.array([1.5, -2.0])) == 0.0)
 
 
 def test_spray_zero_vector_is_zero():
     for man in (HALFPLANE, SPHERE_EMB):
         rng = np.random.default_rng(2)
         x = man.random_points(rng, 1)[0]
-        xi = spray_eval(man, TangentVector(x, np.zeros(x.shape)))
-        assert np.all(xi.dbase == 0.0)
-        assert np.all(xi.dvec == 0.0)
+        assert np.all(spray_accel(man, x, np.zeros(x.shape)) == 0.0)
 
 
 def test_spray_sphere_embedded_acceleration():
     p = np.array([0.0, 0.0, 1.0])
     h = np.array([1.0, 0.0, 0.0])
-    xi = spray_eval(SPHERE_EMB, TangentVector(p, h))
-    np.testing.assert_allclose(xi.dvec, -p, atol=1e-9)
+    np.testing.assert_allclose(spray_accel(SPHERE_EMB, p, h), -p, atol=1e-9)
 
 
 def test_exp_flat_exact_for_dyadic_data():
     x = np.array([0.25, -1.5])
     h = np.array([0.5, 0.75])
-    out = exp_point(FLAT2, TangentVector(x, h), steps=1024)
+    out = integrate_spray(FLAT2, x, h, 1024)[0]
     assert np.array_equal(out, x + h)
 
 
 def test_exp_zero_vector_is_identity():
     p = SPHERE_EMB.random_points(np.random.default_rng(3), 1)[0]
-    out = exp_point(SPHERE_EMB, TangentVector(p, np.zeros(3)), steps=100)
+    out = integrate_spray(SPHERE_EMB, p, np.zeros(3), 100)[0]
     assert np.array_equal(out, p)
 
 
 def test_exp_sphere_quarter_circle():
     p = np.array([0.0, 0.0, 1.0])
     h = np.array([np.pi / 2, 0.0, 0.0])
-    out = exp_point(SPHERE_EMB, TangentVector(p, h), steps=1000)
+    out = integrate_spray(SPHERE_EMB, p, h, 1000)[0]
     assert np.max(np.abs(out - great_circle(p, h, 1.0))) < 1e-8
 
 
@@ -227,7 +204,7 @@ def test_exp_homogeneity_in_time():
     h = SPHERE_EMB.project(p, rng.uniform(-1, 1, 3))
     xs, _ = integrate_spray(SPHERE_EMB, p, h, 1000, record_every=250)
     for j, t in enumerate((0.25, 0.5, 0.75, 1.0), start=1):
-        scaled = exp_point(SPHERE_EMB, TangentVector(p, t * h), steps=1000)
+        scaled = integrate_spray(SPHERE_EMB, p, t * h, 1000)[0]
         assert np.max(np.abs(scaled - xs[j])) < 1e-9
 
 
@@ -244,7 +221,7 @@ def test_exp_reports_domain_exit_with_time():
     x = np.array([0.3, 0.0])
     h = np.array([-0.5, 0.0])  # heads into the pole band at t ~ 0.6
     with pytest.raises(DomainExitError, match="geodesic left domain") as err:
-        exp_point(SPHERE_CHART, TangentVector(x, h), steps=1000)
+        integrate_spray(SPHERE_CHART, x, h, 1000)[0]
     assert 0.55 < err.value.time < 0.65
 
 
@@ -254,7 +231,7 @@ def test_exp_reports_constraint_blowup_on_embedded_target():
     p = np.array([0.0, 0.0, 1.0])
     h = np.array([50.0, 0.0, 0.0])
     with pytest.raises(DomainExitError, match="geodesic took a step too long"):
-        exp_point(SPHERE_EMB, TangentVector(p, h), steps=1)
+        integrate_spray(SPHERE_EMB, p, h, 1)[0]
 
 
 def test_too_long_step_on_a_level_set_is_named_with_residual_and_step_count():
@@ -431,7 +408,7 @@ def test_chart_and_embedded_sphere_geodesics_agree():
 def test_curvature_flat_zero():
     rng = np.random.default_rng(5)
     h, k, l = rng.uniform(-1, 1, size=(3, 2))
-    out = curvature_point(FLAT2, np.array([0.1, 0.2]), h, k, l)
+    out = FLAT2.curvature(np.array([0.1, 0.2]), h, k, l)
     assert np.all(out == 0.0)
 
 
@@ -439,10 +416,10 @@ def test_curvature_antisymmetry_exact():
     rng = np.random.default_rng(6)
     x = HALFPLANE.random_points(rng, 1)[0]
     h, k, l = rng.uniform(-1, 1, size=(3, 2))
-    a = curvature_point(HALFPLANE, x, h, k, l)
-    b = curvature_point(HALFPLANE, x, k, h, l)
+    a = HALFPLANE.curvature(x, h, k, l)
+    b = HALFPLANE.curvature(x, k, h, l)
     assert np.array_equal(a, -b)
-    assert np.all(curvature_point(HALFPLANE, x, h, h, l) == 0.0)
+    assert np.all(HALFPLANE.curvature(x, h, h, l) == 0.0)
 
 
 def test_curvature_first_bianchi():
@@ -451,9 +428,9 @@ def test_curvature_first_bianchi():
         x = man.random_points(rng, 1)[0]
         h, k, l = rng.uniform(-1, 1, size=(3, 2))
         total = (
-            curvature_point(man, x, h, k, l)
-            + curvature_point(man, x, k, l, h)
-            + curvature_point(man, x, l, h, k)
+            man.curvature(x, h, k, l)
+            + man.curvature(x, k, l, h)
+            + man.curvature(x, l, h, k)
         )
         assert np.max(np.abs(total)) < 1e-8
 
@@ -513,7 +490,7 @@ def test_paraboloid_gauss_curvature():
 def test_flat_embedded_curvature_is_exact_zero():
     man = make_manifold("flat:n=3:rep=embedded")
     x, h, k, l = _tangent_pairs(man, seed=23)
-    assert np.all(curvature_point(man, x, h, k, l) == 0.0)
+    assert np.all(man.curvature(x, h, k, l) == 0.0)
 
 
 def test_sectional_curvature_degenerate_plane_names_the_sample():
@@ -534,14 +511,14 @@ def test_transport_flat_is_identity():
     ts = np.linspace(0, 1, 50)
     curve = np.stack([ts, ts**2], axis=-1)
     v0 = np.array([0.3, -0.7])
-    out = parallel_transport_point(FLAT2, curve, v0)
+    out = transport_along_samples(FLAT2, curve, v0)
     assert np.array_equal(out, v0)
 
 
 def test_transport_zero_length_curve():
     p = np.array([0.0, 0.0, 1.0])
     v0 = np.array([0.5, 0.5, 0.0])
-    assert np.array_equal(parallel_transport_point(SPHERE_EMB, p[None, :], v0), v0)
+    assert np.array_equal(transport_along_samples(SPHERE_EMB, p[None, :], v0), v0)
 
 
 def octant_loop(samples_per_arc):
@@ -564,7 +541,7 @@ def test_transport_sphere_triangle_holonomy():
     # transported vector by +pi/2 about the outward normal at the start
     loop = octant_loop(3334)  # ~1e4 steps in total
     v0 = np.array([1.0, 0.0, 0.0])
-    out = parallel_transport_point(SPHERE_EMB, loop, v0)
+    out = transport_along_samples(SPHERE_EMB, loop, v0)
     assert np.max(np.abs(out - np.array([0.0, 1.0, 0.0]))) < 1e-4
     assert abs(np.linalg.norm(out) - 1.0) < 1e-8
 
@@ -573,23 +550,10 @@ def test_transport_preserves_metric_norm_halfplane():
     ts = np.linspace(0.0, 1.0, 2000)
     curve = np.stack([np.sin(ts), 1.0 + 0.5 * ts**2], axis=-1)
     v0 = np.array([0.4, 0.9])
-    out = parallel_transport_point(HALFPLANE, curve, v0)
+    out = transport_along_samples(HALFPLANE, curve, v0)
     g0 = HALFPLANE.metric(curve[0])
     g1 = HALFPLANE.metric(curve[-1])
     assert abs(out @ g1 @ out - v0 @ g0 @ v0) < 1e-8
-
-
-def test_transport_rejects_curve_outside_domain():
-    curve = np.array([[0.0, 1.0], [0.0, -1.0]])
-    with pytest.raises(DomainExitError, match="curve left domain"):
-        parallel_transport_point(HALFPLANE, curve, np.array([1.0, 0.0]))
-
-
-def test_transport_names_first_curve_point_outside_domain():
-    curve = np.array([[0.0, 1.0], [0.0, 0.5], [0.0, -1.0], [0.0, -2.0]])
-    with pytest.raises(DomainExitError, match="curve left domain at point 2") as err:
-        parallel_transport_point(HALFPLANE, curve, np.array([1.0, 0.0]))
-    assert err.value.sample == 2
 
 
 # ---------------------------------------------------------------------------
@@ -617,5 +581,5 @@ def test_registry_defaults_and_names():
 
 
 def test_sphere_chart_domain_excludes_pole_band():
-    assert not SPHERE_CHART.in_domain(np.array([5e-4, 0.0]))
-    assert SPHERE_CHART.in_domain(np.array([0.5, 0.0]))
+    assert not SPHERE_CHART.valid(np.array([5e-4, 0.0]))
+    assert SPHERE_CHART.valid(np.array([0.5, 0.0]))

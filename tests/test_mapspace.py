@@ -19,13 +19,11 @@ from mapgeom import (
     TangentField,
     canonical_flip_field,
     circle_domain,
-    connector,
     connector_field,
     curvature_field,
     embed_map_field,
     embed_tangent_field,
     exp_field,
-    exp_point,
     field_from_json,
     field_to_json,
     interval_domain,
@@ -34,14 +32,11 @@ from mapgeom import (
     load_field,
     make_manifold,
     save_field,
-    spray_eval,
     spray_field,
-    TangentVector,
-    SecondTangentVector,
     vertical_lift_field,
     vertical_projection_field,
 )
-from mapgeom.manifold import ON_MANIFOLD_TOL
+from mapgeom.manifold import ON_MANIFOLD_TOL, integrate_spray, spray_accel
 
 FLAT1 = make_manifold("flat:n=1")
 FLAT2 = make_manifold("flat:n=2")
@@ -298,17 +293,17 @@ def test_connector_field_single_sample_reduces_to_point_op():
     arrays = rng.uniform(-1, 1, size=(3, 1, 2))
     xi = SecondTangentField(dom, HALFPLANE, x, arrays[0], arrays[1], arrays[2])
     out = connector_field(xi)
-    point = connector(HALFPLANE, SecondTangentVector(x[0], arrays[0, 0],
-                                                           arrays[1, 0], arrays[2, 0]))
-    assert np.array_equal(out.vecs[0], point.vec)
+    HALFPLANE.require_valid(x[0], "connector base point")
+    point = HALFPLANE.connector(x[0], arrays[0, 0], arrays[1, 0], arrays[2, 0])
+    assert np.array_equal(out.vecs[0], point)
 
 
 def test_spray_field_matches_point_op_and_zero():
     q, h = sphere_field(4, seed=9)
     xi = spray_field(h)
     assert np.array_equal(xi.dbase, h.vecs)
-    point = spray_eval(SPHERE_EMB, TangentVector(q.values[0], h.vecs[0]))
-    assert np.array_equal(xi.dvec[0], point.dvec)
+    point = spray_accel(SPHERE_EMB, q.values[0], h.vecs[0])
+    assert np.array_equal(xi.dvec[0], point)
     zero = spray_field(TangentField(q, np.zeros_like(h.vecs)))
     assert np.all(zero.dbase == 0.0) and np.all(zero.dvec == 0.0)
 
@@ -337,7 +332,7 @@ def test_exp_field_sphere_matches_great_circles():
 def test_exp_field_single_sample_reduces_to_point_op():
     q, h = sphere_field(1, seed=12)
     out = exp_field(h, steps=200)
-    point = exp_point(SPHERE_EMB, TangentVector(q.values[0], h.vecs[0]), steps=200)
+    point = integrate_spray(SPHERE_EMB, q.values[0], h.vecs[0], 200)[0]
     assert np.array_equal(out.values[0], point)
 
 
@@ -449,14 +444,13 @@ def test_curvature_field_embedded_sphere_matches_chart():
 
 
 def test_curvature_field_single_sample_reduces_to_point_op():
-    from mapgeom import curvature_point
-
     rng = np.random.default_rng(101)
     dom = QuadratureDomain(np.array([1.0]))
     q = MapField(dom, HALFPLANE, HALFPLANE.random_points(rng, 1))
     h, k, l = (TangentField(q, rng.uniform(-1, 1, (1, 2))) for _ in range(3))
     field = curvature_field(q, h, k, l)
-    point = curvature_point(HALFPLANE, q.values[0], h.vecs[0], k.vecs[0], l.vecs[0])
+    HALFPLANE.require_valid(q.values[0], "curvature base point")
+    point = HALFPLANE.curvature(q.values[0], h.vecs[0], k.vecs[0], l.vecs[0])
     assert np.array_equal(field.vecs[0], point)
 
 
