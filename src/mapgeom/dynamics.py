@@ -94,6 +94,8 @@ class GeodesicReport:
     snapshot; ``residual_series`` the max-abs finite-difference geodesic
     residual per snapshot (edge entries padded from their neighbours);
     ``drift_series`` the embedding-constraint residual (zero for charts).
+    The residual needs three snapshots: with two, ``residual_series`` and
+    ``max_pointwise_geodesic_residual`` are NaN, as nothing was measured.
     """
 
     times: np.ndarray
@@ -134,7 +136,7 @@ def _diagnose(path: FieldPath, xs: np.ndarray, vs: np.ndarray) -> GeodesicReport
         [0.5 * l2_inner(path.maps[j], path.velocities[j], path.velocities[j]) for j in range(T)]
     )
     dt = float(path.times[1] - path.times[0])
-    residual = np.zeros(T)
+    residual = np.full(T, np.nan)  # the second difference needs three snapshots
     if T >= 3:
         # one snapshot at a time, so the kernels' temporaries stay (m, n)
         for j in range(1, T - 1):
@@ -143,7 +145,7 @@ def _diagnose(path: FieldPath, xs: np.ndarray, vs: np.ndarray) -> GeodesicReport
         residual[0] = residual[1]
         residual[-1] = residual[-2]
     drift = np.array([float(np.max(man.residual(x))) for x in xs])
-    interior_max = float(residual[1:-1].max()) if T >= 3 else 0.0
+    interior_max = float(residual[1:-1].max()) if T >= 3 else math.nan
     return GeodesicReport(
         times=path.times,
         energy_series=energy,

@@ -74,6 +74,37 @@ def test_cli_import_leaves_scipy_and_permutation_tables_unloaded():
     assert proc.stdout.split() == ["False", "0"]
 
 
+def test_transport_call_leaves_scipy_unloaded(tmp_path):
+    # the assignment solver is in-repo: a whole transport run never imports scipy
+    for name, atoms in (("mu", [[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]),
+                        ("nu", [[1.0, 1.0], [0.0, 0.5], [2.0, 0.0]])):
+        measure = DiscreteMeasure(np.array(atoms), np.full(3, 1.0 / 3.0))
+        save_measure(measure, tmp_path / f"{name}.json")
+    probe = ("import sys\nfrom mapgeom import cli\n"
+             f"code = cli.main(['transport', '--mu', {str(tmp_path / 'mu.json')!r}, "
+             f"'--nu', {str(tmp_path / 'nu.json')!r}])\n"
+             "print(code, 'scipy' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stderr.split() == ["0", "False"]
+    assert "optimal permutation: [1, 2, 0]" in proc.stdout
+
+
+def test_transport_overflowing_costs_exit_2_naming_mu_and_nu(tmp_path):
+    # +-1e200 atoms square to inf; a NaN there once could stall the solver, hence the timeout
+    save_measure(DiscreteMeasure(np.array([[1e200], [-1e200]]), np.array([0.5, 0.5])),
+                 tmp_path / "mu.json")
+    save_measure(DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5])),
+                 tmp_path / "nu.json")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mapgeom.cli", "transport",
+         "--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert "error: the atoms of mu and nu are too far apart" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_list_manifolds():
     code, out, _ = run_cli("list-manifolds")
     assert code == 0

@@ -166,6 +166,24 @@ def test_covariant_derivative_on_a_two_snapshot_path():
         assert np.all(s.vecs == 0.0)
 
 
+def test_two_snapshot_geodesic_reports_no_residual(tmp_path):
+    # the finite-difference residual needs three snapshots; two measure nothing,
+    # which must not read as a perfect fit
+    q0 = MapField(QuadratureDomain(np.array([1.0])), HALFPLANE, np.array([[0.0, 1.0]]))
+    h0 = TangentField(q0, np.array([[1.0, 0.5]]))
+    _, two = integrate_geodesic(q0, h0, snapshots=2, steps_per_snapshot=3)
+    assert math.isnan(two.max_pointwise_geodesic_residual)
+    assert np.all(np.isnan(two.residual_series))
+    _, three = integrate_geodesic(q0, h0, snapshots=3, steps_per_snapshot=1)
+    assert 0.1 < three.max_pointwise_geodesic_residual < 0.3
+    save_report_json(two, tmp_path / "report.json")
+    import json as _json
+
+    doc = _json.loads((tmp_path / "report.json").read_text())
+    assert math.isnan(doc["max_pointwise_geodesic_residual"])
+    assert all(math.isnan(r) for r in doc["residual_series"])
+
+
 def test_covariant_derivative_flat_linear_series():
     q0, h0 = flat_setup()
     zero = TangentField(q0, np.zeros_like(h0.vecs))

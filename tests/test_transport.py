@@ -1,5 +1,6 @@
 import itertools
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -18,7 +19,14 @@ from mapgeom import (
     wasserstein2_assignment,
     wasserstein2_bruteforce,
 )
-from mapgeom.transport import _cost_matrix, assignment_cost, load_measure, save_measure
+from mapgeom.transport import (
+    _certify,
+    _cost_matrix,
+    _solve_assignment,
+    assignment_cost,
+    load_measure,
+    save_measure,
+)
 
 FLAT1 = make_manifold("flat:n=1")
 FLAT2 = make_manifold("flat:n=2")
@@ -204,6 +212,94 @@ def test_solver_single_atom():
     mu = uniform_measure([[1.0, 1.0]])
     nu = uniform_measure([[2.0, 3.0]])
     assert wasserstein2_assignment(mu, nu).cost == 5.0
+
+
+# n = 8 and n = 4 make every term m_i C[i, j] of an integer cost exact, so
+# tied matchings sum to the same double (at n = 5 or 7 they may not)
+@pytest.mark.parametrize("a, b", [
+    (np.full((8, 2), 0.7), np.full((8, 2), 0.7)),  # all 8 atoms at one point
+    (np.full((8, 2), 0.7), np.full((8, 2), -1.3)),
+    (np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),  # the {0,1}^2 lattice
+     np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+    (np.array([[0.0], [1.0], [1.0], [3.0], [3.0], [4.0], [6.0], [6.0]]),  # integer costs
+     np.array([[1.0], [2.0], [2.0], [2.0], [5.0], [5.0], [6.0], [7.0]])),
+    (np.array([[0, 0], [1, 2], [2, 1], [3, 3], [0, 2], [2, 0], [1, 1], [3, 0]], dtype=float),
+     np.array([[1, 1], [0, 3], [3, 1], [2, 2], [1, 0], [0, 1], [2, 3], [3, 2]], dtype=float)),
+], ids=["one-point", "two-points", "lattice", "integer-1d", "integer-2d"])
+def test_solver_equals_bruteforce_on_tied_inputs(a, b):
+    mu, nu = uniform_measure(a), uniform_measure(b)
+    solved = wasserstein2_assignment(mu, nu)
+    assert solved.cost == wasserstein2_bruteforce(mu, nu).cost
+    assert solved.cost == assignment_cost(mu, nu, solved.perm)
+
+
+@pytest.mark.parametrize("n", [50, 300])
+def test_solver_agrees_with_scipy(n):
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(n)
+    mu = uniform_measure(rng.normal(size=(n, 2)))
+    nu = uniform_measure(rng.normal(size=(n, 2)))
+    terms = (1.0 / n) * _cost_matrix(mu, nu, None)
+    _, cols = scipy_optimize.linear_sum_assignment(terms)
+    reference = math.fsum(terms[np.arange(n), cols].tolist())
+    solved = wasserstein2_assignment(mu, nu)
+    assert abs(solved.cost - reference) <= 1e-12 * reference
+    perm, u, v = _solve_assignment(terms)
+    assert np.array_equal(perm, solved.perm)
+    slack = terms - u[:, None] - v
+    assert slack.min() >= -1e-12 * terms.max()
+    assert np.abs(slack[np.arange(n), perm]).max() <= 1e-12 * terms.max()
+
+
+def test_corrupted_certificate_is_rejected():
+    rng = np.random.default_rng(5)
+    n = 20
+    terms = (1.0 / n) * _cost_matrix(uniform_measure(rng.normal(size=(n, 2))),
+                                     uniform_measure(rng.normal(size=(n, 2))), None)
+    perm, u, v = _solve_assignment(terms)
+    _certify(terms, perm, u, v)
+    swapped = perm.copy()
+    swapped[[3, 11]] = swapped[[11, 3]]
+    with pytest.raises(GeometryError, match="not certified optimal: smallest reduced cost"):
+        _certify(terms, swapped, u, v)
+    raised = u.copy()
+    raised[7] += 1e-6
+    with pytest.raises(GeometryError, match="not certified optimal") as info:
+        _certify(terms, perm, raised, v)
+    worst = float(str(info.value).split("smallest reduced cost ")[1].split(",")[0])
+    assert abs(worst + 1e-6) < 1e-12  # the raised row's matched slack is named
+
+
+class _Stalled(Exception):
+    pass
+
+
+def _within_seconds(seconds, f, *args):
+    """Call f(*args), raising _Stalled if it has not returned after ``seconds``."""
+    def stalled(signum, frame):
+        raise _Stalled(f"no result after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        return f(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_overflowing_costs_raise_naming_the_atoms():
+    far, near = uniform_measure([[1e200], [-1e200]]), uniform_measure([[0.0], [1.0]])
+    for solve in (wasserstein2_assignment, wasserstein2_bruteforce):
+        for mu, nu in ((far, near), (near, far), (far, far)):
+            with pytest.raises(ValueError, match="atoms of mu and nu are too far apart"):
+                _within_seconds(10, solve, mu, nu)
+
+
+def test_nan_cost_neither_stalls_nor_certifies():
+    terms = np.array([[np.nan, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, np.nan]])
+    perm, u, v = _within_seconds(10, _solve_assignment, terms)
+    with pytest.raises(GeometryError, match="not certified optimal"):
+        _certify(terms, perm, u, v)
 
 
 def test_w2_metric_properties_on_random_triples():
