@@ -33,8 +33,9 @@ over leading axes of ``(..., n)`` point arrays:
 * ``post_step(x_prev, x, v)`` -- the end of an integrator step: returns
   ``(x, v, ok)``.  ``ok`` is False when a row of x is not finite or not
   valid, and x and v then come back as given; otherwise the rows of x that
-  moved are retracted and v is re-projected there (drift control, a no-op
-  for charts).
+  moved are retracted and v is re-projected there as
+  v - (<g, v> / <g, g>) g, g = grad f, without building the projector
+  (drift control, a no-op for charts).
 
 This interface is also the API for single points: a point is an ``(n,)``
 array, and its results are bitwise those of a one-row batch.  The
@@ -387,14 +388,15 @@ class EmbeddedManifold:
         if not (_residual(f, g) <= ON_MANIFOLD_TOL).all():
             return p, v, False
         q = self.retraction(p, f, g)
-        moved = (p != p_prev).any(axis=-1)
-        if moved.all():
-            return q, self.project(q, v), True
+        moved = (p != p_prev).any(axis=-1)[..., None]
         # retract only rows that moved, so zero-velocity samples stay
         # bitwise fixed
-        moved = moved[..., None]
-        q = np.where(moved, q, p)
-        return q, np.where(moved, self.project(q, v), v), True
+        if not moved.all():
+            q = np.where(moved, q, p)
+        # P v = v - (<g, v> / <g, g>) g at q, without building the (..., n, n) P
+        g = self.gradient(q)
+        w = v - (_dot(g, v) / _dot(g, g))[..., None] * g
+        return q, w if moved.all() else np.where(moved, w, v), True
 
     def random_points(self, rng, m: int) -> np.ndarray:
         if self.sample_points is None:

@@ -109,8 +109,13 @@ def _monge_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> int:
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, manifold: Optional[Manifold]):
     if manifold is None:
-        diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
-        C = np.einsum("ijk,ijk->ij", diff, diff)
+        # squares added in coordinate order, without an (n, n, d) difference
+        # array; an overflow shows as a cost that is not finite, named below
+        C = np.zeros((mu.size, nu.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in zip(mu.atoms.T, nu.atoms.T):
+                t = a[:, None] - b[None, :]
+                C += t * t
     elif manifold.closed_form_log is None:
         raise ValueError("geodesic cost needs a target with a closed-form log")
     else:

@@ -401,6 +401,40 @@ def test_chart_and_embedded_sphere_geodesics_agree():
     assert np.max(np.abs(SPHERE_CHART.embedding(xs) - ps)) < 1e-6
 
 
+class _ProjectorPostStep:
+    """A level-set target whose end-of-step pass re-projects v through ``project``."""
+
+    def __init__(self, man):
+        self.man = man
+
+    def __getattr__(self, name):
+        return getattr(self.man, name)
+
+    def post_step(self, p_prev, p, v):
+        q, _, ok = self.man.post_step(p_prev, p, v)
+        return q, self.man.project(q, v), ok
+
+
+@pytest.mark.parametrize("man", [SPHERE_EMB, PARABOLOID], ids=["sphere", "paraboloid"])
+def test_end_of_step_pass_keeps_the_state_on_the_level_set(man):
+    rng = np.random.default_rng(7)
+    x = man.random_points(rng, 2048)
+    v = man.project(x, rng.normal(size=x.shape))
+    v *= (rng.uniform(0.05, 0.7, len(x)) / np.linalg.norm(v, axis=1))[:, None]
+    v[::16] = 0.0
+    end, vel = integrate_spray(man, x, v, 40)
+    g = man.gradient(end)
+    normal = np.abs(np.sum(g * vel, axis=1)) / np.linalg.norm(g, axis=1)
+    assert np.all(normal <= 1e-14 * np.linalg.norm(vel, axis=1))
+    assert man.residual(end).max() <= 4 * np.finfo(float).eps
+    # zero-velocity rows are never retracted or re-projected
+    assert np.array_equal(end[::16], x[::16]) and not vel[::16].any()
+    # the rank-one re-projection is the projector's up to round-off
+    ref, ref_vel = integrate_spray(_ProjectorPostStep(man), x, v, 40)
+    assert np.abs(end - ref).max() <= 1e-14
+    assert np.abs(vel - ref_vel).max() <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # curvature
 

@@ -110,6 +110,28 @@ def test_tangent_field_validates_tangency():
         TangentField(q, np.array([[0.0, 0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("speed, normal, accepted", [
+    (10.0, 0.5e-6, True), (10.0, 2e-6, True), (10.0, 2e-5, False), (1.0, 2e-6, False)])
+def test_tangency_bound_grows_with_the_row(speed, normal, accepted):
+    # a row may leave the tangent space by 1e-6 * max(1, max|v_i|): 1e-5 at
+    # |v| = 10 and 1e-6 at |v| = 1; only a normal part within 1e-6 passes
+    # whatever the row
+    q = MapField(QuadratureDomain(np.full(3, 1 / 3)), SPHERE_EMB, np.eye(3)[[2, 0, 1]])
+    v = np.array([[speed, 0.0, normal], [0.0, 0.0, 10.0], [0.0, 0.0, -10.0]])
+    if accepted:
+        assert np.array_equal(TangentField(q, v).vecs, v)
+    else:
+        with pytest.raises(ValueError, match="not tangent"):
+            TangentField(q, v)
+
+
+def test_chart_fields_are_never_rejected_as_not_tangent():
+    rng = np.random.default_rng(0)
+    for man in (HALFPLANE, SPHERE_CHART):
+        q = MapField(circle_domain(64), man, man.random_points(rng, 64))
+        TangentField(q, rng.normal(scale=1e6, size=(64, 2)))
+
+
 def _flat_map():
     return MapField(QuadratureDomain(np.array([0.5, 0.5])), make_manifold("flat:n=2"),
                     np.zeros((2, 2)))

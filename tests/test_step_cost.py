@@ -28,7 +28,7 @@ def test_two_trees_print_steps_split_and_ratio(capsys):
     assert step_cost.main([str(ROOT), str(ROOT), "--pairs", "2", "--targets", "halfplane"]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split() for line in lines if line.startswith("halfplane")]
-    # m = 4 rows carry the split into accel x4, post_step and the rest
+    # rows at both sizes carry the split into accel x4, post_step and the rest
     assert [(r[1], r[2], len(r)) for r in rows] == [
-        ("4", "A", 8), ("4", "B", 8), ("2048", "A", 5), ("2048", "B", 5)]
+        ("4", "A", 8), ("4", "B", 8), ("2048", "A", 8), ("2048", "B", 8)]
     assert sum("A/B" in line for line in lines) == 2

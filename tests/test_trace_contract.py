@@ -4,14 +4,14 @@
 callbacks on copies of each registry manifold.  A refactor that computes
 the spray, the transport equation or a target callback some other way
 would make those per-layer counts read zero, a tangent projector built
-inside the spray or transport equation would bring back the cost the
-closed-form level-set kernel removed, one file function that calls
-another through a traced name would count the same bytes twice, and a
-log map that integrates its Jacobian columns one call at a time would
-pay the fixed per-step cost 2k times per Newton iteration, and an RK4
-step that evaluates the level-set callbacks more often than it needs to
-pays for each extra call at every step; these tests catch all five without
-a benchmark run.
+inside the spray, the transport equation or an RK4 step would bring back
+the cost that the closed-form level-set kernels removed, one file
+function that calls another through a traced name would count the same
+bytes twice, and a log map that integrates its Jacobian columns one call
+at a time would pay the fixed per-step cost 2k times per Newton
+iteration, and an RK4 step that evaluates the level-set callbacks more
+often than it needs to pays for each extra call at every step; these
+tests catch all five without a benchmark run.
 """
 
 import collections
@@ -31,8 +31,9 @@ REQUIRED = {
     "manifold.spray_accel": "manifold.integrate_spray",
     "manifold.retraction": "manifold.integrate_spray",
     "manifold.christoffel": "manifold.spray_accel",
-    # post_step re-projects the velocity after every RK4 step
-    "manifold.tangent_projector": "manifold.integrate_spray",
+    # transport re-projects X after every segment; the per-row projector
+    # metrics read these spans
+    "manifold.tangent_projector": "dynamics.parallel_transport_field",
     "manifold.transport_ode_rhs": "dynamics.parallel_transport_field",
 }
 
@@ -70,13 +71,15 @@ def test_traced_spans_cover_kernels_and_callbacks(tracer_module):
     }
     missing = [pair for pair in REQUIRED.items() if pair not in seen]
     assert not missing, f"no spans with rows for (name, caller) {missing}"
-    # the level-set spray and transport equations build no projector
+    # the level-set spray, the transport equation and the end-of-step pass
+    # of an RK4 step build no projector
     for s in trace.spans:
         if s[NAME] == "manifold.tangent_projector":
             parent = s[PARENT]
             while parent >= 0:
                 assert trace.spans[parent][NAME] not in (
-                    "manifold.spray_accel", "manifold.transport_ode_rhs"
+                    "manifold.spray_accel", "manifold.transport_ode_rhs",
+                    "manifold.integrate_spray",
                 ), f"tangent_projector inside {trace.spans[parent][NAME]}"
                 parent = trace.spans[parent][PARENT]
 
@@ -165,7 +168,7 @@ def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
 # per RK4 step on a level set: four accels (grad f and (Hess f) w each), and
 # one end-of-step pass that evaluates f and grad f once for both the validity
 # test and the first Newton step, f and grad f again for the second Newton
-# step, and grad f for the projector at the retracted point
+# step, and grad f for the re-projection of v at the retracted point
 LEVEL_SET_CALLS_PER_STEP = {"level_set": 2, "gradient": 7, "hessian_action": 4}
 
 

@@ -196,6 +196,19 @@ def test_solver_matches_bruteforce_exactly(n, seed):
     assert solved.cost == brute.cost
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_euclidean_cost_adds_squares_in_coordinate_order(d):
+    rng = np.random.default_rng(d)
+    a, b = rng.normal(size=(2, 8, d))
+    ref = np.zeros((8, 8))
+    for k in range(d):
+        ref = ref + (a[:, None, k] - b[None, :, k]) ** 2
+    mu, nu = uniform_measure(a), uniform_measure(b)
+    assert np.array_equal(_cost_matrix(mu, nu, None), ref)
+    # both solvers read this one matrix
+    assert wasserstein2_assignment(mu, nu).cost == wasserstein2_bruteforce(mu, nu).cost
+
+
 def test_solver_translation_cost():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(6, 3))

@@ -13,8 +13,8 @@ A machine whose speed drifts by tens of percent over seconds shifts both
 calls of a pair alike, so the ratio of a pair is steadier than either time.
 
 Printed per target, m and tree: the median microseconds per step, the
-median nanoseconds per row-step, and at m = 4 the split of one step into
-its four ``accel`` calls, ``post_step`` and the rest (the RK4 arithmetic,
+median nanoseconds per row-step, and the split of one step into its four
+``accel`` calls, ``post_step`` and the rest (the RK4 arithmetic,
 and in trees whose ``post_step`` does not check the state, that check),
 each the best of repeats that also alternate between the trees.  With two
 trees, the median time ratio A/B (above 1: B is faster) and its quartiles
@@ -93,10 +93,11 @@ def parts_of(mod, spec: str, m: int, steps: int) -> dict:
     man = mod.make_manifold(spec)
     x, v = laid_out(mod, man, m)
     x_new, v_new = rk4_state(man, x, v, 1.0 / steps)
+    number = max(4, 800 // m)  # 200 calls at m = 4, 4 at m = 2048
     return {
         "step": lambda: us(lambda: mod.integrate_spray(man, x, v, steps), 1) / steps,
-        "accel": lambda: 4 * us(lambda: man.accel(x, v), 200),
-        "post_step": lambda: us(lambda: man.post_step(x, x_new, v_new), 200),
+        "accel": lambda: 4 * us(lambda: man.accel(x, v), number),
+        "post_step": lambda: us(lambda: man.post_step(x, x_new, v_new), number),
     }
 
 
@@ -145,13 +146,11 @@ def main(argv=None) -> int:
                     start = perf_counter()
                     mods[j].integrate_spray(mans[j], x, v, steps)
                     times[j].append((perf_counter() - start) / steps)
-            parts = split(mods, spec, m, steps) if m == 4 else None
+            parts = split(mods, spec, m, steps)
             for j, label in enumerate(labels[:len(mods)]):
                 step = statistics.median(times[j]) * 1e6
                 line = f"{spec:22s}  {m:<5d}  {label:4s}  {step:7.1f}  {step * 1e3 / m:11.1f}"
-                if parts:
-                    line += "".join(f"  {parts[j][k]:8.1f}" for k in ("accel", "post_step", "rest"))
-                print(line)
+                print(line + "".join(f"  {parts[j][k]:8.1f}" for k in ("accel", "post_step", "rest")))
             if len(mods) == 2:
                 q1, med, q3 = quartiles([a / b for a, b in zip(*times)])
                 print(f"{'':22s}  {m:<5d}  A/B   {med:.3f}  [IQR {q1:.3f}-{q3:.3f}]")
