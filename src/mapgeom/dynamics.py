@@ -1,15 +1,17 @@
 """Geodesic machinery on the discretized mapping space.
 
 Trajectories are integrated with the same fixed-step RK4 core as the
-pointwise exponential map, so the endpoint of a unit-time trajectory is
-bit-for-bit the value of :func:`mapgeom.mapspace.exp_field` at matching
-step counts.  The log map is computed per sample by shooting: damped
-Newton on the initial velocity with a finite-difference Jacobian, seeded
-by a closed form where the registry target provides one.  The 2k
-central-difference integrations behind the k Jacobian columns of every
-unconverged sample run as one stacked call, so a Newton iteration costs
-two integrations: one for the Jacobian and one for the first line-search
-trial.
+pointwise exponential map, :func:`mapgeom.manifold.integrate_spray`, so
+the endpoint of a unit-time trajectory is bit-for-bit the value of
+:func:`mapgeom.mapspace.exp_field` at matching step counts.  Field
+transport (:func:`parallel_transport_field`) steps through the same RK4
+formula, :func:`mapgeom.manifold.rk4_step`.  The log map is computed
+per sample by shooting: damped Newton on the initial velocity with a
+finite-difference Jacobian, seeded by a closed form where the registry
+target provides one.  The 2k central-difference integrations behind the k
+Jacobian columns of every unconverged sample run as one stacked call, so
+a Newton iteration costs two integrations: one for the Jacobian and one
+for the first line-search trial.
 """
 
 from __future__ import annotations

@@ -43,8 +43,10 @@ connector at a point is ``man.require_valid(x, what)`` then
 ``man.connector(x, h, k, l)``, and likewise for ``man.curvature``; the
 spray is :func:`spray_accel`, the exponential map
 ``integrate_spray(man, x, h, steps)[0]`` and parallel transport along an
-``(S, n)`` curve :func:`transport_along_samples`.  Fields of points go
-through :mod:`mapgeom.mapspace`.  Two caveats:
+``(S, n)`` curve :func:`transport_along_samples`.  Both ODEs step through
+the one RK4 formula, :func:`rk4_step`, over a pair state (x, v); each
+caller ends its own step.  Fields of points go through
+:mod:`mapgeom.mapspace`.  Two caveats:
 
 * A chart's ``accel`` and ``transport_rhs`` give the same bits on
   C-ordered ``(m, n)`` vectors, but run on a slow path that mixes layouts
@@ -594,11 +596,33 @@ def require_count(name: str, value, least: int = 1):
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def rk4_step(f: Callable, x, v, dt: float):
+    """One classical RK4 step of the system (x, v)' = f(x, v) over dt.
+
+    ``f(x, v)`` returns the pair ``(x', v')``.  The stage states are
+    ``x + h kx`` and ``v + h kv``, with h = dt / 2 at the two middle stages
+    and h = dt at the last, and the step returns ``x + (dt/6)(k1x + 2 k2x + 2 k3x + k4x)`` and the
+    same in v (Hairer, Norsett & Wanner, *Solving ODEs I*, II.1).  It is
+    the one RK4 formula of the package: :func:`integrate_spray` steps the
+    geodesic spray through it and :func:`transport_along_samples` the
+    parallel transport equation.  Each caller ends its own step.
+    """
+    h = 0.5 * dt
+    k1x, k1v = f(x, v)
+    k2x, k2v = f(x + h * k1x, v + h * k1v)
+    k3x, k3v = f(x + h * k2x, v + h * k2v)
+    k4x, k4v = f(x + dt * k3x, v + dt * k3v)
+    return (x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+
 def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[int] = None):
     """Classical fixed-step RK4 integration of the spray over unit time.
 
+    Each step is :func:`rk4_step` on (x, v)' = (v, spray_accel(x, v)).
     Returns ``(x, v)`` at t = 1, or the stacked snapshot arrays
-    ``(xs, vs)`` (leading time axis) when ``record_every`` is given.
+    ``(xs, vs)`` (leading time axis, t = 0 first and t = 1 last) every
+    ``record_every`` steps, which must divide ``steps``.
     After every step the target's ``post_step`` checks the new state and
     controls drift: embedded targets are retracted and the velocity is
     re-projected onto the tangent space.  A state that is not finite or
@@ -611,8 +635,15 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
     if not _all_valid(man, x):
         raise _exit_error(man, x, 0.0, 0, steps)
     dt = 1.0 / steps
+
+    def spray(x, v):  # looks spray_accel up at each call, so a rebinding wraps it
+        return v, spray_accel(man, x, v)
+
     xs = vs = None
     if record_every is not None:
+        require_count("record_every", record_every)
+        if steps % record_every:
+            raise ValueError(f"record_every={record_every} must divide steps={steps}")
         # (snapshot, sample, component) stacks whose [j] are sample-fastest
         snaps = steps // record_every + 1
         xs = sample_fastest((snaps,) + x.shape, axis=1)
@@ -622,19 +653,10 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
     # and the error then names the sample; NumPy's warnings would come first
     with np.errstate(all="ignore"):
         for s in range(steps):
-            k1x = v
-            k1v = spray_accel(man, x, v)
-            k2x = v + (0.5 * dt) * k1v
-            k2v = spray_accel(man, x + (0.5 * dt) * k1x, k2x)
-            k3x = v + (0.5 * dt) * k2v
-            k3v = spray_accel(man, x + (0.5 * dt) * k2x, k3x)
-            k4x = v + dt * k3v
-            k4v = spray_accel(man, x + dt * k3x, k4x)
-            x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-            x, v, ok = man.post_step(x, x_new, v)
+            # post_step hands a state it rejects back as given, unretracted
+            x, v, ok = man.post_step(x, *rk4_step(spray, x, v, dt))
             if not ok:
-                raise _exit_error(man, x_new, (s + 1) * dt, s + 1, steps)
+                raise _exit_error(man, x, (s + 1) * dt, s + 1, steps)
             if xs is not None and (s + 1) % record_every == 0:
                 j = (s + 1) // record_every
                 xs[j], vs[j] = x, v
@@ -682,26 +704,23 @@ def transport_along_samples(man: Manifold, points: np.ndarray, v0: np.ndarray) -
 
     ``points`` has shape (S, ..., n) with the time axis first; accuracy is
     controlled by the sampling density.  Transport does not depend on the
-    time parametrization, only on the path.
+    time parametrization, only on the path.  Each segment p0 -> p1 is one
+    :func:`rk4_step` of (s, X)' = (1, transport_ode_rhs(p0 + s chord, chord,
+    X)) from s = 0 with dt = 1; the rows that moved are then projected onto
+    the tangent space at p1 (the path points are given, so nothing is
+    retracted).
     """
     points = sample_fastest(points, axis=1)  # one conversion, so each points[i] is a view
     X = sample_fastest(v0, copy=True)
-    for i in range(points.shape[0] - 1):
-        p0 = points[i]
-        chord = points[i + 1] - p0
-
-        def rhs(s, Y):
-            return transport_ode_rhs(man, p0 + s * chord, chord, Y)
-
-        k1 = rhs(0.0, X)
-        k2 = rhs(0.5, X + 0.5 * k1)
-        k3 = rhs(0.5, X + 0.5 * k2)
-        k4 = rhs(1.0, X + k3)
-        X = X + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    for p0, p1 in zip(points[:-1], points[1:]):
+        chord = p1 - p0
+        # the chord parameter s, with s' = 1, is the first half of the state
+        _, X = rk4_step(lambda s, Y: (1.0, transport_ode_rhs(man, p0 + s * chord, chord, Y)),
+                        0.0, X, 1.0)
         # re-project only rows that moved, keeping stationary samples
         # bitwise fixed; the path points are given, so nothing is retracted
         moved = np.any(chord != 0.0, axis=-1)
-        X = np.where(moved[..., None], man.project(points[i + 1], X), X)
+        X = np.where(moved[..., None], man.project(p1, X), X)
     return X
 
 

@@ -217,6 +217,37 @@ def test_exp_speed_conservation_chart():
     assert np.max(np.abs(speeds - speeds[0])) / speeds[0] < 1e-8
 
 
+def observed_orders(errors):
+    """log2 of the ratios of successive errors, each at half the step of the last."""
+    return [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]
+
+
+@pytest.mark.parametrize("man, x, v", [
+    (HALFPLANE, [[0.1, 1.0], [-0.3, 0.7]], [[1.0, 0.5], [-0.4, 0.8]]),
+    (SPHERE_CHART, [[1.2, 0.3], [1.9, -1.0]], [[0.8, 1.1], [-0.6, 0.9]]),
+    (SPHERE_EMB, [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]], [[1.0, 0.5, 0.0], [-0.8, 1.0, 0.6]]),
+])
+def test_spray_is_fourth_order(man, x, v):
+    x, v = np.array(x), man.project(np.array(x), np.array(v))
+    ref = integrate_spray(man, x, v, 2048)[0]
+    errors = [np.max(np.abs(integrate_spray(man, x, v, n)[0] - ref)) for n in (8, 16, 32, 64)]
+    assert min(observed_orders(errors)) >= 3.8
+
+
+@pytest.mark.parametrize("record_every, match", [
+    (0, r"record_every must be an integer >= 1, got 0"),
+    (-1, r"record_every must be an integer >= 1, got -1"),
+    (2.0, r"record_every must be an integer >= 1, got 2\.0"),
+    (3, r"record_every=3 must divide steps=10"),
+    (20, r"record_every=20 must divide steps=10"),
+])
+def test_record_every_must_be_a_count_that_divides_steps(record_every, match):
+    # at 3 the t = 1 endpoint used to be dropped, and at 20 only t = 0 came back
+    with pytest.raises(ValueError, match=match):
+        integrate_spray(HALFPLANE, np.array([0.0, 1.0]), np.array([0.5, 0.2]), 10,
+                        record_every=record_every)
+
+
 def test_exp_reports_domain_exit_with_time():
     x = np.array([0.3, 0.0])
     h = np.array([-0.5, 0.0])  # heads into the pole band at t ~ 0.6
@@ -578,6 +609,33 @@ def test_transport_sphere_triangle_holonomy():
     out = transport_along_samples(SPHERE_EMB, loop, v0)
     assert np.max(np.abs(out - np.array([0.0, 1.0, 0.0]))) < 1e-4
     assert abs(np.linalg.norm(out) - 1.0) < 1e-8
+
+
+def halfplane_line(a, b, segments):
+    t = np.linspace(0.0, 1.0, segments + 1)[:, None]
+    return (1.0 - t) * np.array(a) + t * np.array(b)
+
+
+def test_transport_along_a_horizontal_halfplane_line_is_fourth_order():
+    # along y = 1 the transport equation is X' = L (X1, -X0): a rotation by L
+    L, X0 = 2.0, np.array([0.3, -0.8])
+    c, s = np.cos(L), np.sin(L)
+    exact = np.array([c * X0[0] + s * X0[1], -s * X0[0] + c * X0[1]])
+    errors = [np.max(np.abs(transport_along_samples(HALFPLANE, halfplane_line([0, 1], [L, 1], S),
+                                                    X0) - exact)) for S in (4, 8, 16, 32)]
+    assert errors[0] < 1e-3
+    assert min(observed_orders(errors)) >= 3.8
+
+
+def test_transport_along_a_slanted_halfplane_line_is_fourth_order():
+    # the Christoffel symbols change along this line (they are constant
+    # along y = 1), so each RK4 stage must evaluate them at its own point
+    X0 = np.array([0.3, -0.8])
+    a, b = [0.0, 1.0], [1.5, 0.5]
+    ref = transport_along_samples(HALFPLANE, halfplane_line(a, b, 2048), X0)
+    errors = [np.max(np.abs(transport_along_samples(HALFPLANE, halfplane_line(a, b, S), X0) - ref))
+              for S in (4, 8, 16, 32)]
+    assert min(observed_orders(errors)) >= 3.8
 
 
 def test_transport_preserves_metric_norm_halfplane():

@@ -14,14 +14,21 @@ _spec.loader.exec_module(step_cost)
 
 def test_rk4_state_is_the_integrators_state_before_post_step():
     # the tool times post_step on this state, so it must be the one the
-    # integrator forms, in its layout; on a chart post_step keeps it as it is
-    man = make_manifold("halfplane")
-    x, v = step_cost.laid_out(manifold, man, 4)
-    x_new, v_new = step_cost.rk4_state(man, x, v, 1.0)
-    x_end, v_end = integrate_spray(man, *step_cost.inputs(man, 4), 1)
-    assert np.array_equal(x_new, x_end) and np.array_equal(v_new, v_end)
-    for a in (x, v, x_new, v_new, x_end, v_end):
-        assert a.flags.f_contiguous and not a.flags.c_contiguous
+    # integrator forms, in its layout; rk4_state is the tool's own copy of
+    # the RK4 formula, so this also pins the integrator's bits on every
+    # target: at 64 samples a one-ulp change in an increment shows in some
+    # sum, and a tenth of the unit time passes the level sets' residual test
+    m, steps = 64, 10
+    for spec in step_cost.TARGETS:
+        man = make_manifold(spec)
+        x, v = step_cost.laid_out(manifold, man, m)
+        x_new, v_new = step_cost.rk4_state(man, x, v, 1.0 / steps)
+        x_end, v_end, ok = man.post_step(x, x_new, v_new)
+        xs, vs = integrate_spray(man, *step_cost.inputs(man, m), steps, record_every=1)
+        assert ok, spec
+        assert np.array_equal(x_end, xs[1]) and np.array_equal(v_end, vs[1]), spec
+        for a in (x, v, x_new, v_new, x_end, v_end):
+            assert a.flags.f_contiguous and not a.flags.c_contiguous, spec
 
 
 def test_two_trees_print_steps_split_and_ratio(capsys):

@@ -72,7 +72,12 @@ def laid_out(mod, man, m: int):
 
 
 def rk4_state(man, x, v, dt):
-    """The state before ``post_step`` after one RK4 step, as ``integrate_spray`` forms it."""
+    """The state before ``post_step`` after one RK4 step, as ``integrate_spray`` forms it.
+
+    The RK4 formula is written out here, apart from the package's
+    ``rk4_step``, so that ``tests/test_step_cost.py`` pins the integrator's
+    bits against an independent copy.
+    """
     k1v = man.accel(x, v)
     k2x = v + (0.5 * dt) * k1v
     k2v = man.accel(x + (0.5 * dt) * v, k2x)
