@@ -32,7 +32,7 @@ domain = circle_domain(m)  # uniform weights: every permutation preserves them
 values = sphere.random_points(rng, m)
 q = MapField(domain, sphere, values)
 h = TangentField(q, sphere.project(values, rng.uniform(-1, 1, (m, 3))))
-phi = random_diffeo(m, rng).bind(domain)
+phi = random_diffeo(m, rng)
 res = check_metric_invariance(phi, q, h, h)
 print("uniform weights, random permutation:")
 print(f"  measure preserving: {res.measure_preserving}")
@@ -43,7 +43,7 @@ print(f"  G after  {res.lhs!r}   (bit-identical: {res.lhs == res.rhs})")
 dom2 = QuadratureDomain(np.array([0.25, 0.75]))
 q2 = MapField(dom2, flat, np.zeros((2, 2)))
 h2 = TangentField(q2, np.array([[1.0, 0.0], [0.0, 0.0]]))
-swap = DiscreteDiffeo(np.array([1, 0])).bind(dom2)
+swap = DiscreteDiffeo(np.array([1, 0]))
 res2 = check_metric_invariance(swap, q2, h2, h2)
 print("\nweights (1/4, 3/4), swapped samples with squared norms (1, 0):")
 print(f"  measure preserving: {res2.measure_preserving}")
@@ -55,7 +55,7 @@ print("\nequivariance under a non-measure-preserving permutation:")
 dom3 = QuadratureDomain(rng.uniform(0.05, 1.0, size=m))
 q3 = MapField(dom3, sphere, values)
 h3 = TangentField(q3, h.vecs)
-phi3 = random_diffeo(m, rng).bind(dom3)
+phi3 = random_diffeo(m, rng)
 print(f"  measure preserving: {phi3.is_measure_preserving(dom3)}")
 for op, kwargs in [
     ("connector", dict(xi=spray_field(h3))),

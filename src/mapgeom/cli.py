@@ -192,7 +192,7 @@ def _verify(config: RunConfig) -> int:
 
 def _reparam(config: RunConfig) -> int:
     h = _load_tangent(config.field)
-    phi = reparam.load_permutation(config.perm).bind(h.domain)
+    phi = reparam.load_permutation(config.perm)
     inv = reparam.check_metric_invariance(phi, h.base, h, h)
     reports = [
         reparam.check_equivariance(phi, "connector", xi=mapspace.spray_field(h)),
@@ -351,7 +351,7 @@ def parse_config(argv) -> RunConfig:
     ns = parser.parse_args(argv)
     config = RunConfig(subcommand=ns.subcommand)
     if ns.config:
-        values = files.read_json(ns.config, _config_from_json, subcommand=ns.subcommand)
+        values = files.read_json(ns.config, lambda doc: _config_from_json(doc, ns.subcommand))
         for attr, value in values.items():
             setattr(config, attr, value)
     for attr in COMMANDS[ns.subcommand].options:

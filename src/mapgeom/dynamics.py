@@ -40,6 +40,7 @@ from .mapspace import (
     field_from_json,
     field_to_json,
     l2_inner,
+    l2_norm,
     own,
     require_based,
     require_same_space,
@@ -328,8 +329,7 @@ def geodesic_distance(q0: MapField, q1: MapField, steps: int = 1000,
     Equals the square root of the weighted sum of squared pointwise
     target-manifold distances.
     """
-    h = log_field(q0, q1, steps=steps, tol=tol)
-    return math.sqrt(l2_inner(q0, h, h))
+    return l2_norm(q0, log_field(q0, q1, steps=steps, tol=tol))
 
 
 # ---------------------------------------------------------------------------

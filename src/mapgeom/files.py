@@ -31,7 +31,7 @@ def write_json(doc, path):
         fh.write("\n")
 
 
-def read_json(path, from_json, **kwargs):
+def read_json(path, from_json):
     """Parse a JSON file and build an object from it with ``from_json``.
 
     Text that does not decode as JSON raises ``ValueError`` naming the
@@ -44,7 +44,7 @@ def read_json(path, from_json, **kwargs):
         except ValueError as exc:  # a JSON or a UTF-8 decode error
             raise ValueError(f"{path}: not a JSON file: {exc}") from exc
     try:
-        return from_json(doc, **kwargs)
+        return from_json(doc)
     except (ValueError, GeometryError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise

@@ -373,9 +373,9 @@ class EmbeddedManifold:
         g = self.gradient(p)
         gnorm = np.sqrt(_dot(g, g))[..., None]
 
-        def shape_op(w):
-            Pw = np.einsum("...ij,...j->...i", P, w)
-            return np.einsum("...ij,...j->...i", P, self.hessian_action(p, Pw)) / gnorm
+        def shape_op(w):  # index-order row dots, so the input layout leaves no trace
+            Pw = _dot(P, w[..., None, :])
+            return _dot(P, self.hessian_action(p, Pw)[..., None, :]) / gnorm
 
         Sh, Sk = shape_op(h), shape_op(k)
         return _dot(Sk, l)[..., None] * Sh - _dot(Sh, l)[..., None] * Sk

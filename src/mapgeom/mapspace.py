@@ -418,7 +418,7 @@ def field_to_json(field) -> dict:
     return doc
 
 
-def field_from_json(doc, manifold: Optional[Manifold] = None):
+def field_from_json(doc):
     """Rebuild a map or tangent field from its JSON dict.
 
     ``doc`` may also be a :class:`files.Document`, for a field held inside
@@ -430,9 +430,7 @@ def field_from_json(doc, manifold: Optional[Manifold] = None):
         doc.get("domain.weights", float, 1),
         points=doc.get("domain.points", float, None, optional=True),
     )
-    name = doc.get("manifold", str)
-    man = manifold if manifold is not None else make_manifold(name)
-    q = MapField(domain, man, doc.get("values", float, 2))
+    q = MapField(domain, make_manifold(doc.get("manifold", str)), doc.get("values", float, 2))
     vecs = doc.get("vecs", float, 2, optional=True)
     return q if vecs is None else TangentField(q, vecs)
 
@@ -441,5 +439,5 @@ def save_field(field, path):
     files.write_json(field_to_json(field), path)
 
 
-def load_field(path, manifold: Optional[Manifold] = None):
-    return files.read_json(path, field_from_json, manifold=manifold)
+def load_field(path):
+    return files.read_json(path, field_from_json)

@@ -24,7 +24,7 @@ reparametrization preserves some volume form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,12 +34,10 @@ from .manifold import require_count
 from .mapspace import (
     MapField,
     QuadratureDomain,
-    SecondTangentField,
     TangentField,
     checked_permutation,
     field_from_arrays,
     l2_inner,
-    own,
     sample_arrays,
 )
 from .verification import OracleReport
@@ -47,32 +45,24 @@ from .verification import OracleReport
 
 @dataclass(frozen=True)
 class DiscreteDiffeo:
-    """A permutation of sample indices with the weights it transports.
+    """A checked permutation of sample indices.
 
     ``perm[i]`` is the index whose data the acted field takes at slot i.
-    ``pulled_weights`` records the reparametrized measure (``w[perm]``
-    when built against a domain); the permutation is measure preserving
-    iff ``pulled_weights`` equals the domain weights entrywise.
+    A permutation that is not one raises ``ValueError`` naming ``perm``.
+    The diffeo carries no weights: :meth:`is_measure_preserving` compares
+    ``w[perm]`` with the weights of the domain it is given, and
+    :func:`act` raises ``FieldMismatchError`` when the permutation length
+    differs from the field's sample count.
     """
 
     perm: np.ndarray
-    pulled_weights: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        p = checked_permutation(self.perm)
-        object.__setattr__(self, "perm", p)
-        if self.pulled_weights is not None and own(self, "pulled_weights").shape != p.shape:
-            raise ValueError("pulled_weights must match the permutation length")
+        object.__setattr__(self, "perm", checked_permutation(self.perm))
 
     @property
     def size(self) -> int:
         return int(self.perm.size)
-
-    def bind(self, domain: QuadratureDomain) -> "DiscreteDiffeo":
-        """Attach the transported weights ``w[perm]`` of a domain."""
-        if domain.size != self.size:
-            raise FieldMismatchError("field mismatch: permutation length differs from domain")
-        return DiscreteDiffeo(self.perm, domain.weights[self.perm])
 
     def is_measure_preserving(self, domain: QuadratureDomain) -> bool:
         if domain.size != self.size:
@@ -142,31 +132,24 @@ _EQUIVARIANT_OPS = {
 }
 
 
-def check_equivariance(
-    phi: DiscreteDiffeo,
-    op_name: str,
-    *,
-    xi: Optional[SecondTangentField] = None,
-    h: Optional[TangentField] = None,
-    q: Optional[MapField] = None,
-    k: Optional[TangentField] = None,
-    l: Optional[TangentField] = None,
-    steps: Optional[int] = None,
-) -> OracleReport:
+def check_equivariance(phi: DiscreteDiffeo, op_name: str, **inputs) -> OracleReport:
     """Bitwise equivariance of one lifted operator under a permutation.
 
     Computes op(inputs . phi) and op(inputs) . phi and requires exact
     equality of every per-sample array.  Because the lifted operators act
     sample by sample with row-independent arithmetic, this holds for every
-    permutation, not only measure-preserving ones.  ``steps`` (default
-    1000) is an option of ``exp`` only; an input or option the operator
-    does not take raises ``ValueError``.
+    permutation, not only measure-preserving ones.  The fields and options
+    each operator takes are read from ``_EQUIVARIANT_OPS`` alone; ``steps``
+    (default 1000) is an option of ``exp`` only, and a ``None`` value counts
+    as not given.  An unknown operator, a missing field, or an input the
+    operator does not take (a misspelt one included) raises ``ValueError``
+    naming it; a permutation whose length differs from the fields raises
+    ``FieldMismatchError`` from :func:`act`.
     """
     if op_name not in _EQUIVARIANT_OPS:
         raise ValueError(f"unknown operator {op_name!r}; choose from {tuple(_EQUIVARIANT_OPS)}")
     op_fn, names, defaults = _EQUIVARIANT_OPS[op_name]
-    given = {key: value for key, value in dict(xi=xi, h=h, q=q, k=k, l=l, steps=steps).items()
-             if value is not None}
+    given = {key: value for key, value in inputs.items() if value is not None}
     options = {key: given.pop(key, default) for key, default in defaults.items()}
     if any(name not in given for name in names):
         raise ValueError(f"{op_name} equivariance needs {', '.join(names)}")

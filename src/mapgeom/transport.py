@@ -35,7 +35,7 @@ import numpy as np
 from . import files
 from .errors import GeometryError, MeasureError
 from .manifold import Manifold
-from .mapspace import MapField, checked_permutation, own
+from .mapspace import MapField, checked_permutation, own, require_same_space
 
 BRUTE_LIMIT = 8  # largest n the factorial brute force accepts
 _MASS_TOL = 1e-12
@@ -74,15 +74,14 @@ def pushforward_measure(q: MapField) -> DiscreteMeasure:
     """Image measure of the quadrature weights under a map field.
 
     Samples landing on exactly equal points are merged with added mass,
-    in first-occurrence order.
+    in first-occurrence order.  The one normalisation gate is
+    :class:`DiscreteMeasure`: weights that do not sum to 1 raise
+    ``MeasureError`` ("measure not normalized: masses must sum to 1").
     """
-    w = q.domain.weights
-    if abs(math.fsum(w.tolist()) - 1.0) > _MASS_TOL:
-        raise MeasureError("measure not normalized: domain weights must sum to 1")
     atoms = []
     masses = []
     index = {}
-    for value, weight in zip(q.values, w):
+    for value, weight in zip(q.values, q.domain.weights):
         key = value.tobytes()
         if key in index:
             masses[index[key]] += weight
@@ -300,21 +299,21 @@ def submersion_check(base: MapField, rearranged: MapField,
     field induces the matching i -> i, whose cost can only exceed the
     optimal assignment between the two atom clouds:
     w2_cost <= l2_cost, with equality iff that matching is optimal.
+
+    Each precondition has one gate.  Fields on different targets or
+    domains (sizes included) raise ``FieldMismatchError`` from
+    :func:`~mapgeom.mapspace.require_same_space`; each field with its own
+    weights becomes a :class:`DiscreteMeasure`, which raises
+    ``MeasureError`` unless they sum to 1; and the solver raises
+    ``MeasureError`` ("Monge regime required: masses must all equal 1/n")
+    unless they are uniform.
     """
-    if base.size != rearranged.size:
-        raise MeasureError("Monge regime required: configurations differ in size")
-    w = base.domain.weights
-    n = base.size
-    if np.max(np.abs(w - 1.0 / n)) > _MASS_TOL:
-        raise MeasureError("Monge regime required: weights must all equal 1/n")
-    mu = DiscreteMeasure(base.values, w)
-    nu = DiscreteMeasure(rearranged.values, w)
-    l2_cost = assignment_cost(mu, nu, np.arange(n), manifold)
-    best = (
-        wasserstein2_bruteforce(mu, nu, manifold)
-        if n <= BRUTE_LIMIT
-        else wasserstein2_assignment(mu, nu, manifold)
-    )
+    require_same_space(base, rearranged)
+    mu = DiscreteMeasure(base.values, base.domain.weights)
+    nu = DiscreteMeasure(rearranged.values, rearranged.domain.weights)
+    solve = wasserstein2_bruteforce if mu.size <= BRUTE_LIMIT else wasserstein2_assignment
+    best = solve(mu, nu, manifold)
+    l2_cost = assignment_cost(mu, nu, np.arange(mu.size), manifold)
     if l2_cost < best.cost - 1e-12:
         raise GeometryError(f"transport bound violated: l2={l2_cost!r} < w2={best.cost!r}")
     return SubmersionResult(l2_cost, best.cost, abs(l2_cost - best.cost) <= 1e-12, best)

@@ -260,6 +260,30 @@ def test_transport_submersion_mode(tmp_path):
     assert "l2 cost:" in out
 
 
+@pytest.mark.parametrize("spec, weights, problem", [
+    ("flat:n=2", [0.25] * 4, "different target manifolds"),
+    ("halfplane", [0.1, 0.2, 0.3, 0.4], "different quadrature domains"),
+], ids=["other-target", "other-weights"])
+def test_transport_submersion_map_on_another_space_exit_2(tmp_path, capsys, spec, weights,
+                                                           problem):
+    values = [[0.0, 1.0], [0.5, 1.0], [0.0, 2.0], [0.5, 2.0]]
+    base, rearranged = tmp_path / "base.json", tmp_path / "map.json"
+    base.write_text(json.dumps({"domain": {"weights": [0.25] * 4}, "manifold": "halfplane",
+                                "values": values}))
+    rearranged.write_text(json.dumps({"domain": {"weights": weights}, "manifold": spec,
+                                      "values": values[::-1]}))
+    assert main(["transport", "--base", str(base), "--map", str(rearranged)]) == 2
+    assert problem in capsys.readouterr().err
+
+
+def test_reparam_permutation_of_another_length_exit_2(sphere_files, capsys):
+    q, h, qf, hf, d = sphere_files
+    pf = d / "perm.json"
+    save_permutation(DiscreteDiffeo(np.array([1, 0])), pf)
+    assert main(["reparam", "--field", str(hf), "--perm", str(pf), "--steps", "5"]) == 2
+    assert "permutation length differs from field" in capsys.readouterr().err
+
+
 def test_transport_needs_exactly_one_mode(tmp_path):
     code, _, err = run_cli("transport")
     assert code == 2

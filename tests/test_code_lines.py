@@ -1,7 +1,12 @@
+import ast
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "code_lines.py"
+PACKAGE = sorted(p for p in (ROOT / "src" / "mapgeom").glob("*.py") if p.name != "__init__.py")
 _spec = importlib.util.spec_from_file_location("code_lines", TOOL)
 code_lines = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(code_lines)
@@ -41,3 +46,28 @@ def test_main_prints_each_file_and_the_total(tmp_path, capsys):
     b.write_text("x = 1\n")
     assert code_lines.main([str(a), str(b)]) == 0
     assert capsys.readouterr().out.split() == ["9", str(a), "1", str(b), "10", "total"]
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never reads; ``__future__`` imports are left out."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_imports_finds_a_name_never_read():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from typing import Optional, Tuple\nx: Optional[int] = os.path.sep\n")
+    assert unused_imports(source) == ["Tuple", "np"]
+
+
+# __init__.py imports names to export them, so it is left out
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_modules_import_no_unused_name(path):
+    assert unused_imports(path.read_text()) == [], path.name

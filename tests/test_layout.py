@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from mapgeom import EmbeddedManifold, make_manifold
-from mapgeom.manifold import _dot, integrate_spray, sample_fastest, transport_along_samples
+from mapgeom.manifold import (
+    _dot,
+    integrate_spray,
+    sample_fastest,
+    sectional_curvature,
+    transport_along_samples,
+)
 
 CHARTS = ("flat:n=2", "flat:n=3", "sphere:rep=chart", "halfplane")
 TARGETS = ("flat:n=2", "flat:n=3:rep=embedded", "sphere:rep=chart", "sphere", "halfplane",
@@ -117,3 +123,15 @@ def test_input_layout_does_not_change_results(spec):
     c = transport_along_samples(man, points, w)
     f = transport_along_samples(man, sample_fastest(points, axis=1), np.asfortranarray(w))
     assert np.array_equal(c, f), spec
+
+
+@pytest.mark.parametrize("spec", TARGETS + ("hypersphere:n=9",))
+def test_curvature_does_not_depend_on_input_layout(spec):
+    man = _target(spec)
+    x, h = _inputs(man, WIDE)
+    rng = np.random.default_rng(3)
+    k, l = (np.ascontiguousarray(man.project(x, rng.normal(size=x.shape))) for _ in range(2))
+    xf, hf, kf, lf = map(np.asfortranarray, (x, h, k, l))
+    assert np.array_equal(man.curvature(x, h, k, l), man.curvature(xf, hf, kf, lf)), spec
+    assert np.array_equal(sectional_curvature(man, x, h, k),
+                          sectional_curvature(man, xf, hf, kf)), spec

@@ -147,7 +147,6 @@ NAN = float("nan")
         (lambda: DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([NAN, 1.0])), "masses"),
         (lambda: DiscreteDiffeo(np.array([0, 1.5])), "perm"),
         (lambda: DiscreteDiffeo(np.array([True, False])), "perm"),
-        (lambda: DiscreteDiffeo(np.array([1, 0]), np.array([0.5, NAN])), "pulled_weights"),
         (lambda: QuadratureDomain(np.ones(2), points=np.float64(5.0)), "points"),
         (lambda: QuadratureDomain(np.ones(2), points=np.array([[0.0], [NAN]])), "points"),
         (lambda: FieldPath(np.array([0.0, np.inf]), (_flat_map(), _flat_map())), "times"),
@@ -156,7 +155,7 @@ NAN = float("nan")
                                     np.full((2, 2), NAN), np.eye(2)), "dbase"),
     ],
     ids=["measure-nan-atoms", "measure-nan-masses", "perm-float", "perm-bools",
-         "diffeo-nan-pulled-weights", "domain-scalar-points", "domain-nan-points",
+         "domain-scalar-points", "domain-nan-points",
          "path-infinite-time", "second-tangent-nan"],
 )
 def test_record_rejects_bad_array_entry(build, name):

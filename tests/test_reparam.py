@@ -81,7 +81,7 @@ def test_metric_invariance_two_sample_counterexample():
     dom = QuadratureDomain(np.array([0.25, 0.75]))
     q = MapField(dom, FLAT2, np.zeros((2, 2)))
     h = TangentField(q, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    phi = DiscreteDiffeo(np.array([1, 0])).bind(dom)
+    phi = DiscreteDiffeo(np.array([1, 0]))
     res = check_metric_invariance(phi, q, h, h)
     assert res.lhs == 0.75
     assert res.rhs == 0.25
@@ -109,11 +109,11 @@ def test_metric_invariance_block_weights():
     # repeated weight blocks: permutations inside blocks preserve the measure
     weights = np.array([0.1, 0.1, 0.3, 0.3, 0.1, 0.1])
     q, h = sphere_pair(6, seed=8, weights=weights)
-    phi = DiscreteDiffeo(np.array([1, 0, 3, 2, 5, 4])).bind(q.domain)
+    phi = DiscreteDiffeo(np.array([1, 0, 3, 2, 5, 4]))
     res = check_metric_invariance(phi, q, h, h)
     assert res.measure_preserving
     assert res.lhs == res.rhs
-    psi = DiscreteDiffeo(np.array([2, 1, 0, 3, 4, 5])).bind(q.domain)
+    psi = DiscreteDiffeo(np.array([2, 1, 0, 3, 4, 5]))
     res2 = check_metric_invariance(psi, q, h, h)
     assert not res2.measure_preserving
 
@@ -125,7 +125,7 @@ def test_equivariance_bitwise_for_all_operators():
     dom = QuadratureDomain(rng.uniform(0.05, 1.0, size=8))
     q = MapField(dom, SPHERE_EMB, q.values)
     h = TangentField(q, h.vecs)
-    phi = random_diffeo(8, rng).bind(dom)
+    phi = random_diffeo(8, rng)
     assert not phi.is_measure_preserving(dom)
     assert check_equivariance(phi, "connector", xi=spray_field(h)).passed
     assert check_equivariance(phi, "spray", h=h).passed
@@ -170,6 +170,7 @@ def test_equivariance_unknown_operator():
     ("spray", "steps"),
     ("connector", "steps"),
     ("curvature", "steps"),
+    ("spray", "hh"),
 ])
 def test_equivariance_rejects_inputs_the_operator_does_not_take(op_name, extra):
     rng = np.random.default_rng(31)
@@ -177,7 +178,7 @@ def test_equivariance_rejects_inputs_the_operator_does_not_take(op_name, extra):
     h, k, l = (TangentField(q, rng.uniform(-1, 1, (4, 2))) for _ in range(3))
     inputs = {"connector": dict(xi=spray_field(h)), "spray": dict(h=h),
               "curvature": dict(q=q, h=h, k=k, l=l)}[op_name]
-    inputs[extra] = {"xi": spray_field(h), "q": q, "steps": 7}[extra]
+    inputs[extra] = {"xi": spray_field(h), "q": q, "steps": 7, "hh": h}[extra]
     with pytest.raises(ValueError, match=f"{op_name} equivariance does not take {extra}"):
         check_equivariance(identity_diffeo(4), op_name, **inputs)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mapgeom import (
     DiscreteMeasure,
+    FieldMismatchError,
     GeometryError,
     MapField,
     MeasureError,
@@ -384,6 +385,28 @@ def test_submersion_requires_uniform_weights():
     base = MapField(dom, FLAT1, np.array([[0.0], [1.0]]))
     with pytest.raises(MeasureError, match="Monge regime required"):
         submersion_check(base, base)
+
+
+def test_submersion_requires_normalized_weights():
+    base = MapField(QuadratureDomain(np.full(2, 1.0)), FLAT1, np.array([[0.0], [1.0]]))
+    with pytest.raises(MeasureError, match="measure not normalized: masses must sum to 1"):
+        submersion_check(base, base)
+
+
+@pytest.mark.parametrize("rearranged, problem", [
+    (MapField(QuadratureDomain(np.full(4, 0.25)), FLAT2, np.zeros((4, 2))),
+     "different target manifolds"),
+    (MapField(QuadratureDomain(np.array([0.1, 0.2, 0.3, 0.4])), make_manifold("halfplane"),
+              np.ones((4, 2))), "different quadrature domains"),
+    (MapField(QuadratureDomain(np.full(2, 0.5)), make_manifold("halfplane"), np.ones((2, 2))),
+     "different quadrature domains"),
+], ids=["other-target", "other-weights", "other-size"])
+def test_submersion_rejects_a_map_on_another_space(rearranged, problem):
+    # the rearranged map's own target and weights are read, not the base's
+    base = MapField(QuadratureDomain(np.full(4, 0.25)), make_manifold("halfplane"),
+                    np.array([[0.0, 1.0], [0.5, 1.0], [0.0, 2.0], [0.5, 2.0]]))
+    with pytest.raises(FieldMismatchError, match=problem):
+        submersion_check(base, rearranged)
 
 
 def test_submersion_random_instances_never_violate():
