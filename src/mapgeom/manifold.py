@@ -8,8 +8,11 @@ Two representations of a target manifold are supported:
   embedded target is a level set f(p) = 0 of a function on the ambient
   space, declared only by f, its gradient and its Hessian action (or by
   none of them, for the whole ambient space).  The residual, the tangent
-  projector, the retraction used for drift control and the dimension are
-  all derived from these three.
+  projection, the retraction used for drift control and the dimension are
+  all derived from these three.  The tangent projection is the rank-one
+  P v = v - (<g, v> / <g, g>) g, g = grad f, written once
+  (``_tangent_part``); no (..., n, n) projector matrix is built except in
+  ``tangent_basis``.
 
 Both classes offer the same pointwise interface, and every operator in
 this package reaches the target only through it.  Each method is batched
@@ -33,8 +36,7 @@ over leading axes of ``(..., n)`` point arrays:
 * ``post_step(x_prev, x, v)`` -- the end of an integrator step: returns
   ``(x, v, ok)``.  ``ok`` is False when a row of x is not finite or not
   valid, and x and v then come back as given; otherwise the rows of x that
-  moved are retracted and v is re-projected there as
-  v - (<g, v> / <g, g>) g, g = grad f, without building the projector
+  moved are retracted and v is re-projected there by the rank-one P v
   (drift control, a no-op for charts).
 
 This interface is also the API for single points: a point is an ``(n,)``
@@ -234,7 +236,12 @@ class EmbeddedManifold:
     * ``residual(p) = |f(p)| / |grad f(p)|``, the first-order distance to
       the level set; it does not change when f is rescaled, and a point
       where grad f = 0 reads as infinitely far;
-    * ``tangent_projector`` -- P = I - n n^T with n = grad f / |grad f|;
+    * ``tangent_projector(p, v)`` -- the tangent projection
+      P v = v - (<g, v> / <g, g>) g with g = grad f(p), the rank-one form
+      of P = I - n n^T, n = g / |g|; it evaluates grad f once and builds
+      no (..., n, n) matrix.  ``project`` (and so the connector),
+      ``post_step`` and ``curvature`` use the same formula; only
+      ``tangent_basis`` forms P, once per call, to take its SVD;
     * ``retraction(p, f=None, g=None)`` -- two Newton steps along grad f
       back onto f = 0, a retraction in the sense of Absil, Mahony &
       Sepulchre, *Optimization Algorithms on Matrix Manifolds* (2008),
@@ -264,7 +271,7 @@ class EmbeddedManifold:
             raise ValueError(
                 "a level-set target needs all of level_set, gradient and hessian_action"
             )
-        for name, derived in (("tangent_projector", self._projector),
+        for name, derived in (("tangent_projector", self._projection),
                               ("retraction", self._newton_retraction)):
             given = getattr(self, name)
             if given is None or getattr(given, "__func__", None) is derived.__func__:
@@ -306,13 +313,12 @@ class EmbeddedManifold:
     def inner(self, p, h, k) -> np.ndarray:
         return _dot(h, k)
 
-    def _projector(self, p) -> np.ndarray:
+    def _projection(self, p, v) -> np.ndarray:
         p = np.asarray(p, dtype=float)
-        eye = np.eye(self.ambient_dim)
+        v = np.asarray(v, dtype=float)
         if self.level_set is None:
-            return np.broadcast_to(eye, p.shape[:-1] + eye.shape).copy()
-        g = self.gradient(p)
-        return eye - g[..., :, None] * (g / _dot(g, g)[..., None])[..., None, :]
+            return np.array(np.broadcast_to(v, np.broadcast_shapes(p.shape, v.shape)))
+        return _tangent_part(self.gradient(p), v)
 
     def _newton_retraction(self, p, f=None, g=None) -> np.ndarray:
         q = np.asarray(p, dtype=float)
@@ -329,12 +335,16 @@ class EmbeddedManifold:
         return q - (self._level(q) / _dot(g, g))[..., None] * g
 
     def project(self, p, v) -> np.ndarray:
-        P = np.asarray(self.tangent_projector(np.asarray(p, dtype=float)))
-        return _dot(P, np.asarray(v, dtype=float)[..., None, :])
+        return self.tangent_projector(p, v)
 
     def tangent_basis(self, p) -> np.ndarray:
-        """Orthonormal tangent bases, shape (..., ambient_dim, intrinsic_dim)."""
-        u, _, _ = np.linalg.svd(np.asarray(self.tangent_projector(np.asarray(p, dtype=float))))
+        """Orthonormal tangent bases, shape (..., ambient_dim, intrinsic_dim).
+
+        The left singular vectors of P, whose rows P e_j are projected all
+        at once; the one place where the package forms the matrix.
+        """
+        P = self.project(np.asarray(p, dtype=float)[..., None, :], np.eye(self.ambient_dim))
+        u, _, _ = np.linalg.svd(P)
         return u[..., :, : self.intrinsic_dim]
 
     def accel(self, p, v) -> np.ndarray:
@@ -369,13 +379,11 @@ class EmbeddedManifold:
         """
         if self.level_set is None:
             return np.zeros(np.shape(l))
-        P = np.asarray(self.tangent_projector(p))
         g = self.gradient(p)
         gnorm = np.sqrt(_dot(g, g))[..., None]
 
         def shape_op(w):  # index-order row dots, so the input layout leaves no trace
-            Pw = _dot(P, w[..., None, :])
-            return _dot(P, self.hessian_action(p, Pw)[..., None, :]) / gnorm
+            return _tangent_part(g, self.hessian_action(p, _tangent_part(g, w))) / gnorm
 
         Sh, Sk = shape_op(h), shape_op(k)
         return _dot(Sk, l)[..., None] * Sh - _dot(Sh, l)[..., None] * Sk
@@ -395,9 +403,9 @@ class EmbeddedManifold:
         # bitwise fixed
         if not moved.all():
             q = np.where(moved, q, p)
-        # P v = v - (<g, v> / <g, g>) g at q, without building the (..., n, n) P
-        g = self.gradient(q)
-        w = v - (_dot(g, v) / _dot(g, g))[..., None] * g
+        # P v at q by the helper, not the hook, so an RK4 step makes no
+        # tangent_projector call
+        w = _tangent_part(self.gradient(q), v)
         return q, w if moved.all() else np.where(moved, w, v), True
 
     def random_points(self, rng, m: int) -> np.ndarray:
@@ -496,6 +504,11 @@ def _dot(a, b) -> np.ndarray:
     for i in range(1, p.shape[-1]):
         out = out + p[..., i]
     return out
+
+
+def _tangent_part(g, v) -> np.ndarray:
+    """P v = v - (<g, v> / <g, g>) g: v without its component along g, row by row."""
+    return v - (_dot(g, v) / _dot(g, g))[..., None] * g
 
 
 def _residual(f, g) -> np.ndarray:

@@ -225,14 +225,18 @@ class SecondTangentField:
 # the L2 metric
 
 
+def same_target(ma, mb) -> bool:
+    """Whether two targets are the same: by identity or equal registry name."""
+    return ma is mb or ma.name is not None and ma.name == mb.name
+
+
 def require_same_space(a, b):
     """Raise ``FieldMismatchError`` unless two fields share target and domain.
 
-    Targets match by identity or registry name, domains by identity or
-    equal weights.
+    Targets match by :func:`same_target`, domains by identity or equal
+    weights.
     """
-    ma, mb = a.manifold, b.manifold
-    if not (ma is mb or ma.name is not None and ma.name == mb.name):
+    if not same_target(a.manifold, b.manifold):
         raise FieldMismatchError("field mismatch: different target manifolds")
     if not (a.domain is b.domain or np.array_equal(a.domain.weights, b.domain.weights)):
         raise FieldMismatchError("field mismatch: different quadrature domains")

@@ -18,8 +18,9 @@ their agreement can be asserted exactly:
   "Certifying algorithms", Comput. Sci. Rev. 5, 2011).
 
 The cost is squared Euclidean distance; squared geodesic distance on a
-registry target is available on request.  A cost that overflows raises
-``ValueError`` naming the atoms of mu and nu.
+registry target is available on request, for atoms that the target
+accepts (``require_valid``).  A cost that overflows raises ``ValueError``
+naming the atoms of mu and nu.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ from typing import Optional
 import numpy as np
 
 from . import files
-from .errors import GeometryError, MeasureError
+from .errors import FieldMismatchError, GeometryError, MeasureError
 from .manifold import Manifold
-from .mapspace import MapField, checked_permutation, own, require_same_space
+from .mapspace import MapField, checked_permutation, own, require_same_space, same_target
 
 BRUTE_LIMIT = 8  # largest n the factorial brute force accepts
 _MASS_TOL = 1e-12
@@ -118,6 +119,8 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, manifold: Optional[Ma
     elif manifold.closed_form_log is None:
         raise ValueError("geodesic cost needs a target with a closed-form log")
     else:
+        manifold.require_valid(mu.atoms, "the atoms of mu")
+        manifold.require_valid(nu.atoms, "the atoms of nu")
         x, y = np.repeat(mu.atoms, mu.size, axis=0), np.tile(nu.atoms, (mu.size, 1))
         v = np.asarray(manifold.closed_form_log(x, y))
         C = manifold.inner(x, v, v).reshape(mu.size, mu.size)
@@ -300,6 +303,14 @@ def submersion_check(base: MapField, rearranged: MapField,
     optimal assignment between the two atom clouds:
     w2_cost <= l2_cost, with equality iff that matching is optimal.
 
+    The cost is squared coordinate distance unless ``manifold`` is given;
+    then it is squared geodesic distance on that target, which must be the
+    fields' own (the same object or registry name), else
+    ``FieldMismatchError``.  The optimal matching comes from the certified
+    :func:`wasserstein2_assignment` at every n; among tied optimal
+    matchings its choice follows its lowest-index rule, which need not be
+    the brute force's lexicographically smallest.
+
     Each precondition has one gate.  Fields on different targets or
     domains (sizes included) raise ``FieldMismatchError`` from
     :func:`~mapgeom.mapspace.require_same_space`; each field with its own
@@ -309,10 +320,11 @@ def submersion_check(base: MapField, rearranged: MapField,
     unless they are uniform.
     """
     require_same_space(base, rearranged)
+    if manifold is not None and not same_target(manifold, base.manifold):
+        raise FieldMismatchError("field mismatch: the cost's manifold is not the fields' target")
     mu = DiscreteMeasure(base.values, base.domain.weights)
     nu = DiscreteMeasure(rearranged.values, rearranged.domain.weights)
-    solve = wasserstein2_bruteforce if mu.size <= BRUTE_LIMIT else wasserstein2_assignment
-    best = solve(mu, nu, manifold)
+    best = wasserstein2_assignment(mu, nu, manifold)
     l2_cost = assignment_cost(mu, nu, np.arange(mu.size), manifold)
     if l2_cost < best.cost - 1e-12:
         raise GeometryError(f"transport bound violated: l2={l2_cost!r} < w2={best.cost!r}")

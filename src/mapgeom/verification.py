@@ -7,7 +7,8 @@ embedded targets alike (it never calls the Christoffel jacobian or the
 Hessian action that the chart formula and the Gauss equation use), the
 Levi-Civita identification from first variations of the metric, and the
 embedded spray and transport equations from a central difference of the
-tangent projector.  Nothing here shares caches or stencils with
+tangent projection P v (which needs grad f only, never the Hessian
+action).  Nothing here shares caches or stencils with
 :mod:`mapgeom.manifold`.
 """
 
@@ -119,9 +120,7 @@ def oracle_curvature_commutator(man: Manifold, x, h, k, l) -> np.ndarray:
     def covd(y, direction, field):
         # nabla_direction W at y for the vector field W = field
         man.require_valid(y, "connector base point")
-        delta = np.cbrt(np.finfo(float).eps) * _row_scale(y) / _row_scale(direction)
-        dW = (field(y + delta * direction) - field(y - delta * direction)) / (2.0 * delta)
-        return man.connector(y, field(y), direction, dW)
+        return man.connector(y, field(y), direction, _central_difference(field, y, direction))
 
     L = lambda y: man.project(y, l)
     inner_k = lambda y: covd(y, k, L)
@@ -132,6 +131,15 @@ def oracle_curvature_commutator(man: Manifold, x, h, k, l) -> np.ndarray:
 def _row_scale(a: np.ndarray) -> np.ndarray:
     """max(1, max_i |a_i|) of each row, keeping a length-1 last axis."""
     return np.maximum(1.0, np.max(np.abs(a), axis=-1, keepdims=True))
+
+
+def _central_difference(field, y, direction) -> np.ndarray:
+    """(field(y + delta d) - field(y - delta d)) / (2 delta) along d = direction.
+
+    Each row has its own step, delta = cbrt(eps) max(1, |y|) / max(1, |d|).
+    """
+    delta = np.cbrt(np.finfo(float).eps) * _row_scale(y) / _row_scale(direction)
+    return (field(y + delta * direction) - field(y - delta * direction)) / (2.0 * delta)
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +187,21 @@ def oracle_first_variation(q: MapField, h: TangentField, k: TangentField, m: Tan
 
 
 def _projector_derivative(man: EmbeddedManifold, p, w, X) -> np.ndarray:
-    """(DP(p)[w]) X from a central difference of the tangent projector along w."""
-    delta = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(p), axis=-1))
-    delta /= np.maximum(1.0, np.max(np.abs(w), axis=-1))
-    step = delta[..., None] * w
-    dP = np.asarray(man.tangent_projector(p + step)) - np.asarray(man.tangent_projector(p - step))
-    return np.einsum("...ij,...j->...i", dP / (2.0 * delta[..., None, None]), X)
+    """(DP(p)[w]) X as (P(p + delta w) X - P(p - delta w) X) / (2 delta).
+
+    Each P X is the target's rank-one ``tangent_projector(p, X)``, so no
+    projector matrix is built and the Hessian action is never called.
+    """
+    return _central_difference(lambda q: man.tangent_projector(q, X), p, w)
 
 
 def accel_vs_projector_derivative(man: EmbeddedManifold, p, v, X) -> float:
     """Largest deviation of the closed-form spray and transport equations.
 
     Compares ``man.accel(p, v)`` with DP(p)[v] v and
-    ``man.transport_rhs(p, v, X)`` with DP(p)[v] X, where DP is the
-    central difference of ``man.tangent_projector`` along v.  X need not
-    be tangent.
+    ``man.transport_rhs(p, v, X)`` with DP(p)[v] X, where DP(p)[v] X is
+    the central difference along v of the projection P X that
+    ``man.tangent_projector(p, X)`` returns.  X need not be tangent.
     """
     p, v, X = (np.asarray(a, dtype=float) for a in (p, v, X))
     accel_err = man.accel(p, v) - _projector_derivative(man, p, v, v)
@@ -294,7 +302,8 @@ def standard_checks(man: Manifold, instances: int = 100, seed: int = 0):
         reports.append(OracleReport.from_error("first_variation_identity", err, 1e-4, count))
     else:
         pts = man.random_points(rng, min(instances, 50))
-        P = np.asarray(man.tangent_projector(pts))
+        # row j is P e_j, so this is P transposed; the two checks hold for either
+        P = man.tangent_projector(pts[:, None, :], np.eye(man.ambient_dim))
         err = _max_rows(np.einsum("sij,sjk->sik", P, P) - P)
         reports.append(OracleReport.from_error("projector_idempotent", err, 1e-10, len(pts)))
         err = _max_rows(P - np.swapaxes(P, -1, -2))

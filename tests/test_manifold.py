@@ -393,6 +393,53 @@ def test_ellipsoid_from_level_set_alone_passes_standard_checks():
     assert not failed
 
 
+def _matrix_projector(man, x):
+    """I - n n^T with n = grad f / |grad f|, formed here as a reference."""
+    g = man.gradient(x)
+    n = g / np.linalg.norm(g, axis=-1, keepdims=True)
+    return np.eye(3) - n[..., :, None] * n[..., None, :]
+
+
+LEVEL_SETS = [SPHERE_EMB, PARABOLOID, _ellipsoid()]
+LEVEL_SET_IDS = ["sphere", "paraboloid", "ellipsoid"]
+
+
+@pytest.mark.parametrize("man", LEVEL_SETS, ids=LEVEL_SET_IDS)
+def test_project_is_the_matrix_projection(man):
+    rng = np.random.default_rng(12)
+    x = man.random_points(rng, 2048)
+    v = rng.uniform(-1.0, 1.0, size=x.shape)
+    P = _matrix_projector(man, x)
+    Pv = man.project(x, v)
+    assert np.abs(Pv - np.einsum("sij,sj->si", P, v)).max() <= 1e-15
+    assert np.abs(man.project(x, Pv) - Pv).max() <= 1e-15
+    g = man.gradient(x)
+    normal = np.sum(g * Pv, axis=-1) / np.linalg.norm(g, axis=-1)
+    assert np.abs(normal).max() <= 1e-15
+
+
+@pytest.mark.parametrize("man", LEVEL_SETS, ids=LEVEL_SET_IDS)
+def test_tangent_basis_is_an_orthonormal_basis_of_the_range_of_P(man):
+    rng = np.random.default_rng(13)
+    x = man.random_points(rng, 512)
+    B = man.tangent_basis(x)
+    assert B.shape == (512, 3, 2)
+    assert np.abs(np.einsum("sik,sil->skl", B, B) - np.eye(2)).max() <= 1e-14
+    assert np.abs(np.einsum("sik,sjk->sij", B, B) - _matrix_projector(man, x)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("spec", ["flat:n=2:rep=embedded", "flat:n=3:rep=embedded"])
+def test_project_on_a_flat_embedded_target_returns_v(spec):
+    man = make_manifold(spec)
+    rng = np.random.default_rng(14)
+    x = man.random_points(rng, 64)
+    v = rng.normal(size=x.shape)
+    out = man.project(x, v)
+    assert np.array_equal(out, v) and out is not v
+    # a single vector against a batch of points is broadcast, as on a level set
+    assert np.array_equal(man.project(x, v[0]), np.broadcast_to(v[0], x.shape))
+
+
 @pytest.mark.parametrize("r", [0.5, 1.0, 10.0])
 def test_sphere_residual_is_distance_to_first_order(r):
     man = make_manifold(f"sphere:r={r}")
@@ -433,7 +480,7 @@ def test_chart_and_embedded_sphere_geodesics_agree():
 
 
 class _ProjectorPostStep:
-    """A level-set target whose end-of-step pass re-projects v through ``project``."""
+    """A level-set target whose end-of-step pass re-projects v by the matrix I - n n^T."""
 
     def __init__(self, man):
         self.man = man
@@ -443,7 +490,7 @@ class _ProjectorPostStep:
 
     def post_step(self, p_prev, p, v):
         q, _, ok = self.man.post_step(p_prev, p, v)
-        return q, self.man.project(q, v), ok
+        return q, np.einsum("...ij,...j->...i", _matrix_projector(self.man, q), v), ok
 
 
 @pytest.mark.parametrize("man", [SPHERE_EMB, PARABOLOID], ids=["sphere", "paraboloid"])
@@ -460,7 +507,7 @@ def test_end_of_step_pass_keeps_the_state_on_the_level_set(man):
     assert man.residual(end).max() <= 4 * np.finfo(float).eps
     # zero-velocity rows are never retracted or re-projected
     assert np.array_equal(end[::16], x[::16]) and not vel[::16].any()
-    # the rank-one re-projection is the projector's up to round-off
+    # the rank-one re-projection is the matrix projector's up to round-off
     ref, ref_vel = integrate_spray(_ProjectorPostStep(man), x, v, 40)
     assert np.abs(end - ref).max() <= 1e-14
     assert np.abs(vel - ref_vel).max() <= 1e-14

@@ -11,12 +11,14 @@ bytes twice, and a log map that integrates its Jacobian columns one call
 at a time would pay the fixed per-step cost 2k times per Newton
 iteration, and an RK4 step that evaluates the level-set callbacks more
 often than it needs to pays for each extra call at every step; these
-tests catch all five without a benchmark run.
+tests catch all five without a benchmark run.  A tangent projection that
+builds the (..., n, n) projector again shows in its peak allocation.
 """
 
 import collections
 import dataclasses
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,16 +28,18 @@ from mapgeom import cli, dynamics, manifold, mapspace, reparam, transport
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# span name -> the span it must be called from, as the per-layer metrics read it
-REQUIRED = {
-    "manifold.spray_accel": "manifold.integrate_spray",
-    "manifold.retraction": "manifold.integrate_spray",
-    "manifold.christoffel": "manifold.spray_accel",
-    # transport re-projects X after every segment; the per-row projector
-    # metrics read these spans
-    "manifold.tangent_projector": "dynamics.parallel_transport_field",
-    "manifold.transport_ode_rhs": "dynamics.parallel_transport_field",
-}
+# (span name, the span it must be called from), as the per-layer metrics read them
+REQUIRED = [
+    ("manifold.spray_accel", "manifold.integrate_spray"),
+    ("manifold.retraction", "manifold.integrate_spray"),
+    ("manifold.christoffel", "manifold.spray_accel"),
+    # transport re-projects X after every segment, and every tangent field
+    # is checked by projecting it; the per-row projection metrics read
+    # both sources
+    ("manifold.tangent_projector", "dynamics.parallel_transport_field"),
+    ("manifold.tangent_projector", "mapspace.field_validation"),
+    ("manifold.transport_ode_rhs", "dynamics.parallel_transport_field"),
+]
 
 
 @pytest.fixture()
@@ -69,7 +73,7 @@ def test_traced_spans_cover_kernels_and_callbacks(tracer_module):
         for s in trace.spans
         if s[COUNT] > 0 and s[PARENT] >= 0
     }
-    missing = [pair for pair in REQUIRED.items() if pair not in seen]
+    missing = [pair for pair in REQUIRED if pair not in seen]
     assert not missing, f"no spans with rows for (name, caller) {missing}"
     # the level-set spray, the transport equation and the end-of-step pass
     # of an RK4 step build no projector
@@ -82,6 +86,24 @@ def test_traced_spans_cover_kernels_and_callbacks(tracer_module):
                     "manifold.integrate_spray",
                 ), f"tangent_projector inside {trace.spans[parent][NAME]}"
                 parent = trace.spans[parent][PARENT]
+
+
+@pytest.mark.parametrize("spec", ["sphere", "paraboloid"])
+def test_tangent_projection_builds_no_projector_matrix(spec):
+    # the rank-one P v needs a few (m,) and (m, n) temporaries; an (m, n, n)
+    # projector alone would take three times the input's bytes
+    man = manifold.make_manifold(spec)
+    rng = np.random.default_rng(0)
+    x = man.random_points(rng, 4096)
+    v = rng.normal(size=x.shape)
+    man.project(x, v)  # first call outside the trace
+    tracemalloc.start()
+    try:
+        man.project(x, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * v.nbytes, f"project peaked at {peak / v.nbytes:.2f} times its input"
 
 
 IO_SPANS = {

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapgeom import (
+    ChartBoundaryError,
     DiscreteMeasure,
     FieldMismatchError,
     GeometryError,
@@ -20,7 +21,9 @@ from mapgeom import (
     wasserstein2_assignment,
     wasserstein2_bruteforce,
 )
+from mapgeom import transport
 from mapgeom.transport import (
+    BRUTE_LIMIT,
     _certify,
     _cost_matrix,
     _solve_assignment,
@@ -407,6 +410,54 @@ def test_submersion_rejects_a_map_on_another_space(rearranged, problem):
                     np.array([[0.0, 1.0], [0.5, 1.0], [0.0, 2.0], [0.5, 2.0]]))
     with pytest.raises(FieldMismatchError, match=problem):
         submersion_check(base, rearranged)
+
+
+HALFPLANE_BASE = [[0.0, 1.0], [0.5, 1.0], [0.0, 2.0], [0.5, 2.0]]
+
+
+def _halfplane_pair():
+    man = make_manifold("halfplane")
+    dom = QuadratureDomain(np.full(4, 0.25))
+    values = np.array(HALFPLANE_BASE)
+    return MapField(dom, man, values), MapField(dom, man, values[::-1].copy())
+
+
+def test_submersion_cost_is_coordinate_unless_a_target_is_given():
+    base, reversed_ = _halfplane_pair()
+    assert submersion_check(base, reversed_).l2_cost == 1.25
+    # the fields' own target, as the same object or by registry name
+    for man in (base.manifold, make_manifold("halfplane")):
+        res = submersion_check(base, reversed_, manifold=man)
+        assert abs(res.l2_cost - 0.595) < 1e-3 and res.w2_cost <= res.l2_cost
+
+
+@pytest.mark.parametrize("spec", ["sphere:r=1.0:rep=chart", "flat:n=2"])
+def test_submersion_rejects_a_cost_manifold_that_is_not_the_fields_target(spec):
+    base, reversed_ = _halfplane_pair()
+    with pytest.raises(FieldMismatchError, match="not the fields' target"):
+        submersion_check(base, reversed_, manifold=make_manifold(spec))
+
+
+@pytest.mark.parametrize("solve", [wasserstein2_bruteforce, wasserstein2_assignment])
+def test_geodesic_cost_rejects_atoms_off_the_target(solve):
+    # theta = 0 lies on the chart's pole, where its log map is singular
+    mu = uniform_measure(HALFPLANE_BASE)
+    with pytest.raises(ChartBoundaryError, match="the atoms of mu"):
+        solve(mu, mu, manifold=SPHERE_CHART)
+
+
+def test_submersion_uses_the_certified_solver_at_every_size(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("submersion_check called the brute force")
+
+    monkeypatch.setattr(transport, "wasserstein2_bruteforce", refuse)
+    rng = np.random.default_rng(5)
+    for n in range(1, BRUTE_LIMIT + 1):
+        base = uniform_map(rng.normal(size=(n, 2)))
+        moved = uniform_map(rng.normal(size=(n, 2)))
+        res = submersion_check(base, moved)
+        best = wasserstein2_assignment(pushforward_measure(base), pushforward_measure(moved))
+        assert np.array_equal(res.assignment.perm, best.perm) and res.w2_cost == best.cost
 
 
 def test_submersion_random_instances_never_violate():
