@@ -11,7 +11,6 @@ and a desk-scale optimal-transport corner.
 
 from .errors import (
     ChartBoundaryError,
-    DegenerateMetricError,
     DomainExitError,
     FieldMismatchError,
     GeometryError,
@@ -24,7 +23,6 @@ from .errors import (
 from .manifold import (
     ChartManifold,
     EmbeddedManifold,
-    christoffel_from_metric,
     from_pointwise,
     list_manifolds,
     make_manifold,

@@ -9,10 +9,6 @@ class ChartBoundaryError(GeometryError):
     """A point or finite-difference stencil left the chart domain."""
 
 
-class DegenerateMetricError(GeometryError):
-    """The metric matrix is singular at the requested point."""
-
-
 class OffManifoldError(GeometryError):
     """An ambient point violates the embedding constraint beyond tolerance."""
 

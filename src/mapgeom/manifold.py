@@ -2,8 +2,13 @@
 
 Two representations of a target manifold are supported:
 
-* :class:`ChartManifold` works in local coordinates with a metric callback
-  and (optionally analytic) Christoffel symbols.
+* :class:`ChartManifold` works in local coordinates.  Each chart target
+  declares three callbacks, all in closed form: the metric, its
+  Christoffel symbols Gamma and their derivatives dGamma.  The spray,
+  connector, transport and curvature read only Gamma and dGamma; the
+  metric serves the inner product, and
+  :func:`mapgeom.verification.oracle_christoffel` checks a hand-written
+  Gamma against a five-point stencil of it.
 * :class:`EmbeddedManifold` works with ambient coordinates.  Each
   embedded target is a level set f(p) = 0 of a function on the ambient
   space, declared only by f, its gradient and its Hessian action (or by
@@ -91,14 +96,10 @@ import numpy as np
 
 from .errors import (
     ChartBoundaryError,
-    DegenerateMetricError,
     DomainExitError,
     OffManifoldError,
     ShootingError,
 )
-
-_EPS = float(np.finfo(float).eps)
-_FD_REL_STEP = float(np.cbrt(_EPS))
 
 POLE_BAND = 1e-3  # excluded band around chart singularities
 ON_MANIFOLD_TOL = 1e-6  # largest embedding residual of a point on the manifold
@@ -120,12 +121,14 @@ class ChartManifold:
         Callback ``x (..., n) -> (..., n, n)``, symmetric positive definite
         on the chart domain.
     christoffel:
-        Optional callback ``x -> (..., n, n, n)`` with ``G[..., i, j, k]``
-        the classical symbols, symmetric in (j, k).  Derived from ``metric``
-        by central differences when omitted.
+        Callback ``x -> (..., n, n, n)`` with ``G[..., i, j, k]`` the
+        classical symbols of ``metric``, symmetric in (j, k).  The oracle
+        :func:`mapgeom.verification.oracle_christoffel` (``standard_checks``'
+        ``christoffel_vs_metric_stencil``) checks it against the metric.
     christoffel_jacobian:
-        Optional callback ``x -> (..., n, n, n, n)``, derivative index last.
-        Derived from ``christoffel`` by central differences when omitted.
+        Callback ``x -> (..., n, n, n, n)``, the derivative of
+        ``christoffel``, derivative index last.  ``standard_checks``'
+        ``curvature_vs_commutator`` checks the curvature built from it.
     chart_domain:
         Optional predicate ``x -> (...) bool``; defaults to all-true.
     embedding / embedding_jacobian:
@@ -141,8 +144,8 @@ class ChartManifold:
 
     dim: int
     metric: Callable
-    christoffel: Optional[Callable] = None
-    christoffel_jacobian: Optional[Callable] = None
+    christoffel: Callable
+    christoffel_jacobian: Callable
     chart_domain: Optional[Callable] = None
     embedding: Optional[Callable] = None
     embedding_jacobian: Optional[Callable] = None
@@ -155,15 +158,10 @@ class ChartManifold:
             raise ValueError("dim must be a positive integer")
 
     def christoffel_eval(self, x) -> np.ndarray:
-        if self.christoffel is not None:
-            return np.asarray(self.christoffel(np.asarray(x, dtype=float)))
-        return christoffel_from_metric(self, x)
+        return np.asarray(self.christoffel(np.asarray(x, dtype=float)))
 
     def christoffel_jacobian_eval(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.christoffel_jacobian is not None:
-            return np.asarray(self.christoffel_jacobian(x))
-        return _central_diff(self.christoffel_eval, x)
+        return np.asarray(self.christoffel_jacobian(np.asarray(x, dtype=float)))
 
     @property
     def point_dim(self) -> int:
@@ -433,62 +431,7 @@ def from_pointwise(fn: Callable) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# finite differences and Christoffel symbols
-
-
-def _fd_scale(x) -> np.ndarray:
-    """Per-point FD step cbrt(eps) * max(1, |x|_inf), shape (...)."""
-    x = np.asarray(x, dtype=float)
-    return _FD_REL_STEP * np.maximum(1.0, np.max(np.abs(x), axis=-1))
-
-
-def _central_diff(fn: Callable, x: np.ndarray) -> np.ndarray:
-    """Central difference of a batched callback; derivative index appended."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    delta = _fd_scale(x)
-    out = None
-    for m in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[..., m] += delta
-        xm[..., m] -= delta
-        df = (np.asarray(fn(xp)) - np.asarray(fn(xm)))
-        if out is None:
-            out = sample_fastest(df.shape + (n,))
-        out[..., m] = df / (2.0 * delta[(...,) + (None,) * (df.ndim - delta.ndim)])
-    return out
-
-
-def christoffel_from_metric(man: ChartManifold, x) -> np.ndarray:
-    """Classical Levi-Civita symbols from metric derivatives.
-
-    Returns ``G[..., i, j, k] = 1/2 g^{il} (d_j g_lk + d_k g_lj - d_l g_jk)``
-    using central differences with step ``cbrt(eps) * max(1, |x|)``.
-    """
-    x = np.asarray(x, dtype=float)
-    if not np.all(man.valid(x)):
-        raise ChartBoundaryError("chart boundary: point outside chart domain")
-    n = x.shape[-1]
-    delta = _fd_scale(x)
-    for m in range(n):
-        for sign in (+1.0, -1.0):
-            xs = x.copy()
-            xs[..., m] += sign * delta
-            if not np.all(man.valid(xs)):
-                raise ChartBoundaryError(
-                    "chart boundary: finite-difference stencil leaves chart domain"
-                )
-    g = np.asarray(man.metric(x))
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateMetricError(f"degenerate metric: {exc}") from exc
-    dg = _central_diff(man.metric, x)  # (..., a, b, m) = d_m g_ab
-    t1 = np.einsum("...lkj->...ljk", dg)  # d_j g_lk
-    t2 = dg  # d_k g_lj
-    t3 = np.einsum("...jkl->...ljk", dg)  # d_l g_jk
-    return sample_fastest(0.5 * np.einsum("...il,...ljk->...ijk", ginv, t1 + t2 - t3))
+# row-wise kernels
 
 
 def _dot(a, b) -> np.ndarray:

@@ -277,11 +277,17 @@ def wasserstein2_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure,
     brute force reports the smaller.  A cost matrix that overflows raises
     ``ValueError`` naming the atoms of mu and nu.
     """
+    return _certified_matching(mu, nu, manifold)[1]
+
+
+def _certified_matching(mu: DiscreteMeasure, nu: DiscreteMeasure, manifold: Optional[Manifold]):
+    """The cost matrix C and the certified optimal matching of the terms C / n."""
     n = _monge_pair(mu, nu)
-    terms = (1.0 / n) * _cost_matrix(mu, nu, manifold)
+    C = _cost_matrix(mu, nu, manifold)
+    terms = (1.0 / n) * C
     perm, u, v = _solve_assignment(terms)
     _certify(terms, perm, u, v)
-    return Assignment(perm, math.fsum(terms[np.arange(n), perm].tolist()))
+    return C, Assignment(perm, math.fsum(terms[np.arange(n), perm].tolist()))
 
 
 @dataclass(frozen=True)
@@ -306,10 +312,11 @@ def submersion_check(base: MapField, rearranged: MapField,
     The cost is squared coordinate distance unless ``manifold`` is given;
     then it is squared geodesic distance on that target, which must be the
     fields' own (the same object or registry name), else
-    ``FieldMismatchError``.  The optimal matching comes from the certified
-    :func:`wasserstein2_assignment` at every n; among tied optimal
-    matchings its choice follows its lowest-index rule, which need not be
-    the brute force's lexicographically smallest.
+    ``FieldMismatchError``.  One cost matrix is built: the certified
+    solver of :func:`wasserstein2_assignment` matches on it at every n, and
+    ``l2_cost`` sums its diagonal.  Among tied optimal matchings the
+    solver's choice follows its lowest-index rule, which need not be the
+    brute force's lexicographically smallest.
 
     Each precondition has one gate.  Fields on different targets or
     domains (sizes included) raise ``FieldMismatchError`` from
@@ -324,8 +331,8 @@ def submersion_check(base: MapField, rearranged: MapField,
         raise FieldMismatchError("field mismatch: the cost's manifold is not the fields' target")
     mu = DiscreteMeasure(base.values, base.domain.weights)
     nu = DiscreteMeasure(rearranged.values, rearranged.domain.weights)
-    best = wasserstein2_assignment(mu, nu, manifold)
-    l2_cost = assignment_cost(mu, nu, np.arange(mu.size), manifold)
+    C, best = _certified_matching(mu, nu, manifold)  # one matrix serves both sides
+    l2_cost = math.fsum((mu.masses * np.diagonal(C)).tolist())
     if l2_cost < best.cost - 1e-12:
         raise GeometryError(f"transport bound violated: l2={l2_cost!r} < w2={best.cost!r}")
     return SubmersionResult(l2_cost, best.cost, abs(l2_cost - best.cost) <= 1e-12, best)

@@ -73,9 +73,9 @@ def format_report_table(reports) -> str:
 def oracle_christoffel(man: ChartManifold, x) -> np.ndarray:
     """Levi-Civita symbols from a five-point stencil of the metric.
 
-    Independent of :func:`mapgeom.manifold.christoffel_from_metric`:
-    different stencil (five-point, fixed step 1e-4) and no shared
-    intermediate values.
+    Independent of the chart's own ``christoffel`` callback: it reads only
+    ``metric`` (five-point stencil, fixed step 1e-4), so it checks a
+    hand-written Gamma against the metric it claims to come from.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(man.valid(x)):

@@ -71,3 +71,45 @@ def test_unused_imports_finds_a_name_never_read():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_package_modules_import_no_unused_name(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def private_definitions(source: str) -> set:
+    """Module-level ``_name`` functions, classes and assignment targets; dunders left out."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def names_read(source: str) -> set:
+    """Names a source reads: loaded names, attribute names and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(a.name for a in node.names)
+    return read
+
+
+def test_private_definitions_finds_a_name_never_read():
+    source = ("from .m import _imported\n_STEP, _unused = 1.0, 2\n_EPS = 3.0\nx = _EPS + m._attr + _helper()\n"
+              "__all__ = []\ndef _helper():\n    return _STEP\nclass _Gone:\n    pass\n"
+              "def _attr():\n    pass\n")
+    assert sorted(private_definitions(source) - names_read(source)) == ["_Gone", "_unused"]
+
+
+PACKAGE_READS = set().union(*(names_read(p.read_text())
+                              for p in (ROOT / "src" / "mapgeom").glob("*.py")))
+
+
+# a private helper is read in its own module or imported by another one
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_modules_define_no_unread_private_name(path):
+    assert sorted(private_definitions(path.read_text()) - PACKAGE_READS) == [], path.name

@@ -6,11 +6,9 @@ import pytest
 from mapgeom import (
     ChartBoundaryError,
     ChartManifold,
-    DegenerateMetricError,
     DomainExitError,
     EmbeddedManifold,
     OffManifoldError,
-    christoffel_from_metric,
     from_pointwise,
     make_manifold,
     sectional_curvature,
@@ -39,7 +37,6 @@ def great_circle(p, h, t):
 
 def test_flat_christoffel_zero():
     x = np.array([0.3, -0.8])
-    assert np.all(christoffel_from_metric(FLAT2, x) == 0.0)
     assert np.all(FLAT2.christoffel_eval(x) == 0.0)
 
 
@@ -49,14 +46,6 @@ def test_halfplane_christoffel_analytic_values():
     assert G[0, 1, 0] == -1.0
     assert G[1, 0, 0] == 1.0
     assert G[1, 1, 1] == -1.0
-
-
-def test_halfplane_christoffel_from_metric_matches_analytic():
-    metric_only = ChartManifold(dim=2, metric=HALFPLANE.metric, chart_domain=HALFPLANE.chart_domain)
-    for y in (1.0, 0.7, 2.3):
-        x = np.array([0.2, y])
-        fd = christoffel_from_metric(metric_only, x)
-        assert np.max(np.abs(fd - HALFPLANE.christoffel_eval(x))) < 1e-6
 
 
 def test_sphere_chart_christoffel_equator_and_midlatitude():
@@ -74,33 +63,23 @@ def test_christoffel_symmetry_in_lower_indices():
         assert np.array_equal(G, np.swapaxes(G, -1, -2))
 
 
-def test_christoffel_stencil_domain_guard():
-    x = np.array([0.0, 1.001e-3])
-    metric_only = ChartManifold(dim=2, metric=HALFPLANE.metric, chart_domain=HALFPLANE.chart_domain)
-    with pytest.raises(ChartBoundaryError, match="chart boundary"):
-        christoffel_from_metric(metric_only, x)
-
-
-def test_degenerate_metric_detected():
-    def singular(x):
-        g = np.zeros(np.shape(x)[:-1] + (2, 2))
-        g[..., 0, 0] = x[..., 0]
-        return g
-
-    man = ChartManifold(dim=2, metric=singular)
-    with pytest.raises(DegenerateMetricError, match="degenerate metric"):
-        christoffel_from_metric(man, np.array([0.5, 0.5]))
-
-
 def test_from_pointwise_wrapper_batches():
     def point_metric(x):
         return np.eye(2) * (1.0 + x[0] ** 2)
 
-    man = ChartManifold(dim=2, metric=from_pointwise(point_metric))
+    metric = from_pointwise(point_metric)
     xs = np.array([[0.5, 0.0], [1.0, 2.0]])
-    g = man.metric(xs)
+    g = metric(xs)
     assert g.shape == (2, 2, 2)
     assert g[1, 0, 0] == 2.0
+    assert np.array_equal(metric(xs[1]), g[1])
+
+
+def test_chart_requires_christoffel_callbacks():
+    with pytest.raises(TypeError, match="christoffel.*christoffel_jacobian"):
+        ChartManifold(dim=2, metric=HALFPLANE.metric)
+    with pytest.raises(TypeError, match="christoffel_jacobian"):
+        ChartManifold(dim=2, metric=HALFPLANE.metric, christoffel=HALFPLANE.christoffel)
 
 
 # ---------------------------------------------------------------------------
@@ -565,18 +544,6 @@ def test_halfplane_sectional_curvature():
     k = rng.uniform(-1, 1, size=(4, 2))
     sec = sectional_curvature(HALFPLANE, x, h, k)
     assert np.max(np.abs(sec + 1.0)) < 1e-6
-
-
-def test_curvature_with_fd_jacobian_fallback():
-    no_jac = ChartManifold(
-        dim=2,
-        metric=HALFPLANE.metric,
-        christoffel=HALFPLANE.christoffel,
-        chart_domain=HALFPLANE.chart_domain,
-    )
-    x = np.array([0.4, 1.3])
-    h, k = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    assert abs(sectional_curvature(no_jac, x, h, k) + 1.0) < 1e-6
 
 
 def _tangent_pairs(man, seed, m=50):

@@ -242,6 +242,30 @@ def test_commutator_oracle_catches_wrong_hessian(name):
     assert not report["curvature_vs_commutator"].passed
 
 
+def _battery(man):
+    return {r.check_name: r for r in standard_checks(man, instances=20, seed=0)}
+
+
+# a chart's callbacks are its only source of Gamma and dGamma, so the
+# battery must catch a 1 % error planted in either one, and only there
+@pytest.mark.parametrize("name", ["halfplane", "sphere:r=1.0:rep=chart"])
+def test_christoffel_oracle_catches_wrong_christoffel(name):
+    man = make_manifold(name)
+    assert _battery(man)["christoffel_vs_metric_stencil"].passed
+    bad = dataclasses.replace(man, christoffel=lambda x: 1.01 * man.christoffel(x))
+    assert not _battery(bad)["christoffel_vs_metric_stencil"].passed
+
+
+@pytest.mark.parametrize("name", ["halfplane", "sphere:r=1.0:rep=chart"])
+def test_commutator_oracle_catches_wrong_christoffel_jacobian(name):
+    man = make_manifold(name)
+    assert _battery(man)["curvature_vs_commutator"].passed
+    bad = dataclasses.replace(man, christoffel_jacobian=lambda x: 1.01 * man.christoffel_jacobian(x))
+    report = _battery(bad)
+    assert not report["curvature_vs_commutator"].passed
+    assert report["christoffel_vs_metric_stencil"].passed
+
+
 def test_projector_difference_oracle_catches_wrong_hessian():
     man = make_manifold("paraboloid")
     bad = dataclasses.replace(man, hessian_action=lambda p, w: 1.01 * man.hessian_action(p, w))
