@@ -53,7 +53,7 @@ class RunConfig:
     output: Optional[str] = None
     report: Optional[str] = None
     report_csv: Optional[str] = None
-    steps: int = 1000
+    steps: Optional[int] = None  # None: exp and reparam take 1000, log and distance certify
     snapshots: int = 11
     steps_per_snapshot: int = 100
     instances: int = 100
@@ -120,6 +120,11 @@ def _write_report(config: RunConfig, doc, code: int = 0) -> int:
     return code
 
 
+def _fixed_steps(config: RunConfig) -> int:
+    """--steps of a subcommand that integrates a fixed number of RK4 steps."""
+    return 1000 if config.steps is None else config.steps
+
+
 def _list_manifolds(config: RunConfig) -> int:
     for name, description in list_manifolds():
         print(f"{name:<12} {description}")
@@ -128,7 +133,7 @@ def _list_manifolds(config: RunConfig) -> int:
 
 def _exp(config: RunConfig) -> int:
     h = _load_tangent(config.field)
-    return _write_field(config, mapspace.exp_field(h, steps=config.steps))
+    return _write_field(config, mapspace.exp_field(h, steps=_fixed_steps(config)))
 
 
 def _log(config: RunConfig) -> int:
@@ -197,7 +202,7 @@ def _reparam(config: RunConfig) -> int:
     reports = [
         reparam.check_equivariance(phi, "connector", xi=mapspace.spray_field(h)),
         reparam.check_equivariance(phi, "spray", h=h),
-        reparam.check_equivariance(phi, "exp", h=h, steps=config.steps),
+        reparam.check_equivariance(phi, "exp", h=h, steps=_fixed_steps(config)),
     ]
     rng = np.random.default_rng(config.seed)
     kf, lf = (TangentField(h.base, h.manifold.project(h.base.values, r))
@@ -248,6 +253,12 @@ def _transport(config: RunConfig) -> int:
     return _write_report(config, doc)
 
 
+_CERTIFIED_STEPS_HELP = (
+    f"fixed RK4 steps per shot (default: the fewest of {dynamics.LADDER_START * 2}, "
+    f"{dynamics.LADDER_START * 4}, ..., {dynamics.LADDER_CAP} whose step-doubling error "
+    "estimate meets --tolerance)"
+)
+
 COMMANDS = {
     "list-manifolds": Command("list the manifold registry", _list_manifolds, (), {}),
     "exp": Command("pointwise exponential map of a tangent field", _exp, ("field", "output"),
@@ -257,14 +268,14 @@ COMMANDS = {
     "log": Command("inverse of exp by per-sample shooting", _log, ("base", "target", "output"),
                    {"base": "base map-field JSON",
                     "target": "target map-field JSON",
-                    "steps": None,
+                    "steps": _CERTIFIED_STEPS_HELP,
                     "tolerance": f"shooting endpoint tolerance (default {dynamics.LOG_TOL})",
                     "output": "output tangent-field JSON"}),
     "distance": Command("L2 geodesic distance between two map fields", _distance,
                         ("base", "target"),
                         {"base": "base map-field JSON",
                          "target": "target map-field JSON",
-                         "steps": None,
+                         "steps": _CERTIFIED_STEPS_HELP,
                          "tolerance": None,
                          "output": "optional JSON with the distance"}),
     "geodesic": Command("integrate a geodesic trajectory with diagnostics", _geodesic,
@@ -291,7 +302,7 @@ COMMANDS = {
                        ("field", "perm"),
                        {"field": "tangent field JSON (vecs used as h = k)",
                         "perm": "permutation JSON array",
-                        "steps": None,
+                        "steps": "RK4 steps of the exp check (default 1000)",
                         "seed": None,
                         "output": "report JSON"}),
     # transport requires --mu/--nu or --base/--map, whichever mode it runs in
@@ -359,7 +370,7 @@ def parse_config(argv) -> RunConfig:
             setattr(config, attr, getattr(ns, attr))
     for attr in ("steps", "snapshots", "steps_per_snapshot", "instances", "tolerance"):
         value = getattr(config, attr)
-        if not value > 0:
+        if value is not None and not value > 0:
             raise ValueError(f"option {attr} must be positive, got {value}")
     if config.seed < 0:
         raise ValueError(f"option seed must be non-negative, got {config.seed}")

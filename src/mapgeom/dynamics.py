@@ -12,6 +12,15 @@ target provides one.  The 2k central-difference integrations behind the k
 Jacobian columns of every unconverged sample run as one stacked call, so
 a Newton iteration costs two integrations: one for the Jacobian and one
 for the first line-search trial.
+
+The log map's step count is certified unless a caller fixes it: shooting
+climbs a ladder of 32, 64, ..., 1024 steps and runs Newton at the first
+count N where the step-doubling estimate of every sample's RK4 error
+(:func:`mapgeom.manifold.step_doubling_error`, from the runs at N and N/2)
+is at most the tolerance, and checks that estimate again for a velocity
+Newton moved.  Nearby samples settle at 64 to 256 steps; an explicit
+``steps`` integrates every shot with that many steps, as the exponential
+map and trajectories always do.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from .manifold import (
     require_count,
     sample_fastest,
     spray_accel,
+    step_doubling_error,
     transport_along_samples,
 )
 from .mapspace import (
@@ -48,6 +58,8 @@ from .mapspace import (
 
 LOG_TOL = 1e-10  # default shooting endpoint tolerance of the log map
 _NEWTON_ITERS = 50  # Newton iterations the log map's shooting may take
+# the certified step count of the log map doubles from LADDER_START up to LADDER_CAP
+LADDER_START, LADDER_CAP = 32, 1024
 
 
 @dataclass(frozen=True)
@@ -218,7 +230,7 @@ def parallel_transport_field(path: FieldPath, v0: TangentField) -> TangentField:
 
 
 def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray,
-           steps: int, tol: float):
+           steps: Optional[int], tol: float):
     """Damped Newton on initial velocities, batched over samples.
 
     The Jacobian is a central difference in each of the k tangent-basis
@@ -233,14 +245,17 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     once it converges or its line search fails, so one stuck sample
     neither stalls the others nor is blamed for them.  A domain exit
     names the field sample whose geodesic left.
+
+    With ``steps=None`` the step count is certified instead of fixed; see
+    :func:`_certified_newton`.
     """
     basis = man.tangent_basis(x0)  # (m, n, k)
     z = np.einsum("sik,si->sk", basis, v_init)
     k = z.shape[1]
 
-    def residual(rows, zz):
+    def residual(rows, zz, n):
         try:
-            end, _ = integrate_spray(man, x0[rows], np.einsum("sik,sk->si", basis[rows], zz), steps)
+            end, _ = integrate_spray(man, x0[rows], np.einsum("sik,sk->si", basis[rows], zz), n)
         except DomainExitError as exc:
             sample = int(rows[exc.sample])  # exc.sample indexes the integrated rows
             raise DomainExitError(
@@ -249,46 +264,54 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
             ) from exc
         return end - target[rows]
 
-    r = residual(np.arange(x0.shape[0]), z)
-    rmax = np.max(np.abs(r), axis=1)
-    stuck = np.zeros(x0.shape[0], dtype=bool)
-    for _ in range(_NEWTON_ITERS):
-        active = np.flatnonzero((rmax > tol) & ~stuck)
-        if active.size == 0:
-            break
-        za = z[active]
-        delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(za), axis=1))
-        cols = np.arange(k)
-        zs = np.repeat(za[None], 2 * k, axis=0)  # rows (+delta e_c, then -delta e_c, sample)
-        zs[cols, :, cols] += delta
-        zs[k + cols, :, cols] -= delta
-        rs = residual(np.tile(active, 2 * k), zs.reshape(-1, k)).reshape(2 * k, active.size, -1)
-        # (active, n, k) in C order: einsum's summation order depends on the layout
-        J = np.ascontiguousarray(np.moveaxis((rs[:k] - rs[k:]) / (2.0 * delta[:, None]), 0, 2))
-        JtJ = np.einsum("sic,sid->scd", J, J)
-        Jtr = np.einsum("sic,si->sc", J, r[active])
-        try:
-            step = np.linalg.solve(JtJ, Jtr[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            JtJ = JtJ + 1e-12 * np.eye(k)
-            step = np.linalg.solve(JtJ, Jtr[..., None])[..., 0]
-        alpha = 1.0
-        pending = np.ones(active.size, dtype=bool)  # over active: not yet improved
-        for _ in range(20):
-            idx = np.flatnonzero(pending)
-            rows = active[idx]
-            z_try = za[idx] - alpha * step[idx]
-            r_try = residual(rows, z_try)
-            r_try_max = np.max(np.abs(r_try), axis=1)
-            better = r_try_max < rmax[rows]
-            z[rows[better]] = z_try[better]
-            r[rows[better]] = r_try[better]
-            rmax[rows[better]] = r_try_max[better]
-            pending[idx[better]] = False
-            if not pending.any():
+    def newton(r, n):
+        """Polish z in place from residuals r at n steps; returns max |r| per sample."""
+        rmax = np.max(np.abs(r), axis=1)
+        stuck = np.zeros(x0.shape[0], dtype=bool)
+        for _ in range(_NEWTON_ITERS):
+            active = np.flatnonzero((rmax > tol) & ~stuck)
+            if active.size == 0:
                 break
-            alpha *= 0.5
-        stuck[active[pending]] = True
+            za = z[active]
+            delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(za), axis=1))
+            cols = np.arange(k)
+            zs = np.repeat(za[None], 2 * k, axis=0)  # rows (+delta e_c, then -delta e_c, sample)
+            zs[cols, :, cols] += delta
+            zs[k + cols, :, cols] -= delta
+            rs = residual(np.tile(active, 2 * k), zs.reshape(-1, k), n)
+            rs = rs.reshape(2 * k, active.size, -1)
+            # (active, n, k) in C order: einsum's summation order depends on the layout
+            J = np.ascontiguousarray(np.moveaxis((rs[:k] - rs[k:]) / (2.0 * delta[:, None]), 0, 2))
+            JtJ = np.einsum("sic,sid->scd", J, J)
+            Jtr = np.einsum("sic,si->sc", J, r[active])
+            try:
+                step = np.linalg.solve(JtJ, Jtr[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                JtJ = JtJ + 1e-12 * np.eye(k)
+                step = np.linalg.solve(JtJ, Jtr[..., None])[..., 0]
+            alpha = 1.0
+            pending = np.ones(active.size, dtype=bool)  # over active: not yet improved
+            for _ in range(20):
+                idx = np.flatnonzero(pending)
+                rows = active[idx]
+                z_try = za[idx] - alpha * step[idx]
+                r_try = residual(rows, z_try, n)
+                r_try_max = np.max(np.abs(r_try), axis=1)
+                better = r_try_max < rmax[rows]
+                z[rows[better]] = z_try[better]
+                r[rows[better]] = r_try[better]
+                rmax[rows[better]] = r_try_max[better]
+                pending[idx[better]] = False
+                if not pending.any():
+                    break
+                alpha *= 0.5
+            stuck[active[pending]] = True
+        return rmax
+
+    if steps is None:
+        rmax = _certified_newton(residual, newton, z, tol)
+    else:
+        rmax = newton(residual(np.arange(x0.shape[0]), z, steps), steps)
     bad = np.flatnonzero(rmax > tol)
     if bad.size:
         listing = ", ".join(f"{i} (residual {rmax[i]:.3e})" for i in bad)
@@ -300,17 +323,74 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     return np.einsum("sik,sk->si", basis, z)
 
 
-def log_field(q0: MapField, q1: MapField, steps: int = 1000,
+def _certified_newton(residual, newton, z, tol):
+    """Newton at the fewest steps N on the ladder that step doubling certifies.
+
+    N runs over ``LADDER_START``, twice that, ... up to ``LADDER_CAP``.  A
+    rung integrates every sample once at N and compares the residual with
+    the one at N/2 (:func:`mapgeom.manifold.step_doubling_error`); the first
+    rung where every sample's estimate is at most ``tol`` hands its residual
+    to Newton, so the chosen N costs no extra integration.  Samples that
+    Newton moves are integrated once more at N/2, so the certificate covers
+    the velocity returned, not only the seed; if it fails there, the ladder
+    goes on from the current iterate.  A rung that leaves the domain counts
+    as unresolved while two later rungs are left to compare; the last two
+    rungs, like the re-estimate, raise the exit.  Returns Newton's max |r|
+    per sample.
+    """
+    everyone = np.arange(z.shape[0])
+    n, coarse = LADDER_START, None  # the residual at n // 2, if that rung finished
+    while True:
+        try:
+            r = residual(everyone, z, n)
+        except DomainExitError:
+            if 2 * n >= LADDER_CAP:
+                raise
+            r = None
+        if r is not None and coarse is not None:
+            est = step_doubling_error(r, coarse)
+            if np.all(est <= tol):
+                seed = z.copy()
+                rmax = newton(r, n)
+                moved = np.flatnonzero(np.any(z != seed, axis=1))
+                if moved.size == 0 or np.any(rmax > tol):
+                    return rmax
+                est[moved] = step_doubling_error(r[moved], residual(moved, z[moved], n // 2))
+                if np.all(est <= tol):
+                    return rmax
+            if n == LADDER_CAP:
+                bad = np.flatnonzero(est > tol)
+                needs = [math.ceil(n * (est[i] / tol) ** 0.25) for i in bad]  # RK4: error ~ N^-4
+                listing = ", ".join(f"{i} (estimate {est[i]:.3e}, needs ~{need} steps)"
+                                    for i, need in zip(bad, needs))
+                raise ShootingError(
+                    f"log shooting: step-doubling error above tolerance {tol:.1e} at the cap of "
+                    f"{n} steps at sample{'s' if bad.size > 1 else ''} {listing}",
+                    sample=int(bad[0]),
+                )
+        coarse = r
+        n *= 2
+
+
+def log_field(q0: MapField, q1: MapField, steps: Optional[int] = None,
               tol: float = LOG_TOL) -> TangentField:
     """Inverse of exp_field by per-sample shooting.
 
     Seeds with the target's closed-form log when available, otherwise with
     the coordinate (or projected ambient) chord, and polishes with damped
     Newton until the integrated endpoint matches q1 within ``tol``.
+
+    With ``steps=None`` (the default) the step count is the fewest of 64,
+    128, ..., 1024 at which the step-doubling estimate of the RK4 error is
+    at most ``tol`` for every sample, checked again for the velocity
+    returned; past 1024 steps a :class:`ShootingError` names each sample
+    with its estimate and the step count it would need.  An explicit
+    ``steps`` integrates every shot with that many steps.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    require_count("steps", steps)
+    if steps is not None:
+        require_count("steps", steps)
     require_same_space(q0, q1)
     man = q0.manifold
     if man.closed_form_log is not None:
@@ -322,12 +402,13 @@ def log_field(q0: MapField, q1: MapField, steps: int = 1000,
     return TangentField(q0, v)
 
 
-def geodesic_distance(q0: MapField, q1: MapField, steps: int = 1000,
+def geodesic_distance(q0: MapField, q1: MapField, steps: Optional[int] = None,
                       tol: float = LOG_TOL) -> float:
     """L2 geodesic distance sqrt(G(log, log)), the log shot to ``tol``.
 
     Equals the square root of the weighted sum of squared pointwise
-    target-manifold distances.
+    target-manifold distances.  ``steps`` is that of :func:`log_field`:
+    certified by step doubling when None, fixed otherwise.
     """
     return l2_norm(q0, log_field(q0, q1, steps=steps, tol=tol))
 

@@ -572,6 +572,19 @@ def rk4_step(f: Callable, x, v, dt: float):
             v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
 
 
+def step_doubling_error(fine, coarse) -> np.ndarray:
+    """Per-sample RK4 error estimate from one integration at two step counts.
+
+    ``fine`` and ``coarse`` are the ``(m, n)`` results at N and N/2 steps
+    (or any two quantities that differ from them by the same offset, such
+    as endpoint residuals against one target).  Returns
+    ``max_i |fine - coarse| * 16/15`` per sample: Richardson's estimate of
+    the N/2-step error, which bounds the N-step error while the h^4 term
+    dominates (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).
+    """
+    return np.max(np.abs(fine - coarse), axis=1) * (16.0 / 15.0)
+
+
 def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[int] = None):
     """Classical fixed-step RK4 integration of the spray over unit time.
 

@@ -14,6 +14,7 @@ from mapgeom import (
     make_manifold,
     save_field,
 )
+from mapgeom import dynamics, mapspace
 from mapgeom.cli import main, parse_config
 from mapgeom.reparam import DiscreteDiffeo, save_permutation
 from mapgeom.transport import save_measure, DiscreteMeasure
@@ -435,6 +436,87 @@ def test_nonpositive_numeric_option_rejected(sphere_files):
                            "--steps", "0")
     assert code == 2
     assert "positive" in err
+
+
+@pytest.fixture()
+def step_counts(monkeypatch):
+    """The step count of every integration the CLI makes, in order."""
+    counts = []
+    integrate = dynamics.integrate_spray
+
+    def recording(man, x, v, steps, **kwargs):
+        counts.append(steps)
+        return integrate(man, x, v, steps, **kwargs)
+
+    for module in (dynamics, mapspace):
+        monkeypatch.setattr(module, "integrate_spray", recording)
+    return counts
+
+
+def is_ladder(counts):
+    return len(counts) >= 2 and counts == [32 * 2**j for j in range(len(counts))]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_log_and_distance_certify_their_steps_unless_given(sphere_files, step_counts, source):
+    q, h, qf, hf, d = sphere_files
+    end = d / "end.json"
+    assert main(["exp", "--field", str(hf), "--output", str(end), "--steps", "500"]) == 0
+    files = ["--base", str(qf), "--target", str(end)]
+
+    def fixed(cmd, steps):
+        if source == "flag":
+            return [cmd, *files, "--steps", str(steps)]
+        cfg = d / "cfg.json"
+        cfg.write_text(json.dumps({"steps": steps}))
+        return ["--config", str(cfg), cmd, *files]
+
+    for argv, certified in [(["log", *files, "--output", str(d / "a.json")], True),
+                            (fixed("log", 500) + ["--output", str(d / "b.json")], False),
+                            (["distance", *files], True),
+                            (fixed("distance", 500), False)]:
+        step_counts.clear()
+        assert main(argv) == 0
+        assert is_ladder(step_counts) if certified else set(step_counts) == {500}
+    target = load_field(end)
+    assert np.array_equal(load_field(d / "a.json").vecs, dynamics.log_field(q, target).vecs)
+    assert np.array_equal(load_field(d / "b.json").vecs,
+                          dynamics.log_field(q, target, steps=500).vecs)
+
+
+def test_exp_and_reparam_without_steps_take_1000(sphere_files, step_counts):
+    q, h, qf, hf, d = sphere_files
+    assert parse_config(["exp", "--field", str(hf), "--output", "o.json"]).steps is None
+    assert main(["exp", "--field", str(hf), "--output", str(d / "o.json")]) == 0
+    assert step_counts == [1000]
+    step_counts.clear()
+    pf = d / "perm.json"
+    save_permutation(DiscreteDiffeo(np.array([1, 2, 3, 4, 0])), pf)
+    assert main(["reparam", "--field", str(hf), "--perm", str(pf)]) == 0
+    assert step_counts and set(step_counts) == {1000}
+
+
+def test_log_steps_zero_in_config_exit_2(sphere_files, capsys):
+    q, h, qf, hf, d = sphere_files
+    cfg = d / "cfg.json"
+    cfg.write_text(json.dumps({"steps": 0}))
+    code = main(["--config", str(cfg), "log", "--base", str(qf), "--target", str(qf),
+                 "--output", str(d / "o.json")])
+    assert code == 2
+    assert "option steps must be positive, got 0" in capsys.readouterr().err
+
+
+def test_distance_uncertified_at_the_cap_exit_1(sphere_files, capsys):
+    q, h, qf, hf, d = sphere_files
+    end = d / "end.json"
+    assert main(["exp", "--field", str(hf), "--output", str(end), "--steps", "100"]) == 0
+    capsys.readouterr()
+    code = main(["distance", "--base", str(qf), "--target", str(end), "--tolerance", "1e-30"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("failure: log shooting: step-doubling error above tolerance 1.0e-30 "
+                          "at the cap of 1024 steps at samples 0 (estimate ")
+    assert all(f"{i} (estimate " in err for i in range(5))
 
 
 @pytest.mark.parametrize("cmd", ["verify", "reparam"])

@@ -26,6 +26,7 @@ from mapgeom import (
     path_energy,
     make_manifold as _mm,
 )
+from mapgeom import dynamics, manifold
 from mapgeom.dynamics import (
     load_path,
     path_from_json,
@@ -477,6 +478,124 @@ def test_exp_log_round_trip_field_level():
     q0, h0 = sphere_setup(m=6, seed=21, scale=0.6)
     h = log_field(q0, exp_field(h0, steps=1000))
     assert np.max(np.abs(h.vecs - h0.vecs)) < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# certified step counts of the log map
+
+
+@pytest.fixture()
+def step_counts(monkeypatch):
+    """The step count of every integration the log map makes, in order."""
+    counts = []
+    integrate = dynamics.integrate_spray
+
+    def recording(man, x, v, steps, **kwargs):
+        counts.append(steps)
+        return integrate(man, x, v, steps, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate_spray", recording)
+    return counts
+
+
+def nearby_fields(spec, seed, m=4, spread=0.4):
+    man = make_manifold(spec)
+    rng = np.random.default_rng(seed)
+    a = man.random_points(rng, m)
+    b = a + rng.uniform(-spread, spread, a.shape)
+    if spec.endswith("rep=embedded"):
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+    return MapField(circle_domain(m), man, a), MapField(circle_domain(m), man, b)
+
+
+@pytest.mark.parametrize("spec", ["halfplane", "sphere:r=1.0:rep=chart",
+                                  "sphere:r=1.0:rep=embedded", "flat:n=2"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_certified_distance_is_the_1000_step_distance_bit_for_bit(spec, seed):
+    # the closed-form seed passes at the chosen N and at 1000 steps alike
+    q0, q1 = nearby_fields(spec, seed)
+    assert geodesic_distance(q0, q1) == geodesic_distance(q0, q1, steps=1000)
+
+
+def halfplane_distance(a, b):
+    return np.arccosh(1.0 + np.sum((a - b) ** 2, axis=1) / (2.0 * a[:, 1] * b[:, 1]))
+
+
+def sphere_chart_distance(a, b):
+    def embed(x):
+        th, ph = x[:, 0], x[:, 1]
+        return np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=1)
+
+    return np.arccos(np.clip(np.sum(embed(a) * embed(b), axis=1), -1.0, 1.0))
+
+
+@pytest.mark.parametrize("spec, distance", [("halfplane", halfplane_distance),
+                                            ("sphere:r=1.0:rep=chart", sphere_chart_distance)])
+def test_certified_log_endpoint_error_at_the_chosen_steps_is_within_tol(spec, distance,
+                                                                        step_counts):
+    q0, q1 = nearby_fields(spec, 3, m=6, spread=0.8)
+    h = log_field(q0, q1)
+    n = max(step_counts)
+    assert step_counts == [32 * 2**j for j in range(len(step_counts))] and n > 64
+    man = q0.manifold
+    speed = np.sqrt(man.inner(q0.values, h.vecs, h.vecs))
+    assert np.max(np.abs(speed - distance(q0.values, q1.values))) < 1e-9
+    # the true endpoint of the returned log, from 16 times the steps
+    end = manifold.integrate_spray(man, q0.values, h.vecs, n)[0]
+    exact = manifold.integrate_spray(man, q0.values, h.vecs, 16 * n)[0]
+    assert np.max(np.abs(end - exact)) <= dynamics.LOG_TOL
+
+
+def test_certified_log_paraboloid_certifies_the_velocity_newton_returns(step_counts):
+    # no closed form: Newton moves every sample away from the chord seed
+    rng = np.random.default_rng(4)
+    x = PARABOLOID.random_points(rng, 4)
+    d = PARABOLOID.project(x, rng.normal(size=x.shape))
+    d *= (rng.uniform(0.1, 0.25, 4) / np.linalg.norm(d, axis=1))[:, None]
+    q0 = MapField(circle_domain(4), PARABOLOID, x)
+    q1 = exp_field(TangentField(q0, d), steps=1000)
+    h = log_field(q0, q1)
+    n = max(step_counts)
+    assert step_counts[-1] == n // 2  # the re-estimate of the moved velocity
+    assert not np.any(np.all(h.vecs == PARABOLOID.project(x, q1.values - x), axis=1))
+    fine = manifold.integrate_spray(PARABOLOID, x, h.vecs, n)[0]
+    coarse = manifold.integrate_spray(PARABOLOID, x, h.vecs, n // 2)[0]
+    assert np.max(np.abs(fine - q1.values)) <= dynamics.LOG_TOL
+    assert np.all(manifold.step_doubling_error(fine, coarse) <= dynamics.LOG_TOL)
+
+
+def test_certified_log_goes_on_past_a_coarse_domain_exit(step_counts):
+    # sample 1's geodesic passes near the south pole of the chart: its
+    # 32-step integration enters the pole band, 64 steps and more stay out
+    man = make_manifold("sphere:r=1.0:rep=chart")
+    a = np.array([[1.0, 0.0], [2.49, 1.92]])
+    b = np.array([[1.1, 0.2], [2.23, -1.17]])
+    q0, q1 = MapField(circle_domain(2), man, a), MapField(circle_domain(2), man, b)
+    with pytest.raises(DomainExitError, match="sample 1 left domain"):
+        manifold.integrate_spray(man, a, man.closed_form_log(a, b), 32)
+    h = log_field(q0, q1, tol=1e-5)
+    n = max(step_counts)
+    assert step_counts[:2] == [32, 64] and n > 128  # 128 vs 64 is the first estimate
+    assert np.array_equal(h.vecs, log_field(q0, q1, steps=n, tol=1e-5).vecs)
+    speed = np.sqrt(man.inner(a, h.vecs, h.vecs))
+    assert np.max(np.abs(speed - sphere_chart_distance(a, b))) < 1e-9
+
+
+def test_certified_log_names_every_sample_it_cannot_certify_at_the_cap():
+    q0, q1 = nearby_fields("halfplane", 5, m=3)
+    tol = 1e-30  # below the rounding error of any step count
+    with pytest.raises(ShootingError) as err:
+        log_field(q0, q1, tol=tol)
+    # no rung certified the closed-form seed, so Newton never moved it
+    man, x = q0.manifold, q0.values
+    v = man.closed_form_log(x, q1.values)
+    est = manifold.step_doubling_error(manifold.integrate_spray(man, x, v, 1024)[0],
+                                       manifold.integrate_spray(man, x, v, 512)[0])
+    needs = [math.ceil(1024 * (e / tol) ** 0.25) for e in est]  # RK4's error goes as N^-4
+    listing = ", ".join(f"{i} (estimate {est[i]:.3e}, needs ~{needs[i]} steps)" for i in range(3))
+    assert str(err.value) == ("log shooting: step-doubling error above tolerance 1.0e-30 at "
+                              f"the cap of 1024 steps at samples {listing}")
+    assert err.value.sample == 0
 
 
 # ---------------------------------------------------------------------------

@@ -187,6 +187,25 @@ def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
     assert sum(s[COUNT] * s[STEPS] for s in calls) == 200 * (4 + 2 * (4 * 4 + 4))
 
 
+def test_certified_log_reuses_its_last_rung_as_the_newton_residual(tracer_module):
+    # a closed-form seed that the 128-step rung certifies: each rung
+    # integrates the four samples once, and Newton, which has nothing to
+    # polish, integrates nothing more
+    man = manifold.make_manifold("halfplane")
+    a = np.array([[0.0, 1.0], [0.3, 1.5], [-0.4, 0.8], [0.6, 1.2]])
+    b = a + np.array([[0.3, 0.2], [-0.35, 0.1], [0.2, -0.3], [0.1, 0.4]])
+    dom = mapspace.circle_domain(4)
+    trace = tracer_module.Tracer()
+    uninstall = tracer_module.install(trace)
+    try:
+        dynamics.log_field(mapspace.MapField(dom, man, a), mapspace.MapField(dom, man, b))
+    finally:
+        uninstall()
+    NAME, COUNT, STEPS = tracer_module.NAME, tracer_module.COUNT, tracer_module.STEPS
+    calls = [(s[COUNT], s[STEPS]) for s in trace.spans if s[NAME] == "manifold.integrate_spray"]
+    assert calls == [(4, 32), (4, 64), (4, 128)]
+
+
 # per RK4 step on a level set: four accels (grad f and (Hess f) w each), and
 # one end-of-step pass that evaluates f and grad f once for both the validity
 # test and the first Newton step, f and grad f again for the second Newton
