@@ -1,9 +1,12 @@
 """Optimal transport at desk scale: push-forwards and Wasserstein-2 distance.
 
 Only the Monge regime is handled: equal atom counts with equal masses, so
-an optimal plan is a permutation.  Two solvers report the cost through one
-shared evaluation (``math.fsum`` of the terms ``m_i C[i, perm(i)]``), so
-their agreement can be asserted exactly:
+an optimal plan is a permutation.  Every cost comes from one evaluation:
+``_terms`` checks the regime once and builds the terms (1/n) C[i, j], and
+``_matching_cost`` sums a matching's terms exactly (``math.fsum`` in row
+order).  The two solvers below and the identity matching of
+:func:`submersion_check` are all scored by it, so their agreement can be
+asserted exactly:
 
 - the factorial brute force (n <= 8) scores every permutation at once over
   a table of all n! permutations in lexicographic order, built on first
@@ -36,7 +39,7 @@ import numpy as np
 from . import files
 from .errors import FieldMismatchError, GeometryError, MeasureError
 from .manifold import Manifold
-from .mapspace import MapField, checked_permutation, own, require_same_space, same_target
+from .mapspace import MapField, own, require_same_space, same_target
 
 BRUTE_LIMIT = 8  # largest n the factorial brute force accepts
 _MASS_TOL = 1e-12
@@ -74,37 +77,35 @@ class Assignment:
 def pushforward_measure(q: MapField) -> DiscreteMeasure:
     """Image measure of the quadrature weights under a map field.
 
-    Samples landing on exactly equal points are merged with added mass,
-    in first-occurrence order.  The one normalisation gate is
-    :class:`DiscreteMeasure`: weights that do not sum to 1 raise
-    ``MeasureError`` ("measure not normalized: masses must sum to 1").
+    Samples landing on equal points are merged with added mass, in
+    first-occurrence order; points are compared as numbers, so 0.0 and
+    -0.0 are one point.  Each atom's masses are added in sample order.
+    The one normalisation gate is :class:`DiscreteMeasure`: weights that
+    do not sum to 1 raise ``MeasureError`` ("measure not normalized:
+    masses must sum to 1").
     """
-    atoms = []
-    masses = []
-    index = {}
-    for value, weight in zip(q.values, q.domain.weights):
-        key = value.tobytes()
-        if key in index:
-            masses[index[key]] += weight
-        else:
-            index[key] = len(atoms)
-            atoms.append(value)
-            masses.append(float(weight))
-    return DiscreteMeasure(np.asarray(atoms), np.asarray(masses))
+    _, first, which = np.unique(q.values, axis=0, return_index=True, return_inverse=True)
+    # np.unique sorts the distinct points; order lists them by first
+    # occurrence, and its inverse numbers each sample's atom
+    order = np.argsort(first)
+    masses = np.bincount(np.argsort(order)[which.ravel()], weights=q.domain.weights)
+    return DiscreteMeasure(q.values[first[order]], masses)
 
 
-def _same_size(mu: DiscreteMeasure, nu: DiscreteMeasure) -> int:
+def _terms(mu: DiscreteMeasure, nu: DiscreteMeasure, manifold: Optional[Manifold]) -> np.ndarray:
+    """The terms (1/n) C[i, j] of every matching's cost, in the Monge regime only."""
     if mu.size != nu.size:
         raise MeasureError("Monge regime required: atom counts differ")
-    return mu.size
-
-
-def _monge_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> int:
-    n = _same_size(mu, nu)
+    n = mu.size
     uniform = np.full(n, 1.0 / n)
     if max(np.max(np.abs(m.masses - uniform)) for m in (mu, nu)) > _MASS_TOL:
         raise MeasureError("Monge regime required: masses must all equal 1/n")
-    return n
+    return (1.0 / n) * _cost_matrix(mu, nu, manifold)
+
+
+def _matching_cost(terms: np.ndarray, perm) -> float:
+    """The cost of matching row i to column perm[i]: its terms, exactly summed in row order."""
+    return math.fsum(terms[np.arange(len(terms)), perm].tolist())
 
 
 def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, manifold: Optional[Manifold]):
@@ -129,19 +130,6 @@ def _cost_matrix(mu: DiscreteMeasure, nu: DiscreteMeasure, manifold: Optional[Ma
     return C
 
 
-def assignment_cost(mu: DiscreteMeasure, nu: DiscreteMeasure, perm,
-                    manifold: Optional[Manifold] = None) -> float:
-    """Cost of one matching: sum_i m_i d(x_i, y_perm(i))^2, exactly summed.
-
-    ``perm`` must be a permutation of 0..n-1; anything else raises
-    ``ValueError`` naming it.  Atom counts that differ raise MeasureError.
-    """
-    perm = checked_permutation(perm, size=_same_size(mu, nu))
-    C = _cost_matrix(mu, nu, manifold)
-    terms = mu.masses * C[np.arange(mu.size), perm]
-    return math.fsum(terms.tolist())
-
-
 @functools.cache
 def _permutation_table(n: int) -> np.ndarray:
     """All n! permutations of range(n), one per row, in lexicographic order."""
@@ -164,19 +152,18 @@ def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
     minimiser is a candidate.  Ties are broken by the lexicographically
     smallest permutation.
     """
-    n = _monge_pair(mu, nu)
-    if n > BRUTE_LIMIT:
+    n = mu.size
+    if n > BRUTE_LIMIT:  # before an n x n cost matrix is built
         raise MeasureError(f"use assignment solver: n={n} exceeds the brute-force limit")
-    terms = (1.0 / n) * _cost_matrix(mu, nu, manifold)
+    terms = _terms(mu, nu, manifold)
     table = _permutation_table(n)
     approx = np.zeros(len(table))
     for i in range(n):
         approx += terms[i, table[:, i]]
     lo = approx.min()
-    rows = np.arange(n)
     best_perm, best_cost = None, np.inf
     for k in np.flatnonzero(approx <= lo + 1e-12 * abs(lo)):  # ascending, so ties keep the first
-        c = math.fsum(terms[rows, table[k]].tolist())
+        c = _matching_cost(terms, table[k])
         if c < best_cost:
             best_perm, best_cost = table[k], c
     return Assignment(best_perm.astype(int), best_cost)
@@ -257,7 +244,7 @@ def wasserstein2_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure,
                             manifold: Optional[Manifold] = None) -> Assignment:
     """Squared Wasserstein-2 matching by a certified shortest-augmenting-path solver.
 
-    Solves the n x n assignment problem on the terms ``m_i C[i, j]``, the
+    Solves the n x n assignment problem on the terms (1/n) C[i, j], the
     numbers :func:`wasserstein2_bruteforce` scores.  The solver (see
     :func:`_solve_assignment`) starts from column reduction and runs one
     Dijkstra search per unmatched row over all columns at once; it skips
@@ -273,21 +260,18 @@ def wasserstein2_assignment(mu: DiscreteMeasure, nu: DiscreteMeasure,
     brute force's lexicographically smallest.  Their costs are equal
     whenever the terms of tied matchings sum to the same double, as with
     distinct random atoms or integer costs at n = 2, 4 or 8; at other n,
-    rounding C[i, j] / n can leave tied matchings one ulp apart, and the
+    rounding (1/n) C[i, j] can leave tied matchings one ulp apart, and the
     brute force reports the smaller.  A cost matrix that overflows raises
     ``ValueError`` naming the atoms of mu and nu.
     """
-    return _certified_matching(mu, nu, manifold)[1]
+    return _certified_matching(_terms(mu, nu, manifold))
 
 
-def _certified_matching(mu: DiscreteMeasure, nu: DiscreteMeasure, manifold: Optional[Manifold]):
-    """The cost matrix C and the certified optimal matching of the terms C / n."""
-    n = _monge_pair(mu, nu)
-    C = _cost_matrix(mu, nu, manifold)
-    terms = (1.0 / n) * C
+def _certified_matching(terms: np.ndarray) -> Assignment:
+    """The certified optimal matching of the terms, with its exact cost."""
     perm, u, v = _solve_assignment(terms)
     _certify(terms, perm, u, v)
-    return C, Assignment(perm, math.fsum(terms[np.arange(n), perm].tolist()))
+    return Assignment(perm, _matching_cost(terms, perm))
 
 
 @dataclass(frozen=True)
@@ -312,17 +296,19 @@ def submersion_check(base: MapField, rearranged: MapField,
     The cost is squared coordinate distance unless ``manifold`` is given;
     then it is squared geodesic distance on that target, which must be the
     fields' own (the same object or registry name), else
-    ``FieldMismatchError``.  One cost matrix is built: the certified
-    solver of :func:`wasserstein2_assignment` matches on it at every n, and
-    ``l2_cost`` sums its diagonal.  Among tied optimal matchings the
-    solver's choice follows its lowest-index rule, which need not be the
-    brute force's lexicographically smallest.
+    ``FieldMismatchError``.  ``l2_cost`` and ``w2_cost`` come from the
+    same terms (1/n) C[i, j], built once: ``w2_cost`` is the matching of
+    the certified solver of :func:`wasserstein2_assignment`, at every n,
+    and ``l2_cost`` the identity matching, each exactly summed in row
+    order.  Among tied optimal matchings the solver's choice follows its
+    lowest-index rule, which need not be the brute force's
+    lexicographically smallest.
 
     Each precondition has one gate.  Fields on different targets or
     domains (sizes included) raise ``FieldMismatchError`` from
     :func:`~mapgeom.mapspace.require_same_space`; each field with its own
     weights becomes a :class:`DiscreteMeasure`, which raises
-    ``MeasureError`` unless they sum to 1; and the solver raises
+    ``MeasureError`` unless they sum to 1; and building the terms raises
     ``MeasureError`` ("Monge regime required: masses must all equal 1/n")
     unless they are uniform.
     """
@@ -331,8 +317,9 @@ def submersion_check(base: MapField, rearranged: MapField,
         raise FieldMismatchError("field mismatch: the cost's manifold is not the fields' target")
     mu = DiscreteMeasure(base.values, base.domain.weights)
     nu = DiscreteMeasure(rearranged.values, rearranged.domain.weights)
-    C, best = _certified_matching(mu, nu, manifold)  # one matrix serves both sides
-    l2_cost = math.fsum((mu.masses * np.diagonal(C)).tolist())
+    terms = _terms(mu, nu, manifold)  # one matrix serves both sides
+    best = _certified_matching(terms)
+    l2_cost = _matching_cost(terms, np.arange(len(terms)))
     if l2_cost < best.cost - 1e-12:
         raise GeometryError(f"transport bound violated: l2={l2_cost!r} < w2={best.cost!r}")
     return SubmersionResult(l2_cost, best.cost, abs(l2_cost - best.cost) <= 1e-12, best)

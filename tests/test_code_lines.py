@@ -113,3 +113,37 @@ PACKAGE_READS = set().union(*(names_read(p.read_text())
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_package_modules_define_no_unread_private_name(path):
     assert sorted(private_definitions(path.read_text()) - PACKAGE_READS) == [], path.name
+
+
+def public_functions(source: str) -> set:
+    """Module-level functions whose names do not start with ``_``."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
+def unread_public_functions(source: str, reads: set) -> list:
+    """Public functions of ``source`` missing from ``reads``.
+
+    ``save_*`` and ``load_*`` are left out: each file format keeps its
+    writer next to its reader, and the CLI only reads some formats (the
+    permutation and the measure), so their writers have no caller in the
+    package; users and tests write the CLI's input files with them.
+    """
+    return sorted(name for name in public_functions(source) - reads
+                  if not name.startswith(("save_", "load_")))
+
+
+def test_unread_public_functions_finds_a_function_never_read():
+    source = ("def used():\n    pass\ndef unused():\n    pass\ndef _private():\n    pass\n"
+              "def save_thing(x, path):\n    pass\ndef load_thing(path):\n    pass\n"
+              "class C:\n    def method(self):\n        pass\nx = used()\n")
+    assert unread_public_functions(source, names_read(source)) == ["unused"]
+    assert unread_public_functions(source, names_read(source) | {"unused"}) == []
+
+
+# a public function is read by a package module or exported by __init__.py,
+# which imports it; one that only tests call is dead weight in the package
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_modules_define_no_unread_public_function(path):
+    assert unread_public_functions(path.read_text(), PACKAGE_READS) == [], path.name

@@ -41,6 +41,12 @@ def test_diffeo_validation():
     assert np.array_equal(phi.inverse().perm, np.argsort(phi.perm))
 
 
+@pytest.mark.parametrize("perm", [[0, 0], [1.7, 0], [0, 1, 1], [5, 0], [True, False], [[1, 0]]])
+def test_diffeo_rejects_non_permutations(perm):
+    with pytest.raises(ValueError, match="perm"):
+        DiscreteDiffeo(perm)
+
+
 def test_identity_action_unchanged():
     q, h = sphere_pair(6, seed=1)
     ident = identity_diffeo(6)

@@ -15,6 +15,8 @@ from mapgeom import (
     MapField,
     MeasureError,
     QuadratureDomain,
+    integrate_geodesic,
+    log_field,
     make_manifold,
     pushforward_measure,
     submersion_check,
@@ -22,12 +24,12 @@ from mapgeom import (
     wasserstein2_bruteforce,
 )
 from mapgeom import transport
+from mapgeom.dynamics import LADDER_CAP, LOG_TOL
 from mapgeom.transport import (
     BRUTE_LIMIT,
     _certify,
     _cost_matrix,
     _solve_assignment,
-    assignment_cost,
     load_measure,
     save_measure,
 )
@@ -79,6 +81,15 @@ def test_pushforward_merges_equal_points():
     assert np.array_equal(mu.masses, np.array([0.5, 0.5]))
 
 
+def test_pushforward_merges_signed_zeros():
+    # 0.0 and -0.0 are one point; the atom keeps the first sample's bits
+    dom = QuadratureDomain(np.full(4, 0.25))
+    q = MapField(dom, FLAT1, np.array([[0.0], [-0.0], [1.0], [0.0]]))
+    mu = pushforward_measure(q)
+    assert mu.atoms.tobytes() == np.array([[0.0], [1.0]]).tobytes()
+    assert np.array_equal(mu.masses, [0.75, 0.25])
+
+
 def test_pushforward_requires_normalized_weights():
     dom = QuadratureDomain(np.full(3, 1.0))
     q = MapField(dom, FLAT1, np.array([[0.0], [1.0], [2.0]]))
@@ -112,7 +123,7 @@ def test_bruteforce_two_point_crossing():
     assert a.cost == 0.0
     assert np.array_equal(a.perm, [1, 0])
     # the identity matching costs 1/2 (1 + 1) = 1
-    assert assignment_cost(mu, nu, [0, 1]) == 1.0
+    assert exact_cost(mu, nu, [0, 1]) == 1.0
 
 
 def test_bruteforce_limit_and_monge_guards():
@@ -127,21 +138,19 @@ def test_bruteforce_limit_and_monge_guards():
         wasserstein2_bruteforce(uniform_measure([[0.0]]), uniform_measure([[0.0], [1.0]]))
 
 
-@pytest.mark.parametrize("perm", [[0, 0], [1.7, 0], [0, 1, 1], [5, 0], [True, False], [[1, 0]]])
-def test_assignment_cost_rejects_non_permutations(perm):
-    mu = uniform_measure([[0.0], [1.0]])
-    nu = uniform_measure([[1.0], [0.0]])
-    with pytest.raises(ValueError, match="perm"):
-        assignment_cost(mu, nu, perm)
-
-
-def test_assignment_cost_rejects_unequal_atom_counts():
+@pytest.mark.parametrize("solve", [wasserstein2_bruteforce, wasserstein2_assignment])
+def test_solvers_reject_unequal_atom_counts(solve):
     mu = uniform_measure([[0.0], [1.0]])
     nu = uniform_measure([[0.0], [1.0], [2.0]])
-    with pytest.raises(MeasureError, match="Monge regime required: atom counts differ"):
-        assignment_cost(mu, nu, [0, 1])
-    with pytest.raises(MeasureError, match="Monge regime required: atom counts differ"):
-        assignment_cost(nu, mu, [0, 1, 2])
+    for a, b in ((mu, nu), (nu, mu)):
+        with pytest.raises(MeasureError, match="Monge regime required: atom counts differ"):
+            solve(a, b)
+
+
+def exact_cost(mu, nu, perm):
+    """The cost of matching atom i of mu to atom perm[i] of nu: its terms, exactly summed."""
+    n = mu.size
+    return math.fsum(((1.0 / n) * _cost_matrix(mu, nu, None)[np.arange(n), perm]).tolist())
 
 
 def enumerated_matching(mu, nu, manifold=None):
@@ -247,7 +256,7 @@ def test_solver_equals_bruteforce_on_tied_inputs(a, b):
     mu, nu = uniform_measure(a), uniform_measure(b)
     solved = wasserstein2_assignment(mu, nu)
     assert solved.cost == wasserstein2_bruteforce(mu, nu).cost
-    assert solved.cost == assignment_cost(mu, nu, solved.perm)
+    assert solved.cost == exact_cost(mu, nu, solved.perm)
 
 
 @pytest.mark.parametrize("n", [50, 300])
@@ -468,6 +477,114 @@ def test_submersion_random_instances_never_violate():
         rearranged = uniform_map(rng.normal(size=(n, 2)))
         res = submersion_check(base, rearranged)
         assert res.l2_cost >= res.w2_cost - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Otto's submersion: the push-forward q -> q_* mu takes L2 geodesics of maps
+# to W2 geodesics of measures (Otto, Comm. PDE 26, 2001); discretely, the
+# atoms of an L2 geodesic move along McCann's displacement interpolation
+# (McCann, Adv. Math. 128, 1997; Villani, Optimal Transport, ch. 7).
+
+OTTO_RADIUS = 0.4  # every atom lies within this geodesic distance of one point
+OTTO_DIAMETER = 2 * OTTO_RADIUS
+# A max-abs coordinate error e is at most ETA / LOG_TOL * e of geodesic
+# distance on all four targets: sqrt(3) turns max-abs into Euclidean length
+# in up to 3 coordinates, and a coordinate segment of Euclidean length e is
+# at most (pi/2) e long: e on the plane and on the sphere chart, where
+# g = diag(1, sin^2 theta) <= I; below e / 0.67 in the half-plane, where
+# g = I / y^2 and the ball keeps y >= y0 exp(-0.4) >= 0.67 for y0 >= 1; and
+# an ambient chord e of the unit sphere spans an arc of at most (pi/2) e.
+ETA = math.sqrt(3) * (math.pi / 2) * LOG_TOL
+# The log is shot until its RK4 endpoint is within LOG_TOL of q1, at a step
+# count N whose RK4 error step doubling bounds by LOG_TOL, so the exact
+# geodesic of the returned velocity ends within 2 LOG_TOL of q1: DELTA.
+DELTA = 2 * ETA
+# integrate_geodesic runs 4 x 128 = 512 steps, at least N / 2 for any N up
+# to LADDER_CAP, where the estimate already bounds RK4's error by LOG_TOL;
+# the error accumulates along the path, so every snapshot is within EPS.
+OTTO_STEPS_PER_SNAPSHOT = 128
+assert 4 * OTTO_STEPS_PER_SNAPSHOT >= LADDER_CAP // 2
+EPS = ETA
+# The certified solver may answer up to 2 n tol above the optimum, with tol
+# 1e-12 times the largest term, which is below 1 / n here.
+CERT = 2e-12
+
+
+def _points_in_a_ball(spec, rng, k):
+    """k points within geodesic distance OTTO_RADIUS of one random point of the target."""
+    r, angle = np.sqrt(rng.uniform(size=k)), rng.uniform(0.0, 2 * np.pi, size=k)
+    disc = np.column_stack([r * np.cos(angle), r * np.sin(angle)])  # the unit disc
+    if spec == "flat:n=2":
+        return rng.uniform(-1.0, 1.0, 2) + OTTO_RADIUS * disc
+    if spec == "halfplane":
+        # a coordinate offset rho from height y0 is at most rho / (y0 - rho) long
+        center = np.array([rng.uniform(-1.0, 1.0), rng.uniform(1.0, 2.0)])
+        return center + disc * (OTTO_RADIUS * center[1] / (1.0 + OTTO_RADIUS))
+    # g = diag(1, sin^2 theta) <= I, so an offset of 0.4 in (theta, phi) is at
+    # most 0.4 long; theta0 in [1, pi - 1] and |phi0| <= 1 keep the ball away
+    # from the poles and from phi = +-pi, where the chart's phi is cut
+    theta, phi = (np.array([rng.uniform(1.0, np.pi - 1.0), rng.uniform(-1.0, 1.0)])
+                  + OTTO_RADIUS * disc).T
+    if spec.endswith("chart"):
+        return np.column_stack([theta, phi])
+    return np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                            np.cos(theta)])
+
+
+@pytest.mark.parametrize("spec", ["flat:n=2", "halfplane", "sphere:r=1.0:rep=embedded",
+                                  "sphere:r=1.0:rep=chart"])
+def test_otto_submersion_takes_l2_geodesics_to_w2_geodesics(spec):
+    # The theorem's precondition: pointwise geodesics are unique and
+    # minimising.  They are in a geodesic ball of radius 0.4: the plane and
+    # the half-plane have unique geodesics everywhere, and on the unit sphere
+    # a ball of radius below pi / 2 is strongly convex, so each geodesic
+    # between two of its points, and so each snapshot, stays inside it.
+    man, n = make_manifold(spec), 6
+    dom = QuadratureDomain(np.full(n, 1.0 / n))
+    for seed in range(3):
+        _check_otto_submersion(man, dom, _points_in_a_ball(spec, np.random.default_rng(seed), 2 * n))
+
+
+def _check_otto_submersion(man, dom, points):
+    """The identities of Otto's submersion on one base map and one target cloud."""
+    n = dom.size
+    x, y = np.split(points, 2)
+    q0 = MapField(dom, man, x)
+    mu0 = pushforward_measure(q0)
+    best = wasserstein2_bruteforce(mu0, pushforward_measure(MapField(dom, man, y)), manifold=man)
+    q1 = MapField(dom, man, y[best.perm])  # q1 = y o sigma*, the optimal rearrangement
+    w2 = best.cost  # W2(mu0, mu1), squared
+
+    path, report = integrate_geodesic(q0, log_field(q0, q1), snapshots=5,
+                                      steps_per_snapshot=OTTO_STEPS_PER_SNAPSHOT)
+    # d_L2(q0, q1)^2 = W2(mu0, mu1), where d_L2(q0, q1)^2 = G(h, h) is twice
+    # the path's energy at t = 0.  The exact geodesic of h ends within DELTA
+    # of q1, so each pointwise length is within DELTA of the distance it
+    # stands for, which is at most OTTO_DIAMETER.
+    assert abs(2.0 * report.energy_series[0] - w2) <= DELTA * (2 * OTTO_DIAMETER + DELTA)
+
+    measures = [pushforward_measure(q) for q in path.maps]
+    assert all(m.size == n for m in measures)
+    for (s, qs, ms), (t, qt, mt) in itertools.combinations(zip(path.times, path.maps, measures), 2):
+        # W2(mu_s, mu_t) = (t - s)^2 W2(mu0, mu1).  With a the length of the
+        # exact path, the coupling along it gives W2 <= (t - s) a, the
+        # triangle inequality through mu0, mu_s, mu_t, mu1 loses at most
+        # 2 DELTA, |a - sqrt(W2(mu0, mu1))| <= DELTA, and the two snapshots
+        # move each root by at most EPS: the roots differ by <= 3 DELTA + 2 EPS,
+        # and their sum is at most 2 OTTO_DIAMETER.
+        w2_st = wasserstein2_assignment(ms, mt, manifold=man).cost
+        assert abs(w2_st - (t - s) ** 2 * w2) <= (3 * DELTA + 2 * EPS) * 2 * OTTO_DIAMETER + CERT
+        # the identity coupling attains it: the paths never need to cross.
+        # For A = (t - s) a <= OTTO_DIAMETER + DELTA its cost is at most
+        # (A + 2 EPS)^2 and W2(mu_s, mu_t) at least (A - 2 DELTA - 2 EPS)^2,
+        # and (A + p)^2 - (A - q)^2 = (p + q)(2 A + p - q).
+        res = submersion_check(qs, qt, manifold=man)
+        assert res.l2_cost - res.w2_cost <= (2 * DELTA + 4 * EPS) * 2 * OTTO_DIAMETER
+
+    # a non-optimal rearrangement costs at least W2: both sides are exact
+    # sums of the same terms, and the brute force took the least of them
+    shifted = MapField(dom, man, q1.values[np.roll(np.arange(n), 1)])
+    assert submersion_check(q0, shifted, manifold=man).l2_cost >= w2
 
 
 # ---------------------------------------------------------------------------
