@@ -18,7 +18,7 @@ for name, description in list_manifolds():
 # --- Christoffel symbols on the hyperbolic half-plane -----------------------
 halfplane = make_manifold("halfplane")
 x = np.array([0.0, 1.0])
-gamma = halfplane.christoffel_eval(x)
+gamma = halfplane.christoffel(x)
 print("\nhalfplane Christoffel symbols at (0, 1):")
 print(f"  Gamma^x_xy = {gamma[0, 0, 1]}   (analytic: -1/y = -1)")
 print(f"  Gamma^y_xx = {gamma[1, 0, 0]}   (analytic: +1/y = +1)")

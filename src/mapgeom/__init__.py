@@ -23,7 +23,6 @@ from .errors import (
 from .manifold import (
     ChartManifold,
     EmbeddedManifold,
-    from_pointwise,
     list_manifolds,
     make_manifold,
     sectional_curvature,

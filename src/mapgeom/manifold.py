@@ -25,24 +25,30 @@ over leading axes of ``(..., n)`` point arrays:
 
 * ``point_dim`` -- length n of a point's coordinate vector;
 * ``valid(x)`` -- per-point membership (chart domain, or a residual
-  within ``ON_MANIFOLD_TOL``); ``require_valid(x, what)`` raises
-  :class:`ChartBoundaryError` or :class:`OffManifoldError` instead;
+  within ``ON_MANIFOLD_TOL``); ``require_valid(x, what)`` -- raises
+  :class:`ChartBoundaryError` or :class:`OffManifoldError` instead, naming
+  the first invalid sample and, on a level set, its residual;
 * ``residual(x)`` -- distance to the level set to first order,
   |f| / |grad f| (zero for charts);
 * ``inner(x, h, k)`` -- the metric g_x(h, k);
 * ``project(x, v)`` -- orthogonal projection onto the tangent space (the
   identity for charts); ``tangent_basis(x)`` -- an orthonormal basis of it
   (the coordinate basis for charts);
-* ``accel(x, v)`` -- the vertical part of the geodesic spray;
 * ``connector(x, h, k, l)`` -- the connector of (x, h; k, l);
-* ``transport_rhs(x, xdot, X)`` -- the parallel transport equation;
+* ``transport_rhs(x, xdot, X)`` -- the parallel transport equation, the
+  one Christoffel action of a target: at X = xdot it is the vertical part
+  of the geodesic spray, as a geodesic is a curve whose velocity is
+  parallel along itself;
 * ``curvature(x, h, k, l)`` -- the curvature tensor R(h, k) l, from the
   Christoffel symbols on a chart and by the Gauss equation on a level set;
 * ``post_step(x_prev, x, v)`` -- the end of an integrator step: returns
   ``(x, v, ok)``.  ``ok`` is False when a row of x is not finite or not
   valid, and x and v then come back as given; otherwise the rows of x that
   moved are retracted and v is re-projected there by the rank-one P v
-  (drift control, a no-op for charts).
+  (drift control, a no-op for charts);
+* ``random_points(rng, m)`` -- m points of the target for random sweeps,
+  drawn from the chart's ``sample_box`` or the level set's
+  ``sample_points``.
 
 This interface is also the API for single points: a point is an ``(n,)``
 array, and its results are bitwise those of a one-row batch.  The
@@ -55,8 +61,8 @@ the one RK4 formula, :func:`rk4_step`, over a pair state (x, v); each
 caller ends its own step.  Fields of points go through
 :mod:`mapgeom.mapspace`.  Two caveats:
 
-* A chart's ``accel`` and ``transport_rhs`` give the same bits on
-  C-ordered ``(m, n)`` vectors, but run on a slow path that mixes layouts
+* A chart's ``transport_rhs`` (and so the spray) gives the same bits on
+  C-ordered ``(m, n)`` vectors, but runs on a slow path that mixes layouts
   with the sample-fastest Christoffel tensor (335 -> 581 us on the
   half-plane at m = 2048).  :func:`sample_fastest` converts; the
   integrator, the transport and the field operators already do.
@@ -79,11 +85,12 @@ central difference of P that this replaces is kept as an independent
 oracle in :mod:`mapgeom.verification`.
 
 All manifold callbacks are vectorized: a point argument has shape
-``(..., n)`` and results carry the same leading axes.  Use
-:func:`from_pointwise` to wrap a plain single-point callback.  The
-integrator, the transport and the registry charts lay their per-sample
-arrays out with the samples fastest in memory (:func:`sample_fastest`);
-a callback may return either layout, and results do not depend on it.
+``(..., n)`` and results carry the same leading axes.  They are called on
+their arguments as given and their results are used as returned, so a
+callback that may see lists converts them itself.  The integrator, the
+transport and the registry charts lay their per-sample arrays out with
+the samples fastest in memory (:func:`sample_fastest`); a callback may
+return either layout, and results do not depend on it.
 """
 
 from __future__ import annotations
@@ -157,25 +164,20 @@ class ChartManifold:
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
 
-    def christoffel_eval(self, x) -> np.ndarray:
-        return np.asarray(self.christoffel(np.asarray(x, dtype=float)))
-
-    def christoffel_jacobian_eval(self, x) -> np.ndarray:
-        return np.asarray(self.christoffel_jacobian(np.asarray(x, dtype=float)))
-
     @property
     def point_dim(self) -> int:
         return self.dim
 
     def valid(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         if self.chart_domain is None:
-            return np.ones(x.shape[:-1], dtype=bool)
+            return np.ones(np.shape(x)[:-1], dtype=bool)
         return np.asarray(self.chart_domain(x), dtype=bool)
 
     def require_valid(self, x, what: str):
-        if not np.all(self.valid(x)):
-            raise ChartBoundaryError(f"chart boundary: {what} outside the chart domain")
+        ok = self.valid(x)
+        if not np.all(ok):
+            raise ChartBoundaryError(
+                f"chart boundary: {what}{_of_sample(ok)} outside the chart domain")
 
     def residual(self, x) -> np.ndarray:
         return np.zeros(np.shape(x)[:-1])
@@ -189,21 +191,18 @@ class ChartManifold:
     def tangent_basis(self, x) -> np.ndarray:
         return np.broadcast_to(np.eye(self.dim), np.shape(x)[:-1] + (self.dim, self.dim))
 
-    def accel(self, x, v) -> np.ndarray:
-        return -_gamma_pair(self.christoffel_eval(x), v, v)
-
     def connector(self, x, h, k, l) -> np.ndarray:
-        gamma = self.christoffel_eval(x)
+        gamma = self.christoffel(x)
         return np.asarray(l, dtype=float) + _gamma_pair(gamma, sample_fastest(k), sample_fastest(h))
 
     def transport_rhs(self, x, xdot, X) -> np.ndarray:
-        return -_gamma_pair(self.christoffel_eval(x), xdot, X)
+        return -_gamma_pair(self.christoffel(x), xdot, X)
 
     def curvature(self, x, h, k, l) -> np.ndarray:
         """R(h, k) l from the Christoffel symbols and their derivatives."""
         h, k, l = (sample_fastest(a) for a in (h, k, l))
-        gamma = self.christoffel_eval(x)
-        dgamma = self.christoffel_jacobian_eval(x)  # (..., i, j, k, m)
+        gamma = self.christoffel(x)
+        dgamma = self.christoffel_jacobian(x)  # (..., i, j, k, m)
         quad = _gamma_pair(gamma, h, _gamma_pair(gamma, k, l)) - _gamma_pair(
             gamma, k, _gamma_pair(gamma, h, l)
         )
@@ -303,10 +302,12 @@ class EmbeddedManifold:
         return self.residual(p) <= ON_MANIFOLD_TOL
 
     def require_valid(self, p, what: str):
-        if not np.all(self.valid(p)):
-            raise OffManifoldError(
-                f"point off manifold: embedding residual of {what} above tolerance"
-            )
+        r = self.residual(p)
+        ok = r <= ON_MANIFOLD_TOL
+        if not np.all(ok):
+            first = r.flat[np.argmin(ok)]  # the residual at the first False of ok
+            raise OffManifoldError(f"point off manifold: {what}{_of_sample(ok)}: embedding "
+                                   f"residual {first:.3g} > {ON_MANIFOLD_TOL:g}")
 
     def inner(self, p, h, k) -> np.ndarray:
         return _dot(h, k)
@@ -344,9 +345,6 @@ class EmbeddedManifold:
         P = self.project(np.asarray(p, dtype=float)[..., None, :], np.eye(self.ambient_dim))
         u, _, _ = np.linalg.svd(P)
         return u[..., :, : self.intrinsic_dim]
-
-    def accel(self, p, v) -> np.ndarray:
-        return self._dP(p, v, v)
 
     def connector(self, p, h, k, l) -> np.ndarray:
         return self.project(p, l)
@@ -413,21 +411,6 @@ class EmbeddedManifold:
 
 
 Manifold = ChartManifold | EmbeddedManifold
-
-
-def from_pointwise(fn: Callable) -> Callable:
-    """Wrap a single-point callback so it accepts (..., n) batches."""
-
-    def batched(x, *extra):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return np.asarray(fn(x, *extra))
-        lead = x.shape[:-1]
-        flat = x.reshape(-1, x.shape[-1])
-        out = np.stack([np.asarray(fn(row, *extra)) for row in flat])
-        return out.reshape(lead + out.shape[1:])
-
-    return batched
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +481,23 @@ def sample_fastest(a, axis: int = 0, copy: bool = False) -> np.ndarray:
 # not inlined: perfbench traces it by name as the span manifold.spray_accel,
 # which its per-layer metrics and REQUIRED in tests/test_trace_contract.py read
 def spray_accel(man: Manifold, x, v) -> np.ndarray:
-    """Vertical part of the geodesic spray at (x, v)."""
-    return man.accel(x, v)
+    """Vertical part of the geodesic spray at (x, v): the transport equation at X = v."""
+    return man.transport_rhs(x, v, v)
 
 
 def _first_bad_index(ok: np.ndarray):
-    """Index of the first False entry, or None for scalar/empty data."""
-    if ok.ndim == 0:
-        return None
+    """Index of the first False entry, or None for scalar/empty data.
+
+    A 0-d ``ok`` has no index: ``np.argwhere`` gives it an empty row.
+    """
     bad = np.argwhere(~ok)
     return None if bad.size == 0 else int(bad[0][0])
+
+
+def _of_sample(ok: np.ndarray) -> str:
+    """The text " at sample i" for the first False entry i of ``ok``; empty for a point."""
+    sample = _first_bad_index(ok)
+    return "" if sample is None else f" at sample {sample}"
 
 
 def _all_valid(man: Manifold, x) -> bool:
@@ -652,8 +642,7 @@ def sectional_curvature(man: Manifold, x, h, k) -> np.ndarray:
     den = man.inner(x, h, h) * man.inner(x, k, k) - man.inner(x, h, k) ** 2
     ok = np.atleast_1d(np.isfinite(den) & (den != 0.0))
     if not np.all(ok):
-        raise ValueError(f"sectional curvature: h and k span no plane at sample "
-                         f"{_first_bad_index(ok)}")
+        raise ValueError(f"sectional curvature: h and k span no plane{_of_sample(ok)}")
     return man.inner(x, R, h) / den
 
 

@@ -66,12 +66,11 @@ def checked_array(value, name: str, dtype=float, ndim=None) -> np.ndarray:
     return arr
 
 
-def checked_permutation(value, size=None) -> np.ndarray:
-    """``checked_array`` of a permutation ``perm`` of 0..size-1 (of 0..len-1 if None)."""
+def checked_permutation(value) -> np.ndarray:
+    """``checked_array`` of a permutation ``perm`` of 0..len-1."""
     perm = checked_array(value, "perm", int, ndim=1)
-    m = perm.size if size is None else size
-    if not np.array_equal(np.sort(perm), np.arange(m)):
-        raise ValueError(f"perm must be a permutation of 0..{m - 1}")
+    if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+        raise ValueError(f"perm must be a permutation of 0..{perm.size - 1}")
     return perm
 
 

@@ -401,7 +401,11 @@ MEASURE = {"atoms": [[0.0], [1.0]], "masses": [0.5, 0.5]}
         ("--field", json.dumps({**FLAT_FIELD, "values": [[0.0, float("nan")], [0.5, 1.5]]}),
          "values are not finite"),
         ("--field", json.dumps({**FLAT_FIELD, "manifold": "sphere:r=1.0:rep=embedded",
-                                "values": [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]]}), "values"),
+                                "values": [[0.0, 0.0, 2.0], [0.0, 0.0, 1.0]]}),
+         "map values at sample 0: embedding residual 0.75 > 1e-06"),
+        ("--field", json.dumps({**FLAT_FIELD, "manifold": "halfplane",
+                                "values": [[0.0, 1.0], [0.5, -1.5]]}),
+         "map values at sample 1 outside the chart domain"),
         ("--mu", json.dumps({**MEASURE, "masses": [0.5, 0.4]}), "masses"),
         ("--config", '["exp"]', "config document"),
         ("--mu", json.dumps({**MEASURE, "masses": [float("nan"), 1.0]}), "masses"),
@@ -409,8 +413,8 @@ MEASURE = {"atoms": [[0.0], [1.0]], "masses": [0.5, 0.5]}
     ],
     ids=["perm-object", "perm-float-index", "perm-bools", "measure-masses-string",
          "field-domain-array", "field-points-string", "field-not-json", "field-nan-values",
-         "field-off-manifold", "measure-not-normalized", "config-not-object",
-         "measure-nan-masses", "measure-nan-atoms"],
+         "field-off-manifold", "field-outside-chart", "measure-not-normalized",
+         "config-not-object", "measure-nan-masses", "measure-nan-atoms"],
 )
 def test_malformed_file_exit_2(tmp_path, capsys, flag, text, key):
     field, mu, bad = tmp_path / "field.json", tmp_path / "mu.json", tmp_path / "bad.json"

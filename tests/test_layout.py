@@ -75,7 +75,7 @@ def test_sample_fastest_lays_out_converts_and_allocates():
 def test_chart_tensors_are_sample_fastest(spec):
     man = make_manifold(spec)
     x = man.random_points(np.random.default_rng(1), 5)
-    for tensor in (man.christoffel_eval(x), man.christoffel_jacobian_eval(x)):
+    for tensor in (man.christoffel(x), man.christoffel_jacobian(x)):
         assert tensor.flags.f_contiguous, spec
 
 

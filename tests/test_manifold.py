@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -9,11 +10,11 @@ from mapgeom import (
     DomainExitError,
     EmbeddedManifold,
     OffManifoldError,
-    from_pointwise,
     make_manifold,
     sectional_curvature,
     standard_checks,
 )
+from mapgeom import manifold
 from mapgeom.manifold import integrate_spray, spray_accel, transport_along_samples
 
 FLAT2 = make_manifold("flat:n=2")
@@ -37,11 +38,11 @@ def great_circle(p, h, t):
 
 def test_flat_christoffel_zero():
     x = np.array([0.3, -0.8])
-    assert np.all(FLAT2.christoffel_eval(x) == 0.0)
+    assert np.all(FLAT2.christoffel(x) == 0.0)
 
 
 def test_halfplane_christoffel_analytic_values():
-    G = HALFPLANE.christoffel_eval(np.array([0.0, 1.0]))
+    G = HALFPLANE.christoffel(np.array([0.0, 1.0]))
     assert G[0, 0, 1] == -1.0
     assert G[0, 1, 0] == -1.0
     assert G[1, 0, 0] == 1.0
@@ -49,9 +50,9 @@ def test_halfplane_christoffel_analytic_values():
 
 
 def test_sphere_chart_christoffel_equator_and_midlatitude():
-    eq = SPHERE_CHART.christoffel_eval(np.array([np.pi / 2, 0.3]))
+    eq = SPHERE_CHART.christoffel(np.array([np.pi / 2, 0.3]))
     assert abs(eq[0, 1, 1]) < 1e-12  # -sin(theta) cos(theta) vanishes on the equator
-    mid = SPHERE_CHART.christoffel_eval(np.array([np.pi / 4, 0.3]))
+    mid = SPHERE_CHART.christoffel(np.array([np.pi / 4, 0.3]))
     assert abs(mid[0, 1, 1] + 0.5) < 1e-12
 
 
@@ -59,20 +60,8 @@ def test_christoffel_symmetry_in_lower_indices():
     rng = np.random.default_rng(0)
     for man in (HALFPLANE, SPHERE_CHART):
         x = man.random_points(rng, 5)
-        G = man.christoffel_eval(x)
+        G = man.christoffel(x)
         assert np.array_equal(G, np.swapaxes(G, -1, -2))
-
-
-def test_from_pointwise_wrapper_batches():
-    def point_metric(x):
-        return np.eye(2) * (1.0 + x[0] ** 2)
-
-    metric = from_pointwise(point_metric)
-    xs = np.array([[0.5, 0.0], [1.0, 2.0]])
-    g = metric(xs)
-    assert g.shape == (2, 2, 2)
-    assert g[1, 0, 0] == 2.0
-    assert np.array_equal(metric(xs[1]), g[1])
 
 
 def test_chart_requires_christoffel_callbacks():
@@ -138,6 +127,37 @@ def test_connector_rejects_chart_boundary():
 def test_connector_embedded_rejects_off_manifold_point():
     with pytest.raises(OffManifoldError, match="off manifold"):
         SPHERE_EMB.require_valid(np.array([0.0, 0.0, 1.5]), "connector base point")
+
+
+def test_require_valid_names_the_first_invalid_sample():
+    x = np.array([[0.0, 1.0], [0.5, 2.0], [0.0, -1.0], [0.0, -2.0]])
+    with pytest.raises(ChartBoundaryError,
+                       match=r"^chart boundary: map values at sample 2 outside the chart domain$"):
+        HALFPLANE.require_valid(x, "map values")
+    p = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.1]])
+    # |f| / |grad f| = 0.21 / 2.2 at (0, 0, 1.1)
+    with pytest.raises(OffManifoldError, match=r"^point off manifold: map values at sample 2: "
+                                               r"embedding residual 0\.0955 > 1e-06$"):
+        SPHERE_EMB.require_valid(p, "map values")
+    # a single point has no sample index
+    with pytest.raises(OffManifoldError, match=r"^point off manifold: base point: embedding "
+                                               r"residual 0\.0955 > 1e-06$"):
+        SPHERE_EMB.require_valid(p[2], "base point")
+
+
+def _interface_names():
+    """The interface methods the module docstring lists as ``name(args)`` -- ...."""
+    return set(re.findall(r"``([a-z]\w*)(?:\([^`]*\))?`` --", manifold.__doc__))
+
+
+def _public_methods(cls):
+    return {name for name, value in vars(cls).items()
+            if not name.startswith("_") and (callable(value) or isinstance(value, property))}
+
+
+def test_documented_interface_is_what_both_representations_define():
+    shared = _public_methods(ChartManifold) & _public_methods(EmbeddedManifold)
+    assert _interface_names() == shared
 
 
 def test_spray_flat():
@@ -344,7 +364,7 @@ def test_custom_hypersurface_with_level_set_callbacks_has_sphere_spray():
     )
     p = np.array([0.0, 0.0, 1.0])
     v = np.array([0.3, -0.4, 0.0])
-    np.testing.assert_allclose(man.accel(p, v), -0.25 * p, atol=1e-15)
+    np.testing.assert_allclose(spray_accel(man, p, v), -0.25 * p, atol=1e-15)
     assert man.intrinsic_dim == 2
 
 

@@ -14,9 +14,10 @@ calls of a pair alike, so the ratio of a pair is steadier than either time.
 
 Printed per target, m and tree: the median microseconds per step, the
 median nanoseconds per row-step, and the split of one step into its four
-``accel`` calls, ``post_step`` and the rest (the RK4 arithmetic,
-and in trees whose ``post_step`` does not check the state, that check),
-each the best of repeats that also alternate between the trees.  With two
+spray calls ``transport_rhs(x, v, v)`` (column "accel x4"), ``post_step``
+and the rest (the RK4 arithmetic, and in trees whose ``post_step`` does
+not check the state, that check), each the best of repeats that also
+alternate between the trees.  With two
 trees, the median time ratio A/B (above 1: B is faster) and its quartiles
 follow.
 """
@@ -78,13 +79,13 @@ def rk4_state(man, x, v, dt):
     ``rk4_step``, so that ``tests/test_step_cost.py`` pins the integrator's
     bits against an independent copy.
     """
-    k1v = man.accel(x, v)
+    k1v = man.transport_rhs(x, v, v)
     k2x = v + (0.5 * dt) * k1v
-    k2v = man.accel(x + (0.5 * dt) * v, k2x)
+    k2v = man.transport_rhs(x + (0.5 * dt) * v, k2x, k2x)
     k3x = v + (0.5 * dt) * k2v
-    k3v = man.accel(x + (0.5 * dt) * k2x, k3x)
+    k3v = man.transport_rhs(x + (0.5 * dt) * k2x, k3x, k3x)
     k4x = v + dt * k3v
-    k4v = man.accel(x + dt * k3x, k4x)
+    k4v = man.transport_rhs(x + dt * k3x, k4x, k4x)
     x_new = x + (dt / 6.0) * (v + 2.0 * k2x + 2.0 * k3x + k4x)
     return x_new, v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
 
@@ -101,7 +102,7 @@ def parts_of(mod, spec: str, m: int, steps: int) -> dict:
     number = max(4, 800 // m)  # 200 calls at m = 4, 4 at m = 2048
     return {
         "step": lambda: us(lambda: mod.integrate_spray(man, x, v, steps), 1) / steps,
-        "accel": lambda: 4 * us(lambda: man.accel(x, v), number),
+        "accel": lambda: 4 * us(lambda: man.transport_rhs(x, v, v), number),
         "post_step": lambda: us(lambda: man.post_step(x, x_new, v_new), number),
     }
 
