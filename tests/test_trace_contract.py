@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mapgeom import cli, dynamics, manifold, mapspace, reparam, transport
+from mapgeom import cli, dynamics, manifold, mapspace, reparam, transport, verification
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -204,6 +204,26 @@ def test_certified_log_reuses_its_last_rung_as_the_newton_residual(tracer_module
     NAME, COUNT, STEPS = tracer_module.NAME, tracer_module.COUNT, tracer_module.STEPS
     calls = [(s[COUNT], s[STEPS]) for s in trace.spans if s[NAME] == "manifold.integrate_spray"]
     assert calls == [(4, 32), (4, 64), (4, 128)]
+
+
+# the speed-drift oracle climbs the same ladder: each rung integrates its 20
+# samples once, and the battery stops at the first rung that step doubling
+# certifies
+@pytest.mark.parametrize("spec, rungs", [
+    ("halfplane", [32, 64]),
+    ("sphere:r=1.0:rep=chart", [32, 64, 128]),
+])
+def test_speed_drift_oracle_stops_at_its_certified_rung(tracer_module, spec, rungs):
+    man = manifold.make_manifold(spec)
+    trace = tracer_module.Tracer()
+    uninstall = tracer_module.install(trace)
+    try:
+        verification.standard_checks(man, instances=100, seed=0)
+    finally:
+        uninstall()
+    NAME, COUNT, STEPS = tracer_module.NAME, tracer_module.COUNT, tracer_module.STEPS
+    calls = [(s[COUNT], s[STEPS]) for s in trace.spans if s[NAME] == "manifold.integrate_spray"]
+    assert calls == [(20, n) for n in rungs]
 
 
 # per RK4 step on a level set: four accels (grad f and (Hess f) w each), and

@@ -5,6 +5,7 @@ import pytest
 
 from mapgeom import (
     ChartBoundaryError,
+    EmbeddedManifold,
     MapField,
     OracleReport,
     QuadratureDomain,
@@ -13,6 +14,7 @@ from mapgeom import (
     circle_domain,
     interval_domain,
     make_manifold,
+    manifold,
     oracle_christoffel,
     oracle_curvature_commutator,
     oracle_first_variation,
@@ -264,6 +266,40 @@ def test_commutator_oracle_catches_wrong_christoffel_jacobian(name):
     report = _battery(bad)
     assert not report["curvature_vs_commutator"].passed
     assert report["christoffel_vs_metric_stencil"].passed
+
+
+# a relative error of 1e-6 in the spray breaks g(v, v) conservation on a
+# chart, where nothing corrects the step: the drift reads 4.0e-7 on the
+# half-plane and 1.8e-7 on the sphere chart, against its bound of 1e-8
+@pytest.mark.parametrize("name", ["halfplane", "sphere:r=1.0:rep=chart"])
+def test_speed_drift_oracle_catches_a_planted_chart_spray_defect(name, monkeypatch):
+    man = make_manifold(name)
+    assert _battery(man)["geodesic_speed_drift"].passed
+    accel = manifold.spray_accel
+    monkeypatch.setattr(manifold, "spray_accel", lambda m, x, v: (1 + 1e-6) * accel(m, x, v))
+    assert not _battery(man)["geodesic_speed_drift"].passed
+
+
+# on a level set the same defect goes through transport_rhs, and the
+# retraction absorbs its normal part, so the drift oracle cannot see it
+# (it reads 6e-10 there); the projector-difference oracle must
+@pytest.mark.parametrize("name", ["sphere:r=1.0:rep=embedded", "paraboloid"])
+def test_projector_difference_oracle_catches_a_planted_level_set_spray_defect(name, monkeypatch):
+    man = make_manifold(name)
+    assert _battery(man)["accel_vs_projector_derivative"].passed
+    rhs = EmbeddedManifold.transport_rhs
+    monkeypatch.setattr(EmbeddedManifold, "transport_rhs",
+                        lambda self, p, v, X: (1 + 1e-6) * rhs(self, p, v, X))
+    assert not _battery(man)["accel_vs_projector_derivative"].passed
+
+
+def test_speed_drift_step_count_is_certified_not_guessed():
+    # at a fixed 100 RK4 steps this drift reads 2.4e-8, above its bound of
+    # 1e-8; the step-doubling ladder climbs until the estimate certifies it
+    reports = standard_checks(make_manifold("sphere:r=0.5:rep=chart"), instances=20, seed=2)
+    assert all(r.passed for r in reports), [
+        (r.check_name, r.max_abs_error) for r in reports if not r.passed
+    ]
 
 
 def test_projector_difference_oracle_catches_wrong_hessian():
