@@ -9,9 +9,12 @@ formula, :func:`mapgeom.manifold.rk4_step`.  The log map is computed
 per sample by shooting: damped Newton on the initial velocity with a
 finite-difference Jacobian, seeded by a closed form where the registry
 target provides one.  The 2k central-difference integrations behind the k
-Jacobian columns of every unconverged sample run as one stacked call, so
-a Newton iteration costs two integrations: one for the Jacobian and one
-for the first line-search trial.
+Jacobian columns of a sample ride in one stacked call.  From a closed-form
+seed a Newton iteration costs two integrations: one for the Jacobians and
+one for the first line-search trial.  From the projected chord, the
+seed's integration at a fixed step count and the first iteration's full
+trial also carry the difference rows of their samples, so the iteration
+after each costs one.
 
 The log map's step count is certified unless a caller fixes it: shooting
 climbs a ladder of 32, 64, ..., 1024 steps and runs Newton at the first
@@ -234,11 +237,21 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     """Damped Newton on initial velocities, batched over samples.
 
     The Jacobian is a central difference in each of the k tangent-basis
-    coordinates.  The ±delta rows of all k columns of every active sample
-    (2k rows per sample) go through one ``integrate_spray`` call; each
-    row's arithmetic is the same as if it were integrated alone, because
-    the integrator is row-independent.  Each iteration thus costs two
-    integrations: the Jacobian and the first line-search trial.
+    coordinates.  The ±delta rows of all k columns of a sample (2k rows)
+    share an ``integrate_spray`` call with the other rows of that call;
+    each row's arithmetic is the same as if it were integrated alone,
+    because the integrator is row-independent.  Each sample keeps the
+    Jacobian at its accepted iterate.  A Newton iteration integrates one
+    stacked call for the active samples that have none, then its
+    line-search trials.
+
+    When the seed is the projected chord (the target has no closed-form
+    log), two integrations also carry the difference rows of their
+    samples: the seed's, at a fixed step count (a certified count reuses
+    its last rung instead), and the first iteration's full trial.  A sample
+    that accepts that trial has its Jacobian for the next iteration, which
+    then costs one integration.  Later trials carry none: the last one's
+    Jacobian would go unused.
 
     Each sample accepts its own line-search step: halving continues only
     for the samples whose residual did not improve.  A sample is frozen
@@ -251,9 +264,23 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     """
     basis = man.tangent_basis(x0)  # (m, n, k)
     z = np.einsum("sik,si->sk", basis, v_init)
-    k = z.shape[1]
+    m, k = z.shape
+    chord = man.closed_form_log is None  # the seed is the projected chord
 
-    def residual(rows, zz, n):
+    def residual(rows, zz, n, jac=None):
+        """End minus target of samples rows shot with zz at n steps.
+
+        ``jac = (samples, velocities)`` appends their 2k difference rows to
+        the same call and returns the residual with their Jacobians.
+        """
+        if jac is not None:
+            (jrows, jz), plain, cols = jac, len(rows), np.arange(k)
+            delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(jz), axis=1))
+            zs = np.repeat(jz[None], 2 * k, axis=0)  # rows (+delta e_c, then -delta e_c, sample)
+            zs[cols, :, cols] += delta
+            zs[k + cols, :, cols] -= delta
+            rows = np.concatenate([rows, np.tile(jrows, 2 * k)])
+            zz = np.concatenate([zz, zs.reshape(-1, k)])
         try:
             end, _ = integrate_spray(man, x0[rows], np.einsum("sik,sk->si", basis[rows], zz), n)
         except DomainExitError as exc:
@@ -262,26 +289,31 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
                 f"log shooting: geodesic of sample {sample} {exc.reason}",
                 time=exc.time, sample=sample, reason=exc.reason,
             ) from exc
-        return end - target[rows]
+        r = end - target[rows]
+        if jac is None:
+            return r
+        rs = r[plain:].reshape(2 * k, delta.size, r.shape[1])
+        # (samples, n, k) in C order: einsum's summation order depends on the layout
+        J = np.ascontiguousarray(np.moveaxis((rs[:k] - rs[k:]) / (2.0 * delta[:, None]), 0, 2))
+        return r[:plain], J
 
-    def newton(r, n):
-        """Polish z in place from residuals r at n steps; returns max |r| per sample."""
+    def newton(r, n, known=None, J_known=None):
+        """Polish z in place from residuals r at n steps, given the Jacobians
+        J_known at z of the samples known; returns max |r| per sample."""
         rmax = np.max(np.abs(r), axis=1)
-        stuck = np.zeros(x0.shape[0], dtype=bool)
-        for _ in range(_NEWTON_ITERS):
+        stuck = np.zeros(m, dtype=bool)
+        jac = np.empty(r.shape + (k,))  # the Jacobian at z of each sample that has one
+        has_jac = np.zeros(m, dtype=bool)
+        if known is not None:
+            jac[known], has_jac[known] = J_known, True
+        for it in range(_NEWTON_ITERS):
             active = np.flatnonzero((rmax > tol) & ~stuck)
             if active.size == 0:
                 break
-            za = z[active]
-            delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(za), axis=1))
-            cols = np.arange(k)
-            zs = np.repeat(za[None], 2 * k, axis=0)  # rows (+delta e_c, then -delta e_c, sample)
-            zs[cols, :, cols] += delta
-            zs[k + cols, :, cols] -= delta
-            rs = residual(np.tile(active, 2 * k), zs.reshape(-1, k), n)
-            rs = rs.reshape(2 * k, active.size, -1)
-            # (active, n, k) in C order: einsum's summation order depends on the layout
-            J = np.ascontiguousarray(np.moveaxis((rs[:k] - rs[k:]) / (2.0 * delta[:, None]), 0, 2))
+            need = active[~has_jac[active]]
+            if need.size:  # difference rows only
+                _, jac[need] = residual(need[:0], z[:0], n, (need, z[need]))
+            za, J = z[active], jac[active]
             JtJ = np.einsum("sic,sid->scd", J, J)
             Jtr = np.einsum("sic,si->sc", J, r[active])
             try:
@@ -295,12 +327,19 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
                 idx = np.flatnonzero(pending)
                 rows = active[idx]
                 z_try = za[idx] - alpha * step[idx]
-                r_try = residual(rows, z_try, n)
+                carry = chord and it == 0 and alpha == 1.0
+                if carry:
+                    r_try, J_try = residual(rows, z_try, n, (rows, z_try))
+                else:
+                    r_try = residual(rows, z_try, n)
                 r_try_max = np.max(np.abs(r_try), axis=1)
                 better = r_try_max < rmax[rows]
                 z[rows[better]] = z_try[better]
                 r[rows[better]] = r_try[better]
                 rmax[rows[better]] = r_try_max[better]
+                has_jac[rows[better]] = carry
+                if carry:
+                    jac[rows[better]] = J_try[better]
                 pending[idx[better]] = False
                 if not pending.any():
                     break
@@ -311,7 +350,9 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     if steps is None:
         rmax = _certified_newton(residual, newton, z, tol)
     else:
-        rmax = newton(residual(np.arange(x0.shape[0]), z, steps), steps)
+        known = np.flatnonzero(np.any(z != 0.0, axis=1) & chord)  # the chord seed carries rows
+        r, J = residual(np.arange(m), z, steps, (known, z[known]))
+        rmax = newton(r, steps, known, J)
     bad = np.flatnonzero(rmax > tol)
     if bad.size:
         listing = ", ".join(f"{i} (residual {rmax[i]:.3e})" for i in bad)

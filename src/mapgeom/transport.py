@@ -146,7 +146,8 @@ def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
     Requires n <= 8 equal-mass atoms on both sides.  Every permutation of
     the cached lexicographic table is scored with a plain float sum, one
     column pass at a time; the candidates within 1e-12 relative of the
-    smallest score are then re-summed with ``math.fsum`` in table order.
+    smallest score are then summed exactly with ``math.fsum``, once per
+    distinct multiset of terms, since tied candidates often share one.
     The costs are finite and non-negative, so a plain sum of at most 8
     terms is within ~1e-15 relative of the exact one and every exact
     minimiser is a candidate.  Ties are broken by the lexicographically
@@ -161,12 +162,17 @@ def wasserstein2_bruteforce(mu: DiscreteMeasure, nu: DiscreteMeasure,
     for i in range(n):
         approx += terms[i, table[:, i]]
     lo = approx.min()
-    best_perm, best_cost = None, np.inf
-    for k in np.flatnonzero(approx <= lo + 1e-12 * abs(lo)):  # ascending, so ties keep the first
-        c = _matching_cost(terms, table[k])
-        if c < best_cost:
-            best_perm, best_cost = table[k], c
-    return Assignment(best_perm.astype(int), best_cost)
+    near = table[approx <= lo + 1e-12 * abs(lo)]  # in table order
+    # an exact sum depends only on the multiset of its terms: number the
+    # distinct terms (bit for bit), key each candidate by its sorted numbers
+    # (n digits in base n^2 <= 64), and sum each key once, by its first
+    _, label = np.unique(terms.view(np.int64), return_inverse=True)
+    labels = np.sort(label.reshape(n, n)[np.arange(n), near], axis=1)
+    _, first, which = np.unique(labels @ (n * n) ** np.arange(n), return_index=True,
+                                return_inverse=True)
+    costs = np.array([_matching_cost(terms, near[i]) for i in first])[which]
+    best = int(np.argmin(costs))  # the first minimiser in table order: the lexicographic tie rule
+    return Assignment(near[best].astype(int), float(costs[best]))
 
 
 def _solve_assignment(C: np.ndarray):

@@ -383,9 +383,10 @@ def test_log_antipodal_reports_sample():
 
 
 def test_log_domain_exit_names_the_field_sample():
-    # sample 0 is stationary and converges at once; sample 1's seed stays in
-    # the narrowed chart, and a later call, which integrates only sample 1's
-    # rows, leaves it at row 0 of that call
+    # sample 0 is stationary and converges at once; sample 1's seed call
+    # (its row and its 2k difference rows) stays in the narrowed chart, and
+    # the first trial, which integrates only sample 1's rows, leaves it at
+    # row 0 of that call
     man = dataclasses.replace(make_manifold("halfplane"), closed_form_log=None, name=None,
                               chart_domain=lambda x: (x[..., 1] > 0.5) & (x[..., 1] < 2.0))
     dom = QuadratureDomain(np.array([0.5, 0.5]))
@@ -447,6 +448,35 @@ def test_log_paraboloid_round_trip_and_sample_independence(seed, speeds):
         log_field(MapField(one, PARABOLOID, q0.values[i:i + 1]),
                   MapField(one, PARABOLOID, q1.values[i:i + 1]), steps=64).vecs
         for i in range(m)
+    ]
+    assert np.array_equal(h.vecs, np.concatenate(alone))
+
+
+def test_log_mixed_convergence_keeps_sample_independence(monkeypatch):
+    # a short velocity converges at its first trial, wasting the difference
+    # rows that trial carried; a long one needs a third iteration, whose
+    # Jacobian comes from a call of difference rows only
+    rng = np.random.default_rng(6)
+    q0 = MapField(circle_domain(2), PARABOLOID, PARABOLOID.random_points(rng, 2))
+    d = PARABOLOID.project(q0.values, rng.normal(size=(2, 3)))
+    d *= (np.array([1e-3, 0.4]) / np.sqrt(PARABOLOID.inner(q0.values, d, d)))[:, None]
+    q1 = exp_field(TangentField(q0, d), steps=64)
+    rows = []
+
+    def counted(man, x, v, steps):
+        rows.append(x.shape[0])
+        return manifold.integrate_spray(man, x, v, steps)
+
+    monkeypatch.setattr(dynamics, "integrate_spray", counted)
+    h = log_field(q0, q1, steps=64)
+    # seed and first trial with 2k = 4 rows per sample, then the long
+    # sample's trial, its Jacobian and its last trial
+    assert rows == [10, 10, 1, 4, 1]
+    one = circle_domain(1)
+    alone = [
+        log_field(MapField(one, PARABOLOID, q0.values[i:i + 1]),
+                  MapField(one, PARABOLOID, q1.values[i:i + 1]), steps=64).vecs
+        for i in range(2)
     ]
     assert np.array_equal(h.vecs, np.concatenate(alone))
 

@@ -151,9 +151,9 @@ def test_file_spans_count_bytes_and_never_nest(tracer_module, tmp_path):
             parent = spans[parent][PARENT]
 
 
-def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
-    # a log_narrow-shaped solve: m = 4 paraboloid samples, lengths in
-    # [0.1, 0.25], 200 steps; it converges in two Newton iterations
+def _log_narrow_paraboloid():
+    # a log_narrow-shaped field: m = 4 paraboloid samples, lengths in
+    # [0.1, 0.25], shot at 200 steps
     man = manifold.make_manifold("paraboloid")
     rng = np.random.default_rng(0)
     xy = rng.uniform(-0.5, 0.5, (4, 2))
@@ -161,11 +161,15 @@ def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
     d = man.project(x, rng.normal(size=x.shape))
     d *= (rng.uniform(0.1, 0.25, 4) / np.linalg.norm(d, axis=1))[:, None]
     q0 = mapspace.MapField(mapspace.circle_domain(4), man, x)
-    q1 = mapspace.exp_field(mapspace.TangentField(q0, d), steps=200)
+    return q0, mapspace.exp_field(mapspace.TangentField(q0, d), steps=200)
+
+
+def _log_calls(tracer_module, q0, q1, steps):
+    """(rows, steps) of each integrate_spray call under one log_field."""
     trace = tracer_module.Tracer()
     uninstall = tracer_module.install(trace)
     try:
-        dynamics.log_field(q0, q1, steps=200)
+        dynamics.log_field(q0, q1, steps=steps)
     finally:
         uninstall()
     NAME, PARENT, COUNT, STEPS = (tracer_module.NAME, tracer_module.PARENT,
@@ -179,12 +183,39 @@ def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
                 return True
         return False
 
-    calls = [s for s in spans if s[NAME] == "manifold.integrate_spray" and under_log(s)]
-    # the seed, then per iteration one Jacobian call of 2k * 4 = 16 rows
-    # and one line-search trial
-    assert [(s[COUNT], s[STEPS]) for s in calls] == [(4, 200), (16, 200), (4, 200), (16, 200), (4, 200)]
+    return [(s[COUNT], s[STEPS]) for s in spans
+            if s[NAME] == "manifold.integrate_spray" and under_log(s)]
+
+
+def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
+    # it converges in two Newton iterations; the chord seed's call carries
+    # the 2k * 4 = 16 difference rows of the first Jacobian, the first
+    # trial those of the second, and the second trial carries none
+    calls = _log_calls(tracer_module, *_log_narrow_paraboloid(), 200)
+    assert calls == [(20, 200), (20, 200), (4, 200)]
     # the same rows x steps as 11 calls with one call per difference column
-    assert sum(s[COUNT] * s[STEPS] for s in calls) == 200 * (4 + 2 * (4 * 4 + 4))
+    assert sum(rows * steps for rows, steps in calls) == 200 * (4 + 2 * (4 * 4 + 4))
+
+
+def test_certified_chord_log_carries_rows_only_on_the_first_trial(tracer_module):
+    # the rungs at 32 and 64 steps, the first Jacobian's 16 rows, the first
+    # trial with the 16 rows of the next Jacobian, the plain second trial,
+    # and the re-estimate at N/2 of the samples Newton moved
+    calls = _log_calls(tracer_module, *_log_narrow_paraboloid(), None)
+    assert calls == [(4, 32), (4, 64), (16, 64), (20, 64), (4, 64), (4, 32)]
+
+
+def test_closed_form_seed_carries_no_difference_rows(tracer_module):
+    # a half-plane field that 4 steps leave one Newton iteration from the
+    # closed-form seed: the seed, one Jacobian call of 2k * 6 = 24 rows and
+    # one trial, as with no rows carried at all
+    man = manifold.make_manifold("halfplane")
+    rng = np.random.default_rng(0)
+    a = np.column_stack([rng.uniform(-1, 1, 6), rng.uniform(0.8, 1.5, 6)])
+    b = a + rng.uniform(-0.3, 0.3, (6, 2))
+    dom = mapspace.circle_domain(6)
+    calls = _log_calls(tracer_module, mapspace.MapField(dom, man, a), mapspace.MapField(dom, man, b), 4)
+    assert calls == [(6, 4), (24, 4), (6, 4)]
 
 
 def test_certified_log_reuses_its_last_rung_as_the_newton_residual(tracer_module):

@@ -194,6 +194,26 @@ def test_bruteforce_equals_plain_enumeration(n, kind, seed):
     assert brute.cost == cost
 
 
+def test_bruteforce_all_atoms_equal_is_the_identity():
+    # all 8! matchings tie at cost 0, and they share one multiset of terms
+    mu = uniform_measure(np.full((8, 2), 0.3))
+    a = wasserstein2_bruteforce(mu, mu)
+    assert a.cost == 0.0
+    assert np.array_equal(a.perm, np.arange(8))
+
+
+def test_bruteforce_tied_lattice_equals_plain_enumeration():
+    # each point of the {0,1}^2 lattice twice, against a shuffled copy shifted
+    # by one point: many tied optima, with terms shared across distinct costs
+    square = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    mu = uniform_measure(np.concatenate([square, square]))
+    nu = uniform_measure(np.concatenate([square, square])[[5, 2, 7, 0, 3, 6, 1, 4]] + [[0.0, 1.0]] * 8)
+    perm, cost = enumerated_matching(mu, nu)
+    brute = wasserstein2_bruteforce(mu, nu)
+    assert np.array_equal(brute.perm, perm) and not np.array_equal(perm, np.arange(8))
+    assert brute.cost == cost
+
+
 # ---------------------------------------------------------------------------
 # assignment solver vs brute force
 
