@@ -17,6 +17,7 @@ returns the exit code.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -32,7 +33,7 @@ from .errors import (
     NotVerticalError,
     OffManifoldError,
 )
-from .manifold import make_manifold, list_manifolds
+from .manifold import LADDER_CAP, LADDER_START, make_manifold, list_manifolds
 from .mapspace import MapField, TangentField, load_field, save_field
 
 
@@ -254,8 +255,8 @@ def _transport(config: RunConfig) -> int:
 
 
 _CERTIFIED_STEPS_HELP = (
-    f"fixed RK4 steps per shot (default: the fewest of {dynamics.LADDER_START * 2}, "
-    f"{dynamics.LADDER_START * 4}, ..., {dynamics.LADDER_CAP} whose step-doubling error "
+    f"fixed RK4 steps per shot (default: the fewest of {LADDER_START * 2}, "
+    f"{LADDER_START * 4}, ..., {LADDER_CAP} whose step-doubling error "
     "estimate meets --tolerance)"
 )
 
@@ -370,8 +371,9 @@ def parse_config(argv) -> RunConfig:
             setattr(config, attr, getattr(ns, attr))
     for attr in ("steps", "snapshots", "steps_per_snapshot", "instances", "tolerance"):
         value = getattr(config, attr)
-        if value is not None and not value > 0:
-            raise ValueError(f"option {attr} must be positive, got {value}")
+        if value is not None and not 0 < value < math.inf:
+            bound = "positive" if value <= 0 else "finite"
+            raise ValueError(f"option {attr} must be {bound}, got {value}")
     if config.seed < 0:
         raise ValueError(f"option seed must be non-negative, got {config.seed}")
     return config

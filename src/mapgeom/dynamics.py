@@ -17,13 +17,13 @@ trial also carry the difference rows of their samples, so the iteration
 after each costs one.
 
 The log map's step count is certified unless a caller fixes it: shooting
-climbs a ladder of 32, 64, ..., 1024 steps and runs Newton at the first
-count N where the step-doubling estimate of every sample's RK4 error
-(:func:`mapgeom.manifold.step_doubling_error`, from the runs at N and N/2)
-is at most the tolerance, and checks that estimate again for a velocity
-Newton moved.  Nearby samples settle at 64 to 256 steps; an explicit
-``steps`` integrates every shot with that many steps, as the exponential
-map and trajectories always do.
+climbs the step-doubling ladder :func:`mapgeom.manifold.step_doubling_ladder`
+(32, 64, ..., 1024 steps) and runs Newton at the fewest steps N of 64,
+..., 1024 where the estimate of every sample's RK4 error from the runs at
+N and N/2 is at most the tolerance, and checks that estimate again for a
+velocity Newton moved.  Nearby samples settle at 64
+to 256 steps; an explicit ``steps`` integrates every shot with that many
+steps, as the exponential map and trajectories always do.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .manifold import (
     sample_fastest,
     spray_accel,
     step_doubling_error,
+    step_doubling_ladder,
     transport_along_samples,
 )
 from .mapspace import (
@@ -61,8 +62,6 @@ from .mapspace import (
 
 LOG_TOL = 1e-10  # default shooting endpoint tolerance of the log map
 _NEWTON_ITERS = 50  # Newton iterations the log map's shooting may take
-# the certified step count of the log map doubles from LADDER_START up to LADDER_CAP
-LADDER_START, LADDER_CAP = 32, 1024
 
 
 @dataclass(frozen=True)
@@ -355,62 +354,48 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
         rmax = newton(r, steps, known, J)
     bad = np.flatnonzero(rmax > tol)
     if bad.size:
-        listing = ", ".join(f"{i} (residual {rmax[i]:.3e})" for i in bad)
-        raise ShootingError(
-            f"log shooting did not converge at sample{'s' if bad.size > 1 else ''} "
-            f"{listing}; tolerance {tol:.1e}",
-            sample=int(bad[0]),
-        )
+        raise _shooting_error("log shooting did not converge at", bad,
+                              [f"residual {rmax[i]:.3e}" for i in bad], f"; tolerance {tol:.1e}")
     return np.einsum("sik,sk->si", basis, z)
+
+
+def _shooting_error(head: str, bad: np.ndarray, details, tail: str = "") -> ShootingError:
+    """A :class:`ShootingError` naming each sample of ``bad`` with its detail."""
+    listing = ", ".join(f"{i} ({detail})" for i, detail in zip(bad, details))
+    return ShootingError(f"{head} sample{'s' if bad.size > 1 else ''} {listing}{tail}",
+                         sample=int(bad[0]))
 
 
 def _certified_newton(residual, newton, z, tol):
     """Newton at the fewest steps N on the ladder that step doubling certifies.
 
-    N runs over ``LADDER_START``, twice that, ... up to ``LADDER_CAP``.  A
-    rung integrates every sample once at N and compares the residual with
-    the one at N/2 (:func:`mapgeom.manifold.step_doubling_error`); the first
-    rung where every sample's estimate is at most ``tol`` hands its residual
-    to Newton, so the chosen N costs no extra integration.  Samples that
-    Newton moves are integrated once more at N/2, so the certificate covers
-    the velocity returned, not only the seed; if it fails there, the ladder
-    goes on from the current iterate.  A rung that leaves the domain counts
-    as unresolved while two later rungs are left to compare; the last two
-    rungs, like the re-estimate, raise the exit.  Returns Newton's max |r|
-    per sample.
+    Each rung of :func:`mapgeom.manifold.step_doubling_ladder` integrates
+    every sample once at N; the first rung where every sample's estimate is
+    at most ``tol`` hands its residual to Newton, so the chosen N costs no
+    extra integration.  Samples that Newton moves are integrated once more
+    at N/2, so the certificate covers the velocity returned, not only the
+    seed; if it fails there, the ladder goes on from the current iterate,
+    whose residual Newton wrote into the rung's array.  The re-estimate
+    raises a domain exit; so does the ladder on its last two rungs.  Past
+    the cap a :class:`ShootingError` names each uncertified sample.
+    Returns Newton's max |r| per sample.
     """
     everyone = np.arange(z.shape[0])
-    n, coarse = LADDER_START, None  # the residual at n // 2, if that rung finished
-    while True:
-        try:
-            r = residual(everyone, z, n)
-        except DomainExitError:
-            if 2 * n >= LADDER_CAP:
-                raise
-            r = None
-        if r is not None and coarse is not None:
-            est = step_doubling_error(r, coarse)
+    for n, r, est in step_doubling_ladder(lambda n: residual(everyone, z, n)):
+        if est is not None and np.all(est <= tol):
+            seed = z.copy()
+            rmax = newton(r, n)
+            moved = np.flatnonzero(np.any(z != seed, axis=1))
+            if moved.size == 0 or np.any(rmax > tol):
+                return rmax
+            est[moved] = step_doubling_error(r[moved], residual(moved, z[moved], n // 2))
             if np.all(est <= tol):
-                seed = z.copy()
-                rmax = newton(r, n)
-                moved = np.flatnonzero(np.any(z != seed, axis=1))
-                if moved.size == 0 or np.any(rmax > tol):
-                    return rmax
-                est[moved] = step_doubling_error(r[moved], residual(moved, z[moved], n // 2))
-                if np.all(est <= tol):
-                    return rmax
-            if n == LADDER_CAP:
-                bad = np.flatnonzero(est > tol)
-                needs = [math.ceil(n * (est[i] / tol) ** 0.25) for i in bad]  # RK4: error ~ N^-4
-                listing = ", ".join(f"{i} (estimate {est[i]:.3e}, needs ~{need} steps)"
-                                    for i, need in zip(bad, needs))
-                raise ShootingError(
-                    f"log shooting: step-doubling error above tolerance {tol:.1e} at the cap of "
-                    f"{n} steps at sample{'s' if bad.size > 1 else ''} {listing}",
-                    sample=int(bad[0]),
-                )
-        coarse = r
-        n *= 2
+                return rmax
+    bad = np.flatnonzero(est > tol)
+    needs = [math.ceil(n * (est[i] / tol) ** 0.25) for i in bad]  # RK4: error ~ N^-4
+    raise _shooting_error(
+        f"log shooting: step-doubling error above tolerance {tol:.1e} at the cap of {n} steps at",
+        bad, [f"estimate {est[i]:.3e}, needs ~{need} steps" for i, need in zip(bad, needs)])
 
 
 def log_field(q0: MapField, q1: MapField, steps: Optional[int] = None,
@@ -428,8 +413,8 @@ def log_field(q0: MapField, q1: MapField, steps: Optional[int] = None,
     with its estimate and the step count it would need.  An explicit
     ``steps`` integrates every shot with that many steps.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be > 0 and finite, got {tol!r}")
     if steps is not None:
         require_count("steps", steps)
     require_same_space(q0, q1)

@@ -110,6 +110,8 @@ from .errors import (
 
 POLE_BAND = 1e-3  # excluded band around chart singularities
 ON_MANIFOLD_TOL = 1e-6  # largest embedding residual of a point on the manifold
+# a certified RK4 step count doubles from LADDER_START up to LADDER_CAP
+LADDER_START, LADDER_CAP = 32, 1024
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +575,32 @@ def step_doubling_error(fine, coarse) -> np.ndarray:
     dominates (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).
     """
     return np.max(np.abs(fine - coarse), axis=1) * (16.0 / 15.0)
+
+
+def step_doubling_ladder(run):
+    """Yield ``(n, fine, est)`` for n = ``LADDER_START``, twice that, ... ``LADDER_CAP``.
+
+    ``run(n)`` is the caller's own integration at n steps; it returns a
+    per-sample quantity, one row per sample, such as a shooting residual or
+    a drift series.  ``fine`` is ``run(n)`` and ``est`` its
+    :func:`step_doubling_error` against the rung at n/2, or None when that
+    rung is missing.  A rung that raises :class:`DomainExitError` is missing
+    (``fine`` and ``est`` None) while two later rungs are left to compare;
+    on the last two rungs the exit propagates.  The array yielded is itself
+    the next rung's coarse result, so an in-place edit of it (Newton
+    polishing a residual from the velocity it moved) carries to the next
+    rung's estimate.  The caller stops the climb by leaving the loop.
+    """
+    n, coarse = LADDER_START, None
+    while n <= LADDER_CAP:
+        try:
+            fine = run(n)
+        except DomainExitError:
+            if 2 * n >= LADDER_CAP:
+                raise
+            fine = None
+        yield n, fine, None if fine is None or coarse is None else step_doubling_error(fine, coarse)
+        coarse, n = fine, 2 * n
 
 
 def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[int] = None):

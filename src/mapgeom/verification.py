@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import files
-from .dynamics import LADDER_CAP, LADDER_START
 from .errors import ChartBoundaryError
 from .manifold import (
     ChartManifold,
@@ -29,7 +28,7 @@ from .manifold import (
     _gamma_pair,
     integrate_spray,
     require_count,
-    step_doubling_error,
+    step_doubling_ladder,
 )
 from .mapspace import MapField, QuadratureDomain, TangentField, l2_inner
 
@@ -258,26 +257,26 @@ def run_axiom_sweep(man: Manifold, instances: int = 100, seed: int = 0):
 def _speed_drift(man: Manifold, rng, count: int) -> float:
     """Largest relative drift of g(v, v) along ``count`` random unit-time geodesics.
 
-    Each rung of the log map's ladder integrates every sample once and
-    records 9 snapshots, at the same times on every rung, so the drift
-    series at N and N/2 give each sample's step-doubling estimate.  Returns
-    the drift at the first rung where every estimate is at most a tenth of
-    the report's bound, or at the cap.
+    Each rung of :func:`mapgeom.manifold.step_doubling_ladder` integrates
+    every sample once and records 9 snapshots, at the same times on every
+    rung, so the drift series at N and N/2 give each sample's step-doubling
+    estimate.  Returns the drift at the first rung where every estimate is
+    at most a tenth of the report's bound, or at the cap.
     """
     x = man.random_points(rng, count)
     v = _random_tangents(man, rng, x, 1)[0]
     speed = np.sqrt(man.inner(x, v, v))
     v = 0.2 * v / np.maximum(speed, 1e-9)[:, None]
-    n, coarse = LADDER_START, None
-    while True:
+
+    def drift(n):
         xs, vs = integrate_spray(man, x, v, n, record_every=n // 8)
         energies = man.inner(xs, vs, vs)
-        drift = ((energies - energies[0]) / energies[0]).T  # (sample, snapshot)
-        if n == LADDER_CAP or (coarse is not None and np.all(
-                step_doubling_error(drift, coarse) <= 0.1 * _SPEED_DRIFT_TOL)):
-            return float(np.max(np.abs(drift)))
-        coarse = drift
-        n *= 2
+        return ((energies - energies[0]) / energies[0]).T  # (sample, snapshot)
+
+    for _, fine, est in step_doubling_ladder(drift):
+        if est is not None and np.all(est <= 0.1 * _SPEED_DRIFT_TOL):
+            break
+    return float(np.max(np.abs(fine)))
 
 
 def standard_checks(man: Manifold, instances: int = 100, seed: int = 0):
@@ -293,12 +292,13 @@ def standard_checks(man: Manifold, instances: int = 100, seed: int = 0):
     ``projector_tangency``, ``retraction_fixpoint`` and
     ``accel_vs_projector_derivative``.  Last, ``geodesic_speed_drift``
     integrates up to 20 random geodesics and reports the largest relative
-    change of g(v, v), which the spray conserves.  Its RK4 step count N is
-    the first of ``LADDER_START``, twice that, ... ``LADDER_CAP`` where the
-    step-doubling estimate of every sample's drift is at most a tenth of
-    its 1e-8 bound, or the cap.  On a chart the drift oracle guards the
-    spray; on a level set the retraction absorbs a spray error's normal
-    part, so ``accel_vs_projector_derivative`` is the check that catches it.
+    change of g(v, v), which the spray conserves.  Its RK4 step count N
+    climbs :func:`mapgeom.manifold.step_doubling_ladder`: the fewest of 64,
+    128, ... 1024 where the step-doubling estimate of every sample's drift
+    is at most a tenth of its 1e-8 bound, or the cap.  On a chart the drift
+    oracle guards the spray; on a level set the retraction absorbs a spray
+    error's normal part, so ``accel_vs_projector_derivative`` is the check
+    that catches it.
     """
     reports = list(run_axiom_sweep(man, instances, seed))
     rng = np.random.default_rng(seed + 1)

@@ -510,6 +510,14 @@ def test_log_steps_zero_in_config_exit_2(sphere_files, capsys):
     assert "option steps must be positive, got 0" in capsys.readouterr().err
 
 
+def test_distance_infinite_tolerance_exit_2(sphere_files, capsys):
+    # an infinite tolerance would skip shooting and print the seed's distance
+    q, h, qf, hf, d = sphere_files
+    code = main(["distance", "--base", str(qf), "--target", str(qf), "--tolerance", "inf"])
+    assert code == 2
+    assert "option tolerance must be finite, got inf" in capsys.readouterr().err
+
+
 def test_distance_uncertified_at_the_cap_exit_1(sphere_files, capsys):
     q, h, qf, hf, d = sphere_files
     end = d / "end.json"

@@ -73,6 +73,31 @@ def test_package_modules_import_no_unused_name(path):
     assert unused_imports(path.read_text()) == [], path.name
 
 
+def imported_modules(source: str) -> set:
+    """Modules a source imports from, relative ones as written (``.dynamics``)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." * node.level + (node.module or ""))
+    return names
+
+
+def test_imported_modules_names_relative_and_absolute_imports():
+    source = "import os.path\nfrom . import files\nfrom .dynamics import LOG_TOL\nimport mapgeom.cli\n"
+    assert imported_modules(source) == {"os.path", ".", ".dynamics", "mapgeom.cli"}
+
+
+# the oracles stay independent of the code they check: verification.py
+# neither imports dynamics nor reads a name from it through the package
+def test_verification_imports_nothing_from_dynamics():
+    source = (ROOT / "src" / "mapgeom" / "verification.py").read_text()
+    modules = imported_modules(source)
+    assert not modules & {".dynamics", "mapgeom.dynamics"}, modules
+    assert "dynamics" not in names_read(source)
+
+
 def private_definitions(source: str) -> set:
     """Module-level ``_name`` functions, classes and assignment targets; dunders left out."""
     names = set()

@@ -399,7 +399,7 @@ def test_log_domain_exit_names_the_field_sample():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0}, {"steps": 0},
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": 0.0}, {"tol": float("inf")}, {"steps": 0},
 ])
 def test_log_rejects_bad_tolerance_and_steps(kwargs):
     name = next(iter(kwargs))

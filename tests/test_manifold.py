@@ -331,6 +331,53 @@ def test_overflow_is_the_named_state_error_not_a_numpy_warning(man):
     assert err.value.sample == 0
 
 
+RUNGS = [32, 64, 128, 256, 512, 1024]
+
+
+def _fake_run(exits=()):
+    """A run that integrates nothing: 1/n for two samples, a domain exit at each n in exits."""
+    def run(n):
+        if n in exits:
+            raise DomainExitError("geodesic left domain", time=0.5, sample=0, reason="left domain")
+        return np.full((2, 3), 1.0 / n)
+    return run
+
+
+def test_ladder_doubles_up_to_the_cap_and_estimates_against_the_rung_below():
+    rungs = list(manifold.step_doubling_ladder(_fake_run()))
+    assert [n for n, _, _ in rungs] == RUNGS
+    assert rungs[0][2] is None  # the first rung has no coarse rung
+    for n, fine, est in rungs[1:]:
+        np.testing.assert_array_equal(fine, np.full((2, 3), 1.0 / n))
+        np.testing.assert_array_equal(est, manifold.step_doubling_error(fine, 2.0 * fine))
+
+
+@pytest.mark.parametrize("exit_at", RUNGS[:4])
+def test_ladder_goes_on_past_an_exit_while_two_rungs_remain(exit_at):
+    rungs = list(manifold.step_doubling_ladder(_fake_run({exit_at})))
+    assert [n for n, _, _ in rungs] == RUNGS
+    assert [n for n, fine, _ in rungs if fine is None] == [exit_at]
+    assert [n for n, _, est in rungs if est is None] == sorted({32, exit_at, 2 * exit_at})
+
+
+@pytest.mark.parametrize("exit_at", RUNGS[4:])
+def test_ladder_raises_an_exit_on_its_last_two_rungs(exit_at):
+    seen = []
+    with pytest.raises(DomainExitError, match="left domain"):
+        for n, _, _ in manifold.step_doubling_ladder(_fake_run({exit_at})):
+            seen.append(n)
+    assert seen == [n for n in RUNGS if n < exit_at]
+
+
+def test_ladder_compares_the_next_rung_with_the_array_it_yielded():
+    # as Newton writes the residual of the velocity it moved into the rung's array
+    ladder = manifold.step_doubling_ladder(lambda n: np.zeros((2, 3)))
+    _, fine, _ = next(ladder)
+    fine[1] = 3.0
+    _, _, est = next(ladder)
+    np.testing.assert_array_equal(est, [0.0, 3.0 * 16.0 / 15.0])
+
+
 def _custom_sphere(**callbacks):
     return EmbeddedManifold(ambient_dim=3, level_set=SPHERE_EMB.level_set, **callbacks)
 

@@ -24,7 +24,8 @@ from mapgeom import (
     wasserstein2_bruteforce,
 )
 from mapgeom import transport
-from mapgeom.dynamics import LADDER_CAP, LOG_TOL
+from mapgeom.dynamics import LOG_TOL
+from mapgeom.manifold import LADDER_CAP
 from mapgeom.transport import (
     BRUTE_LIMIT,
     _certify,

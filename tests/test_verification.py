@@ -5,6 +5,7 @@ import pytest
 
 from mapgeom import (
     ChartBoundaryError,
+    DomainExitError,
     EmbeddedManifold,
     MapField,
     OracleReport,
@@ -21,6 +22,7 @@ from mapgeom import (
     random_diffeo,
     run_axiom_sweep,
     standard_checks,
+    verification,
 )
 
 FLAT2 = make_manifold("flat:n=2")
@@ -278,6 +280,32 @@ def test_speed_drift_oracle_catches_a_planted_chart_spray_defect(name, monkeypat
     accel = manifold.spray_accel
     monkeypatch.setattr(manifold, "spray_accel", lambda m, x, v: (1 + 1e-6) * accel(m, x, v))
     assert not _battery(man)["geodesic_speed_drift"].passed
+
+
+# the drift oracle follows the ladder's exit rule: a rung below 512 that
+# leaves the domain is left out, and an exit on 512 or 1024 propagates
+@pytest.mark.parametrize("exits, rungs", [
+    ({32, 64, 128, 256}, [512, 1024]),
+    ({32, 64, 128, 256, 512}, None),
+])
+def test_speed_drift_oracle_skips_a_rung_that_exits_below_512(exits, rungs, monkeypatch):
+    integrate, finished = verification.integrate_spray, []
+
+    def exiting(man, x, v, steps, record_every=None):
+        if steps in exits:
+            raise DomainExitError("geodesic left domain", time=0.5, sample=0, reason="left domain")
+        finished.append(steps)
+        return integrate(man, x, v, steps, record_every=record_every)
+
+    monkeypatch.setattr(verification, "integrate_spray", exiting)
+    if rungs is None:
+        with pytest.raises(DomainExitError):
+            standard_checks(HALFPLANE, instances=20, seed=0)
+        assert finished == []
+    else:
+        report = {r.check_name: r for r in standard_checks(HALFPLANE, instances=20, seed=0)}
+        assert report["geodesic_speed_drift"].passed
+        assert finished == rungs
 
 
 # on a level set the same defect goes through transport_rhs, and the
