@@ -12,7 +12,7 @@ from mapgeom.verification import format_report_table
 
 REGISTRY = [
     "flat:n=2",
-    "flat:n=3:rep=embedded",
+    "flat:n=3",
     "sphere:r=1.0:rep=chart",
     "sphere:r=1.0:rep=embedded",
     "halfplane",

@@ -54,7 +54,7 @@ class RunConfig:
     output: Optional[str] = None
     report: Optional[str] = None
     report_csv: Optional[str] = None
-    steps: Optional[int] = None  # None: exp and reparam take 1000, log and distance certify
+    steps: Optional[int] = None  # None: exp and reparam take EXP_STEPS, log and distance certify
     snapshots: int = 11
     steps_per_snapshot: int = 100
     instances: int = 100
@@ -71,9 +71,9 @@ class Command(NamedTuple):
     """One subcommand: its help text, its handler and its options.
 
     ``required`` names the options the subcommand cannot run without.
-    ``options`` maps each option's RunConfig field to its help text (None
-    for none), in the order ``--help`` lists them.  The handler takes the
-    RunConfig and returns the exit code.
+    ``options`` maps each option's RunConfig field to its help text, which
+    states the option's default if it has one, in the order ``--help``
+    lists them.  The handler takes the RunConfig and returns the exit code.
     """
 
     help: str
@@ -123,7 +123,7 @@ def _write_report(config: RunConfig, doc, code: int = 0) -> int:
 
 def _fixed_steps(config: RunConfig) -> int:
     """--steps of a subcommand that integrates a fixed number of RK4 steps."""
-    return 1000 if config.steps is None else config.steps
+    return mapspace.EXP_STEPS if config.steps is None else config.steps
 
 
 def _list_manifolds(config: RunConfig) -> int:
@@ -259,31 +259,34 @@ _CERTIFIED_STEPS_HELP = (
     f"{LADDER_START * 4}, ..., {LADDER_CAP} whose step-doubling error "
     "estimate meets --tolerance)"
 )
+_TOLERANCE_HELP = f"shooting endpoint tolerance (default {RunConfig.tolerance})"
 
 COMMANDS = {
     "list-manifolds": Command("list the manifold registry", _list_manifolds, (), {}),
     "exp": Command("pointwise exponential map of a tangent field", _exp, ("field", "output"),
                    {"field": "tangent field JSON (values + vecs)",
-                    "steps": "RK4 steps (default 1000)",
+                    "steps": f"RK4 steps (default {mapspace.EXP_STEPS})",
                     "output": "output map-field JSON"}),
     "log": Command("inverse of exp by per-sample shooting", _log, ("base", "target", "output"),
                    {"base": "base map-field JSON",
                     "target": "target map-field JSON",
                     "steps": _CERTIFIED_STEPS_HELP,
-                    "tolerance": f"shooting endpoint tolerance (default {dynamics.LOG_TOL})",
+                    "tolerance": _TOLERANCE_HELP,
                     "output": "output tangent-field JSON"}),
     "distance": Command("L2 geodesic distance between two map fields", _distance,
                         ("base", "target"),
                         {"base": "base map-field JSON",
                          "target": "target map-field JSON",
                          "steps": _CERTIFIED_STEPS_HELP,
-                         "tolerance": None,
+                         "tolerance": _TOLERANCE_HELP,
                          "output": "optional JSON with the distance"}),
     "geodesic": Command("integrate a geodesic trajectory with diagnostics", _geodesic,
                         ("field",),
                         {"field": "initial tangent field JSON",
-                         "snapshots": None,
-                         "steps_per_snapshot": None,
+                         "snapshots": "trajectory snapshots, both ends included "
+                                      f"(default {RunConfig.snapshots})",
+                         "steps_per_snapshot": "RK4 steps between snapshots "
+                                               f"(default {RunConfig.steps_per_snapshot})",
                          "output": "trajectory JSON",
                          "report": "diagnostics JSON",
                          "report_csv": "diagnostics CSV (time, energy, residual, drift)"}),
@@ -296,15 +299,16 @@ COMMANDS = {
                           "output": "output tangent-field JSON"}),
     "verify": Command("run the oracle battery for a registry manifold", _verify, ("manifold",),
                       {"manifold": "registry string, e.g. sphere:r=1.0:rep=embedded",
-                       "instances": None,
-                       "seed": None,
+                       "instances": f"random instances per check (default {RunConfig.instances})",
+                       "seed": f"seed of the random instances (default {RunConfig.seed})",
                        "output": "oracle report JSON"}),
     "reparam": Command("invariance and equivariance report for a permutation action", _reparam,
                        ("field", "perm"),
                        {"field": "tangent field JSON (vecs used as h = k)",
                         "perm": "permutation JSON array",
-                        "steps": "RK4 steps of the exp check (default 1000)",
-                        "seed": None,
+                        "steps": f"RK4 steps of the exp check (default {mapspace.EXP_STEPS})",
+                        "seed": "seed of the random k and l of the curvature check "
+                                f"(default {RunConfig.seed})",
                         "output": "report JSON"}),
     # transport requires --mu/--nu or --base/--map, whichever mode it runs in
     "transport": Command(

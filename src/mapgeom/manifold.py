@@ -11,13 +11,13 @@ Two representations of a target manifold are supported:
   Gamma against a five-point stencil of it.
 * :class:`EmbeddedManifold` works with ambient coordinates.  Each
   embedded target is a level set f(p) = 0 of a function on the ambient
-  space, declared only by f, its gradient and its Hessian action (or by
-  none of them, for the whole ambient space).  The residual, the tangent
-  projection, the retraction used for drift control and the dimension are
-  all derived from these three.  The tangent projection is the rank-one
-  P v = v - (<g, v> / <g, g>) g, g = grad f, written once
-  (``_tangent_part``); no (..., n, n) projector matrix is built except in
-  ``tangent_basis``.
+  space, a hypersurface declared only by f, its gradient and its Hessian
+  action; flat space is a chart target.  The residual, the tangent
+  projection, the retraction used for drift control and the dimension
+  (one less than the ambient one) are all derived from these three.  The
+  tangent projection is the rank-one P v = v - (<g, v> / <g, g>) g,
+  g = grad f, written once (``_tangent_part``); no (..., n, n) projector
+  matrix is built except in ``tangent_basis``.
 
 Both classes offer the same pointwise interface, and every operator in
 this package reaches the target only through it.  Each method is batched
@@ -228,9 +228,9 @@ class EmbeddedManifold:
     """Target manifold given as a level set f(p) = 0 in Euclidean space.
 
     A target gives ``level_set`` (f, one scalar per point), ``gradient``
-    (grad f) and ``hessian_action`` ((Hess f) w), or none of the three, in
-    which case it is the whole ambient space and P = I.  Everything else is
-    derived from them once:
+    (grad f) and ``hessian_action`` ((Hess f) w), all three required; the
+    target is a hypersurface, of dimension ``ambient_dim - 1``.  Everything
+    else is derived from them once:
 
     * ``residual(p) = |f(p)| / |grad f(p)|``, the first-order distance to
       the level set; it does not change when f is rescaled, and a point
@@ -255,9 +255,9 @@ class EmbeddedManifold:
     """
 
     ambient_dim: int
-    level_set: Optional[Callable] = None
-    gradient: Optional[Callable] = None
-    hessian_action: Optional[Callable] = None
+    level_set: Callable
+    gradient: Callable
+    hessian_action: Callable
     sample_points: Optional[Callable] = None
     closed_form_log: Optional[Callable] = None
     name: Optional[str] = None
@@ -265,11 +265,6 @@ class EmbeddedManifold:
     retraction: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        given = [f is not None for f in (self.level_set, self.gradient, self.hessian_action)]
-        if any(given) and not all(given):
-            raise ValueError(
-                "a level-set target needs all of level_set, gradient and hessian_action"
-            )
         for name, derived in (("tangent_projector", self._projection),
                               ("retraction", self._newton_retraction)):
             given = getattr(self, name)
@@ -278,7 +273,7 @@ class EmbeddedManifold:
 
     @property
     def intrinsic_dim(self) -> int:
-        return self.ambient_dim - (self.level_set is not None)
+        return self.ambient_dim - 1
 
     @property
     def point_dim(self) -> int:
@@ -296,8 +291,6 @@ class EmbeddedManifold:
     def residual(self, p) -> np.ndarray:
         """First-order distance |f| / |grad f| to the level set, shape (...)."""
         p = np.asarray(p, dtype=float)
-        if self.level_set is None:
-            return np.zeros(p.shape[:-1])
         return _residual(self._level(p), self.gradient(p))
 
     def valid(self, p) -> np.ndarray:
@@ -317,14 +310,10 @@ class EmbeddedManifold:
     def _projection(self, p, v) -> np.ndarray:
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
-        if self.level_set is None:
-            return np.array(np.broadcast_to(v, np.broadcast_shapes(p.shape, v.shape)))
         return _tangent_part(self.gradient(p), v)
 
     def _newton_retraction(self, p, f=None, g=None) -> np.ndarray:
         q = np.asarray(p, dtype=float)
-        if self.level_set is None:
-            return q
         # Newton converges quadratically, so from a drift of at most
         # ON_MANIFOLD_TOL two steps reach round-off.  The count is fixed
         # rather than tested for convergence so that a row's result never
@@ -352,16 +341,11 @@ class EmbeddedManifold:
         return self.project(p, l)
 
     def transport_rhs(self, p, pdot, X) -> np.ndarray:
-        return self._dP(p, pdot, X)
-
-    def _dP(self, p, w, X) -> np.ndarray:
-        """(DP(p)[w]) X = -(a H w + (c - 2 a b) g) from four dot products."""
+        """(DP(p)[w]) X = -(a H w + (c - 2 a b) g), w = pdot, from four dot products."""
         X = np.asarray(X, dtype=float)
-        if self.level_set is None:
-            return sample_fastest(X.shape)
         p = np.asarray(p, dtype=float)
         g = self.gradient(p)
-        Hw = self.hessian_action(p, np.asarray(w, dtype=float))
+        Hw = self.hessian_action(p, np.asarray(pdot, dtype=float))
         gg = _dot(g, g)
         a = _dot(g, X) / gg
         b = _dot(g, Hw) / gg
@@ -372,11 +356,8 @@ class EmbeddedManifold:
         """R(h, k) l = <Sk, l> Sh - <Sh, l> Sk by the Gauss equation.
 
         S w = P (Hess f) P w / |grad f| is the shape operator of the level
-        set (do Carmo, *Riemannian Geometry*, ch. 6).  Without a level set
-        the target is the flat ambient space and R = 0.
+        set (do Carmo, *Riemannian Geometry*, ch. 6).
         """
-        if self.level_set is None:
-            return np.zeros(np.shape(l))
         g = self.gradient(p)
         gnorm = np.sqrt(_dot(g, g))[..., None]
 
@@ -389,8 +370,6 @@ class EmbeddedManifold:
     def post_step(self, p_prev, p, v):
         if not np.isfinite(p).all():
             return p, v, False
-        if self.level_set is None:
-            return p, v, True
         # f and grad f at p serve both the test and the first Newton step
         f, g = self._level(p), self.gradient(p)
         if not (_residual(f, g) <= ON_MANIFOLD_TOL).all():
@@ -659,8 +638,9 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
 def sectional_curvature(man: Manifold, x, h, k) -> np.ndarray:
     """g(R(h,k)k, h) / (|h|^2 |k|^2 - g(h,k)^2).
 
-    Raises ``ValueError`` naming the first sample where h and k span no
-    plane (the denominator is 0 or not finite).
+    Raises ``ValueError`` when h and k span no plane (the denominator is 0
+    or not finite), naming the first such sample of a batch; a single
+    point has no sample to name.
     """
     x = np.asarray(x, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -668,7 +648,7 @@ def sectional_curvature(man: Manifold, x, h, k) -> np.ndarray:
     man.require_valid(x, "curvature base point")
     R = man.curvature(x, h, k, k)
     den = man.inner(x, h, h) * man.inner(x, k, k) - man.inner(x, h, k) ** 2
-    ok = np.atleast_1d(np.isfinite(den) & (den != 0.0))
+    ok = np.isfinite(den) & (den != 0.0)
     if not np.all(ok):
         raise ValueError(f"sectional curvature: h and k span no plane{_of_sample(ok)}")
     return man.inner(x, R, h) / den
@@ -714,7 +694,7 @@ def transport_along_samples(man: Manifold, points: np.ndarray, v0: np.ndarray) -
 # registry of built-in targets
 
 
-def _flat_chart(n: int, name: str) -> ChartManifold:
+def _flat_chart(name: str, n: int) -> ChartManifold:
     eye = np.eye(n)
 
     def metric(x):
@@ -733,15 +713,6 @@ def _flat_chart(n: int, name: str) -> ChartManifold:
         christoffel_jacobian=jacobian,
         closed_form_log=lambda x0, x1: np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float),
         sample_box=(-np.ones(n), np.ones(n)),
-        name=name,
-    )
-
-
-def _flat_embedded(n: int, name: str) -> EmbeddedManifold:
-    return EmbeddedManifold(
-        ambient_dim=n,
-        sample_points=lambda rng, m: rng.uniform(-1.0, 1.0, size=(m, n)),
-        closed_form_log=lambda p0, p1: np.asarray(p1, dtype=float) - np.asarray(p0, dtype=float),
         name=name,
     )
 
@@ -973,18 +944,14 @@ def _rep(key: str, text: str) -> str:
     return text
 
 
-def _flat(name: str, n: int, rep: str) -> Manifold:
-    return _flat_chart(n, name) if rep == "chart" else _flat_embedded(n, name)
-
-
 def _sphere(name: str, r: float, rep: str) -> Manifold:
     return _sphere_chart(r, name) if rep == "chart" else _sphere_embedded(r, name)
 
 
 # name -> (description, {key: (parser, default text)}, builder(canonical name, **values))
 _REGISTRY = {
-    "flat": ("Euclidean R^n; keys: n (default 2), rep = chart | embedded (default chart)",
-             {"n": (_positive(int, "an integer"), "2"), "rep": (_rep, "chart")}, _flat),
+    "flat": ("Euclidean R^n in Cartesian coordinates; keys: n (default 2)",
+             {"n": (_positive(int, "an integer"), "2")}, _flat_chart),
     "sphere": ("round sphere in R^3; keys: r > 0 (default 1.0), rep = chart | embedded "
                "(default embedded)",
                {"r": (_positive(float, "a number"), "1.0"), "rep": (_rep, "embedded")}, _sphere),

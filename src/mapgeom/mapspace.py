@@ -341,7 +341,10 @@ def spray_field(h: TangentField) -> SecondTangentField:
     return SecondTangentField(h.domain, h.manifold, h.base.values, h.vecs, h.vecs.copy(), accel)
 
 
-def exp_field(h: TangentField, steps: int = 1000) -> MapField:
+EXP_STEPS = 1000  # RK4 steps of the exponential map unless a caller gives its own
+
+
+def exp_field(h: TangentField, steps: int = EXP_STEPS) -> MapField:
     """Samplewise exponential map: unit-time geodesic endpoints."""
     x, _ = integrate_spray(h.manifold, h.base.values, h.vecs, steps)
     return MapField(h.domain, h.manifold, x)

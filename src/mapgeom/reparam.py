@@ -127,7 +127,7 @@ def check_metric_invariance(
 _EQUIVARIANT_OPS = {
     "connector": ("connector_field", ("xi",), {}),
     "spray": ("spray_field", ("h",), {}),
-    "exp": ("exp_field", ("h",), {"steps": 1000}),
+    "exp": ("exp_field", ("h",), {"steps": mapspace.EXP_STEPS}),
     "curvature": ("curvature_field", ("q", "h", "k", "l"), {}),
 }
 
@@ -140,8 +140,8 @@ def check_equivariance(phi: DiscreteDiffeo, op_name: str, **inputs) -> OracleRep
     sample by sample with row-independent arithmetic, this holds for every
     permutation, not only measure-preserving ones.  The fields and options
     each operator takes are read from ``_EQUIVARIANT_OPS`` alone; ``steps``
-    (default 1000) is an option of ``exp`` only, and a ``None`` value counts
-    as not given.  An unknown operator, a missing field, or an input the
+    (default ``mapspace.EXP_STEPS``) is an option of ``exp`` only, and a
+    ``None`` value counts as not given.  An unknown operator, a missing field, or an input the
     operator does not take (a misspelt one included) raises ``ValueError``
     naming it; a permutation whose length differs from the fields raises
     ``FieldMismatchError`` from :func:`act`.

@@ -45,7 +45,7 @@ FLAT2 = make_manifold("flat:n=2")
 
 REGISTRY = [
     "flat:n=2",
-    "flat:n=3:rep=embedded",
+    "flat:n=3",
     "sphere:r=1.0:rep=chart",
     "sphere:r=1.0:rep=embedded",
     "halfplane",

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from mapgeom import (
     save_field,
 )
 from mapgeom import dynamics, mapspace
-from mapgeom.cli import main, parse_config
+from mapgeom.cli import COMMANDS, RunConfig, build_parser, main, parse_config
 from mapgeom.reparam import DiscreteDiffeo, save_permutation
 from mapgeom.transport import save_measure, DiscreteMeasure
 
@@ -58,6 +59,14 @@ def test_bad_manifold_string_exit_2():
     code, _, err = run_cli("verify", "--manifold", "sphere:r=-1")
     assert code == 2
     assert "invalid parameter" in err
+
+
+@pytest.mark.parametrize("rep", ["embedded", "chart"])
+def test_flat_takes_no_rep_exit_2(rep):
+    # flat space has one representation, the chart; rep is a key of sphere only
+    code, _, err = run_cli("verify", "--manifold", f"flat:n=3:rep={rep}")
+    assert code == 2
+    assert err.strip() == "error: invalid parameter 'rep': allowed keys are ['n']"
 
 
 @pytest.mark.parametrize("rep", ["embedded", "chart"])
@@ -111,6 +120,19 @@ def test_list_manifolds():
     assert code == 0
     for name in ("flat", "sphere", "halfplane", "paraboloid"):
         assert name in out
+
+
+def test_every_option_has_help_stating_its_default():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, command in COMMANDS.items():
+        actions = {a.dest: a for a in subparsers.choices[name]._actions if a.dest != "help"}
+        assert actions.keys() == command.options.keys(), name
+        for option, action in actions.items():
+            assert action.help, f"{name} --{option} has no help"
+            default = getattr(RunConfig, option)
+            if default is not None:
+                assert f"(default {default})" in action.help, f"{name} --{option}"
 
 
 def test_exp_zero_field_returns_base(sphere_files, tmp_path):

@@ -19,7 +19,7 @@ from mapgeom.manifold import (
 )
 
 CHARTS = ("flat:n=2", "flat:n=3", "sphere:rep=chart", "halfplane")
-TARGETS = ("flat:n=2", "flat:n=3:rep=embedded", "sphere:rep=chart", "sphere", "halfplane",
+TARGETS = ("flat:n=2", "flat:n=3", "sphere:rep=chart", "sphere", "halfplane",
            "paraboloid")
 WIDE = 2048
 STEPS = 3

@@ -31,7 +31,7 @@ SPHERE_CHART = make_manifold("sphere:r=1.0:rep=chart")
 
 REGISTRY = [
     "flat:n=2",
-    "flat:n=3:rep=embedded",
+    "flat:n=3",
     "sphere:r=1.0:rep=chart",
     "sphere:r=1.0:rep=embedded",
     "halfplane",
@@ -215,7 +215,7 @@ def test_oracle_report_passed_consistency():
         "sphere:r=1.0:rep=embedded",
         "sphere:r=2.0:rep=embedded",
         "paraboloid",
-        "flat:n=3:rep=embedded",
+        "flat:n=3",
     ],
 )
 def test_standard_checks_pass(name):

@@ -35,8 +35,7 @@ from time import perf_counter
 
 import numpy as np
 
-TARGETS = ("flat:n=3", "flat:n=3:rep=embedded", "sphere:rep=chart", "sphere", "halfplane",
-           "paraboloid")
+TARGETS = ("flat:n=3", "sphere:rep=chart", "sphere", "halfplane", "paraboloid")
 # (samples, RK4 steps per call): each call takes ~5-50 ms
 SIZES = ((4, 200), (2048, 5))
 
