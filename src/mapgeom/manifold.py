@@ -944,7 +944,13 @@ def _rep(key: str, text: str) -> str:
     return text
 
 
+# r^2 enters the metric and the level set, so it must neither overflow nor underflow
+_RADIUS_BOUND = "r^2 must be a finite, normal double: about 1.5e-154 <= r <= 1.3e154"
+
+
 def _sphere(name: str, r: float, rep: str) -> Manifold:
+    if not np.finfo(float).tiny <= r * r < math.inf:
+        raise ValueError(f"invalid parameter r={r}: r^2 = {r * r}; {_RADIUS_BOUND}")
     return _sphere_chart(r, name) if rep == "chart" else _sphere_embedded(r, name)
 
 
@@ -952,8 +958,8 @@ def _sphere(name: str, r: float, rep: str) -> Manifold:
 _REGISTRY = {
     "flat": ("Euclidean R^n in Cartesian coordinates; keys: n (default 2)",
              {"n": (_positive(int, "an integer"), "2")}, _flat_chart),
-    "sphere": ("round sphere in R^3; keys: r > 0 (default 1.0), rep = chart | embedded "
-               "(default embedded)",
+    "sphere": (f"round sphere in R^3; keys: r (default 1.0; {_RADIUS_BOUND}), "
+               "rep = chart | embedded (default embedded)",
                {"r": (_positive(float, "a number"), "1.0"), "rep": (_rep, "embedded")}, _sphere),
     "halfplane": ("hyperbolic upper half-plane, curvature -1; no keys", {}, _halfplane),
     "paraboloid": ("z = x^2 + y^2 embedded in R^3; no keys", {}, _paraboloid),

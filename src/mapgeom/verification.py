@@ -30,7 +30,7 @@ from .manifold import (
     require_count,
     step_doubling_ladder,
 )
-from .mapspace import MapField, QuadratureDomain, TangentField, l2_inner
+from .mapspace import MapField, TangentField
 
 _ORACLE_STEP = 1e-4  # five-point stencil step, fixed
 _SPEED_DRIFT_TOL = 1e-8  # bound of the geodesic_speed_drift report
@@ -156,31 +156,52 @@ def oracle_first_variation(q: MapField, h: TangentField, k: TangentField, m: Tan
     differences of the metric under base-field perturbations; the right
     side is the quadrature of the pointwise Christoffel action on (h, k)
     paired with m, with the sign matching the connector convention.
-    Returns ``(lhs, rhs)``.
+    Returns ``(lhs, rhs)``.  This is :func:`_first_variation` on a batch of
+    one; :func:`standard_checks` runs all its instances in one batched pass
+    of it, each with its own steps and exact sums, so each instance there
+    gives the bits this call gives on it alone.
     """
     man = q.manifold
     if not isinstance(man, ChartManifold):
         raise TypeError("the first-variation oracle needs a chart representation")
+    lhs, rhs = _first_variation(man, q.domain.weights[None],
+                                *(a[None] for a in (q.values, h.vecs, k.vecs, m.vecs)))
+    return lhs[0], float(rhs[0])
 
-    def directional(direction: TangentField, a: TangentField, b: TangentField) -> float:
-        scale = np.maximum(1.0, np.max(np.abs(q.values)))
-        dscale = np.maximum(1.0, np.max(np.abs(direction.vecs)))
-        delta = np.cbrt(np.finfo(float).eps) * scale / dscale
-        try:
-            qp = MapField(q.domain, man, q.values + delta * direction.vecs)
-            qm = MapField(q.domain, man, q.values - delta * direction.vecs)
-        except ValueError as exc:
-            raise ChartBoundaryError(f"chart exit during perturbation: {exc}") from exc
-        gp = l2_inner(qp, TangentField(qp, a.vecs), TangentField(qp, b.vecs))
-        gm = l2_inner(qm, TangentField(qm, a.vecs), TangentField(qm, b.vecs))
-        return (gp - gm) / (2.0 * delta)
 
-    lhs = 0.5 * (directional(m, h, k) - directional(h, k, m) - directional(k, m, h))
-    gamma = man.christoffel(q.values)
-    corr = _gamma_pair(gamma, h.vecs, k.vecs)
-    g = np.asarray(man.metric(q.values))
-    terms = q.domain.weights * np.einsum("sij,si,sj->s", g, corr, m.vecs)
-    rhs = -math.fsum(terms.tolist())
+def _exact_sums(a: np.ndarray) -> np.ndarray:
+    """``math.fsum`` along the last axis: correctly rounded, so order-free."""
+    return np.array([math.fsum(row) for row in a.reshape(-1, a.shape[-1]).tolist()]
+                    ).reshape(a.shape[:-1])
+
+
+def _first_variation(man: ChartManifold, weights, x, h, k, m):
+    """Both sides of the first-variation identity for B instances at once.
+
+    ``weights`` is ``(B, mq)``; ``x``, ``h``, ``k`` and ``m`` are
+    ``(B, mq, n)``.  Returns ``(lhs, rhs)``, one entry per instance.  Each
+    instance and direction d has its own central-difference step
+    delta = cbrt(eps) max(1, |x|) / max(1, |d|), and every quadrature is an
+    exact sum, so no instance's result depends on the others.  A perturbed
+    point outside the chart raises ``ChartBoundaryError`` naming the
+    direction, the sample and, when B > 1, the instance.
+    """
+    dirs = np.stack([m, h, k], axis=1)  # D_m G(h, k), D_h G(k, m), D_k G(m, h)
+    delta = (np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(x), axis=(1, 2)))[:, None]
+             / np.maximum(1.0, np.max(np.abs(dirs), axis=(2, 3))))  # (B, 3)
+    step = delta[..., None, None] * dirs
+    pts = x[:, None, None] + np.stack([step, -step], axis=2)  # (B, 3, +/-, mq, n)
+    ok = np.all(np.isfinite(pts), axis=-1) & man.valid(pts)
+    if not ok.all():
+        b, d, sign, s = np.unravel_index(np.argmin(ok), ok.shape)
+        where = f"instance {b}, sample {s}" if len(x) > 1 else f"sample {s}"
+        raise ChartBoundaryError(f"chart exit during perturbation: x {'+-'[sign]} delta {'mhk'[d]} "
+                                 f"at {where} is outside the chart domain")
+    pairs = (np.stack(p, axis=1)[:, :, None] for p in ((h, k, m), (k, m, h)))
+    g = _exact_sums(weights[:, None, None] * man.inner(pts, *pairs))
+    dg = (g[..., 0] - g[..., 1]) / (2.0 * delta)
+    lhs = 0.5 * (dg[:, 0] - dg[:, 1] - dg[:, 2])
+    rhs = -_exact_sums(weights * man.inner(x, _gamma_pair(man.christoffel(x), h, k), m))
     return lhs, rhs
 
 
@@ -287,10 +308,12 @@ def standard_checks(man: Manifold, instances: int = 100, seed: int = 0):
     ``curvature_vs_commutator`` compares ``man.curvature`` with
     :func:`oracle_curvature_commutator`.  A chart adds
     ``christoffel_vs_metric_stencil`` (:func:`oracle_christoffel`) and
-    ``first_variation_identity`` (:func:`oracle_first_variation`); a level
-    set adds ``projector_idempotent``, ``projector_symmetric``,
-    ``projector_tangency``, ``retraction_fixpoint`` and
-    ``accel_vs_projector_derivative``.  Last, ``geodesic_speed_drift``
+    ``first_variation_identity`` (:func:`oracle_first_variation`), whose
+    up to 25 instances of 8 samples run in one batched pass, each with its
+    own difference steps and exact sums, so each reads as a single call
+    would on it alone; a level set adds ``projector_idempotent``,
+    ``projector_symmetric``, ``projector_tangency``, ``retraction_fixpoint``
+    and ``accel_vs_projector_derivative``.  Last, ``geodesic_speed_drift``
     integrates up to 20 random geodesics and reports the largest relative
     change of g(v, v), which the spray conserves.  Its RK4 step count N
     climbs :func:`mapgeom.manifold.step_doubling_ladder`: the fewest of 64,
@@ -313,16 +336,12 @@ def standard_checks(man: Manifold, instances: int = 100, seed: int = 0):
         err = _max_rows(oracle_christoffel(man, pts) - man.christoffel(pts))
         reports.append(OracleReport.from_error("christoffel_vs_metric_stencil", err, 1e-5, len(pts)))
         count = min(instances, 25)
-        err = 0.0
-        for _ in range(count):
-            mq = 8
-            dom = QuadratureDomain(rng.uniform(0.05, 1.0, size=mq))
-            q = MapField(dom, man, man.random_points(rng, mq))
-            fields = [
-                TangentField(q, rng.uniform(-1.0, 1.0, size=(mq, man.dim))) for _ in range(3)
-            ]
-            lhs, rhs = oracle_first_variation(q, *fields)
-            err = max(err, abs(lhs - rhs))
+        # per instance, in this order: the weights, the points, h, k and m
+        draws = [(rng.uniform(0.05, 1.0, size=8), man.random_points(rng, 8),
+                  *(rng.uniform(-1.0, 1.0, size=(8, man.dim)) for _ in range(3)))
+                 for _ in range(count)]
+        lhs, rhs = _first_variation(man, *(np.stack(a) for a in zip(*draws)))
+        err = _max_rows(lhs - rhs)
         reports.append(OracleReport.from_error("first_variation_identity", err, 1e-4, count))
     else:
         pts = man.random_points(rng, min(instances, 50))

@@ -76,6 +76,19 @@ def test_infinite_radius_exit_2_naming_r(rep):
     assert err.strip() == "error: invalid parameter r=inf: must be finite"
 
 
+# each radius once failed inside the battery, with a message that named no
+# r (or, under -W error, with a RuntimeWarning traceback)
+@pytest.mark.parametrize("r, rep", [("1e-200", "chart"), ("1e-160", "embedded"), ("1e155", "chart")])
+def test_sphere_radius_whose_square_is_not_normal_exit_2_naming_r(r, rep):
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "mapgeom.cli", "verify",
+                           "--manifold", f"sphere:r={r}:rep={rep}", "--instances", "20"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: invalid parameter r={float(r)}: r^2 = ")
+    assert proc.stderr.strip().endswith("r^2 must be a finite, normal double: "
+                                        "about 1.5e-154 <= r <= 1.3e154")
+
+
 def test_cli_import_leaves_scipy_and_permutation_tables_unloaded():
     # both are paid on first use, not by every CLI call
     probe = ("import sys, mapgeom.cli, mapgeom.transport as t; "

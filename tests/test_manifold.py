@@ -743,6 +743,23 @@ def test_registry_rejects_bad_parameters():
         make_manifold("halfplane:r=1")
 
 
+# r^2 enters the metric and the level set: at r = 1e-200 it underflows to
+# 0, at 1e-160 to a subnormal, at 1e155 it overflows
+@pytest.mark.parametrize("r, square", [("1e-200", "0.0"), ("1e-160", "1e-320"), ("1e155", "inf")])
+@pytest.mark.parametrize("rep", ["chart", "embedded"])
+def test_sphere_radius_whose_square_is_not_normal_is_rejected(r, square, rep):
+    with pytest.raises(ValueError) as info:
+        make_manifold(f"sphere:r={r}:rep={rep}")
+    assert str(info.value) == (f"invalid parameter r={float(r)}: r^2 = {square}; r^2 must be a "
+                               "finite, normal double: about 1.5e-154 <= r <= 1.3e154")
+
+
+def test_sphere_entry_states_the_radius_bound():
+    assert "about 1.5e-154 <= r <= 1.3e154" in dict(manifold.list_manifolds())["sphere"]
+    for r in (1.5e-154, 1.3e154):
+        assert make_manifold(f"sphere:r={r}").name == f"sphere:r={r}:rep=embedded"
+
+
 def test_registry_defaults_and_names():
     assert make_manifold("sphere").name == "sphere:r=1.0:rep=embedded"
     assert make_manifold("flat").name == "flat:n=2"

@@ -148,6 +148,62 @@ def test_first_variation_identity_on_halfplane():
         assert abs(lhs - rhs) < 1e-4
 
 
+def _chart_exit_instance(y=1e-3 + 1e-7):
+    # sample 1 sits just above the half-plane's pole band; the step along h
+    # takes it down by delta * 0.5 = 3e-6, along k and m it stays level
+    x = np.array([[0.0, 1.0], [0.2, y], [0.1, 0.5]])
+    h = np.array([[0.1, 0.2], [0.3, -0.5], [0.2, 0.1]])
+    k = np.array([[0.1, 0.2], [0.3, 0.0], [0.2, 0.1]])
+    return np.ones(3), x, h, k, k.copy()
+
+
+def test_first_variation_chart_exit_names_direction_and_sample():
+    w, x, h, k, m = _chart_exit_instance()
+    q = MapField(QuadratureDomain(w), HALFPLANE, x)
+    with pytest.raises(ChartBoundaryError) as info:
+        oracle_first_variation(q, *(TangentField(q, v) for v in (h, k, m)))
+    assert str(info.value) == ("chart exit during perturbation: x + delta h at sample 1 "
+                               "is outside the chart domain")
+
+
+def test_first_variation_batch_chart_exit_names_the_instance():
+    inside, exiting = _chart_exit_instance(1.0), _chart_exit_instance()
+    batch = (np.stack(a) for a in zip(inside, exiting))
+    with pytest.raises(ChartBoundaryError) as info:
+        verification._first_variation(HALFPLANE, *batch)
+    assert str(info.value) == ("chart exit during perturbation: x + delta h at instance 1, "
+                               "sample 1 is outside the chart domain")
+
+
+def _first_variation_draws(man, instances, seed):
+    """The battery's first-variation inputs, replaying its draws in order."""
+    rng = np.random.default_rng(seed + 1)
+    xs = man.random_points(rng, min(instances, 50))
+    verification._random_tangents(man, rng, xs, 3)
+    man.random_points(rng, min(instances, 25))
+    return [(rng.uniform(0.05, 1.0, size=8), man.random_points(rng, 8),
+             *(rng.uniform(-1.0, 1.0, size=(8, man.dim)) for _ in range(3)))
+            for _ in range(min(instances, 25))]
+
+
+# the battery runs its instances in one batched pass; each instance keeps
+# its own steps and exact sums, so it reads the bits of a call on it alone
+@pytest.mark.parametrize("name", ["halfplane", "sphere:r=1.0:rep=chart",
+                                  "sphere:r=2.5:rep=chart", "flat:n=3"])
+def test_batched_first_variation_equals_single_calls_bitwise(name):
+    man = make_manifold(name)
+    draws = _first_variation_draws(man, 40, 2)
+    lhs, rhs = verification._first_variation(man, *(np.stack(a) for a in zip(*draws)))
+    errs = []
+    for i, (w, x, h, k, m) in enumerate(draws):
+        q = MapField(QuadratureDomain(w), man, x)
+        one = oracle_first_variation(q, *(TangentField(q, v) for v in (h, k, m)))
+        assert np.array([lhs[i], rhs[i]]).tobytes() == np.array(one).tobytes()
+        errs.append(abs(one[0] - one[1]))
+    report = {r.check_name: r for r in standard_checks(man, instances=40, seed=2)}
+    assert report["first_variation_identity"].max_abs_error == max(errs)
+
+
 # ---------------------------------------------------------------------------
 # axiom sweep
 
@@ -251,13 +307,16 @@ def _battery(man):
 
 
 # a chart's callbacks are its only source of Gamma and dGamma, so the
-# battery must catch a 1 % error planted in either one, and only there
+# battery must catch a 1 % error planted in either one, and only there; in
+# Gamma the first-variation identity reads 5.1e-2 on the half-plane and
+# 3.2e-3 on the sphere chart against its bound of 1e-4
 @pytest.mark.parametrize("name", ["halfplane", "sphere:r=1.0:rep=chart"])
 def test_christoffel_oracle_catches_wrong_christoffel(name):
     man = make_manifold(name)
-    assert _battery(man)["christoffel_vs_metric_stencil"].passed
-    bad = dataclasses.replace(man, christoffel=lambda x: 1.01 * man.christoffel(x))
-    assert not _battery(bad)["christoffel_vs_metric_stencil"].passed
+    good = _battery(man)
+    bad = _battery(dataclasses.replace(man, christoffel=lambda x: 1.01 * man.christoffel(x)))
+    for check in ("christoffel_vs_metric_stencil", "first_variation_identity"):
+        assert good[check].passed and not bad[check].passed, check
 
 
 @pytest.mark.parametrize("name", ["halfplane", "sphere:r=1.0:rep=chart"])
