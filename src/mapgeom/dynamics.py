@@ -8,13 +8,14 @@ transport (:func:`parallel_transport_field`) steps through the same RK4
 formula, :func:`mapgeom.manifold.rk4_step`.  The log map is computed
 per sample by shooting: damped Newton on the initial velocity with a
 finite-difference Jacobian, seeded by a closed form where the registry
-target provides one.  The 2k central-difference integrations behind the k
-Jacobian columns of a sample ride in one stacked call.  From a closed-form
-seed a Newton iteration costs two integrations: one for the Jacobians and
-one for the first line-search trial.  From the projected chord, the
-seed's integration at a fixed step count and the first iteration's full
-trial also carry the difference rows of their samples, so the iteration
-after each costs one.
+target provides one.  The Jacobian is a forward difference: its k
+columns cost a sample k rows, one per coordinate, which ride in one
+stacked call with the sample's own row as their base.  From a
+closed-form seed a Newton iteration costs two integrations: one for the
+Jacobians and one for the first line-search trial.  From the projected
+chord, the seed's integration at a fixed step count and the first
+iteration's full trial also carry the difference rows of their samples,
+so the iteration after each costs one.
 
 The log map's step count is certified unless a caller fixes it: shooting
 climbs the step-doubling ladder :func:`mapgeom.manifold.step_doubling_ladder`
@@ -49,7 +50,6 @@ from .manifold import (
 )
 from .mapspace import (
     MapField,
-    QuadratureDomain,
     TangentField,
     field_from_json,
     field_to_json,
@@ -97,10 +97,6 @@ class FieldPath:
     @property
     def manifold(self) -> Manifold:
         return self.maps[0].manifold
-
-    @property
-    def domain(self) -> QuadratureDomain:
-        return self.maps[0].domain
 
 
 @dataclass(frozen=True)
@@ -235,14 +231,15 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
            steps: Optional[int], tol: float):
     """Damped Newton on initial velocities, batched over samples.
 
-    The Jacobian is a central difference in each of the k tangent-basis
-    coordinates.  The ±delta rows of all k columns of a sample (2k rows)
-    share an ``integrate_spray`` call with the other rows of that call;
-    each row's arithmetic is the same as if it were integrated alone,
-    because the integrator is row-independent.  Each sample keeps the
-    Jacobian at its accepted iterate.  A Newton iteration integrates one
-    stacked call for the active samples that have none, then its
-    line-search trials.
+    The Jacobian is a forward difference in each of the k tangent-basis
+    coordinates, taken from the residual of the call's own row: a call
+    asked for Jacobians integrates k difference rows per sample along with
+    its plain rows, and each row's arithmetic is the same as if it were
+    integrated alone, because the integrator is row-independent.  Each
+    sample keeps the Jacobian at its accepted iterate.  A Newton iteration
+    integrates one call for the active samples that have none (the iterate
+    again, bit for bit its stored residual, plus k rows per sample), then
+    its line-search trials.
 
     When the seed is the projected chord (the target has no closed-form
     log), two integrations also carry the difference rows of their
@@ -266,19 +263,16 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     m, k = z.shape
     chord = man.closed_form_log is None  # the seed is the projected chord
 
-    def residual(rows, zz, n, jac=None):
-        """End minus target of samples rows shot with zz at n steps.
-
-        ``jac = (samples, velocities)`` appends their 2k difference rows to
-        the same call and returns the residual with their Jacobians.
-        """
-        if jac is not None:
-            (jrows, jz), plain, cols = jac, len(rows), np.arange(k)
-            delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(jz), axis=1))
-            zs = np.repeat(jz[None], 2 * k, axis=0)  # rows (+delta e_c, then -delta e_c, sample)
-            zs[cols, :, cols] += delta
-            zs[k + cols, :, cols] -= delta
-            rows = np.concatenate([rows, np.tile(jrows, 2 * k)])
+    def residual(rows, zz, n, jac=False):
+        """(r, J): end minus target of samples rows shot with zz at n steps,
+        and with ``jac`` their forward-difference Jacobians (else None),
+        from k more rows per sample, zz + delta e_c, in the same call."""
+        plain = len(rows)
+        if jac:
+            delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(zz), axis=1))
+            zs = np.repeat(zz[None], k, axis=0)  # rows (zz + delta e_c, sample)
+            zs[np.arange(k), :, np.arange(k)] += delta
+            rows = np.concatenate([rows, np.tile(rows, k)])
             zz = np.concatenate([zz, zs.reshape(-1, k)])
         try:
             end, _ = integrate_spray(man, x0[rows], np.einsum("sik,sk->si", basis[rows], zz), n)
@@ -289,29 +283,27 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
                 time=exc.time, sample=sample, reason=exc.reason,
             ) from exc
         r = end - target[rows]
-        if jac is None:
-            return r
-        rs = r[plain:].reshape(2 * k, delta.size, r.shape[1])
+        if not jac:
+            return r, None
+        rs = r[plain:].reshape(k, plain, r.shape[1])
         # (samples, n, k) in C order: einsum's summation order depends on the layout
-        J = np.ascontiguousarray(np.moveaxis((rs[:k] - rs[k:]) / (2.0 * delta[:, None]), 0, 2))
+        J = np.ascontiguousarray(np.moveaxis((rs - r[:plain]) / delta[:, None], 0, 2))
         return r[:plain], J
 
-    def newton(r, n, known=None, J_known=None):
+    def newton(r, n, jac=None):
         """Polish z in place from residuals r at n steps, given the Jacobians
-        J_known at z of the samples known; returns max |r| per sample."""
+        jac at z of every sample or None; returns max |r| per sample."""
         rmax = np.max(np.abs(r), axis=1)
         stuck = np.zeros(m, dtype=bool)
-        jac = np.empty(r.shape + (k,))  # the Jacobian at z of each sample that has one
-        has_jac = np.zeros(m, dtype=bool)
-        if known is not None:
-            jac[known], has_jac[known] = J_known, True
+        has_jac = np.full(m, jac is not None)  # whether jac holds the Jacobian at z of a sample
+        jac = np.empty(r.shape + (k,)) if jac is None else jac
         for it in range(_NEWTON_ITERS):
             active = np.flatnonzero((rmax > tol) & ~stuck)
             if active.size == 0:
                 break
             need = active[~has_jac[active]]
-            if need.size:  # difference rows only
-                _, jac[need] = residual(need[:0], z[:0], n, (need, z[need]))
+            if need.size:
+                _, jac[need] = residual(need, z[need], n, True)
             za, J = z[active], jac[active]
             JtJ = np.einsum("sic,sid->scd", J, J)
             Jtr = np.einsum("sic,si->sc", J, r[active])
@@ -327,10 +319,7 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
                 rows = active[idx]
                 z_try = za[idx] - alpha * step[idx]
                 carry = chord and it == 0 and alpha == 1.0
-                if carry:
-                    r_try, J_try = residual(rows, z_try, n, (rows, z_try))
-                else:
-                    r_try = residual(rows, z_try, n)
+                r_try, J_try = residual(rows, z_try, n, carry)
                 r_try_max = np.max(np.abs(r_try), axis=1)
                 better = r_try_max < rmax[rows]
                 z[rows[better]] = z_try[better]
@@ -349,9 +338,8 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     if steps is None:
         rmax = _certified_newton(residual, newton, z, tol)
     else:
-        known = np.flatnonzero(np.any(z != 0.0, axis=1) & chord)  # the chord seed carries rows
-        r, J = residual(np.arange(m), z, steps, (known, z[known]))
-        rmax = newton(r, steps, known, J)
+        r, J = residual(np.arange(m), z, steps, chord)  # the chord seed carries rows
+        rmax = newton(r, steps, J)
     bad = np.flatnonzero(rmax > tol)
     if bad.size:
         raise _shooting_error("log shooting did not converge at", bad,
@@ -381,14 +369,14 @@ def _certified_newton(residual, newton, z, tol):
     Returns Newton's max |r| per sample.
     """
     everyone = np.arange(z.shape[0])
-    for n, r, est in step_doubling_ladder(lambda n: residual(everyone, z, n)):
+    for n, r, est in step_doubling_ladder(lambda n: residual(everyone, z, n)[0]):
         if est is not None and np.all(est <= tol):
             seed = z.copy()
             rmax = newton(r, n)
             moved = np.flatnonzero(np.any(z != seed, axis=1))
             if moved.size == 0 or np.any(rmax > tol):
                 return rmax
-            est[moved] = step_doubling_error(r[moved], residual(moved, z[moved], n // 2))
+            est[moved] = step_doubling_error(r[moved], residual(moved, z[moved], n // 2)[0])
             if np.all(est <= tol):
                 return rmax
     bad = np.flatnonzero(est > tol)

@@ -308,7 +308,9 @@ def submersion_check(base: MapField, rearranged: MapField,
     and ``l2_cost`` the identity matching, each exactly summed in row
     order.  Among tied optimal matchings the solver's choice follows its
     lowest-index rule, which need not be the brute force's
-    lexicographically smallest.
+    lexicographically smallest.  ``equality`` allows, and the bound
+    check forgives, the slack of the solver's certificate: 2 n
+    ``_CERT_RTOL`` times the largest term, so both scale with the costs.
 
     Each precondition has one gate.  Fields on different targets or
     domains (sizes included) raise ``FieldMismatchError`` from
@@ -326,9 +328,10 @@ def submersion_check(base: MapField, rearranged: MapField,
     terms = _terms(mu, nu, manifold)  # one matrix serves both sides
     best = _certified_matching(terms)
     l2_cost = _matching_cost(terms, np.arange(len(terms)))
-    if l2_cost < best.cost - 1e-12:
+    tol = 2 * len(terms) * _CERT_RTOL * float(np.abs(terms).max())  # the certificate's slack
+    if l2_cost < best.cost - tol:
         raise GeometryError(f"transport bound violated: l2={l2_cost!r} < w2={best.cost!r}")
-    return SubmersionResult(l2_cost, best.cost, abs(l2_cost - best.cost) <= 1e-12, best)
+    return SubmersionResult(l2_cost, best.cost, abs(l2_cost - best.cost) <= tol, best)
 
 
 # ---------------------------------------------------------------------------

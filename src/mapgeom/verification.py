@@ -30,7 +30,7 @@ from .manifold import (
     require_count,
     step_doubling_ladder,
 )
-from .mapspace import MapField, TangentField
+from .mapspace import MapField, TangentField, require_based
 
 _ORACLE_STEP = 1e-4  # five-point stencil step, fixed
 _SPEED_DRIFT_TOL = 1e-8  # bound of the geodesic_speed_drift report
@@ -156,7 +156,8 @@ def oracle_first_variation(q: MapField, h: TangentField, k: TangentField, m: Tan
     differences of the metric under base-field perturbations; the right
     side is the quadrature of the pointwise Christoffel action on (h, k)
     paired with m, with the sign matching the connector convention.
-    Returns ``(lhs, rhs)``.  This is :func:`_first_variation` on a batch of
+    Returns ``(lhs, rhs)``; h, k and m must be based at q, else
+    ``FieldMismatchError``.  This is :func:`_first_variation` on a batch of
     one; :func:`standard_checks` runs all its instances in one batched pass
     of it, each with its own steps and exact sums, so each instance there
     gives the bits this call gives on it alone.
@@ -164,6 +165,8 @@ def oracle_first_variation(q: MapField, h: TangentField, k: TangentField, m: Tan
     man = q.manifold
     if not isinstance(man, ChartManifold):
         raise TypeError("the first-variation oracle needs a chart representation")
+    for field in (h, k, m):
+        require_based(q, field)
     lhs, rhs = _first_variation(man, q.domain.weights[None],
                                 *(a[None] for a in (q.values, h.vecs, k.vecs, m.vecs)))
     return lhs[0], float(rhs[0])

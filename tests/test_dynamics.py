@@ -383,8 +383,8 @@ def test_log_antipodal_reports_sample():
 
 
 def test_log_domain_exit_names_the_field_sample():
-    # sample 0 is stationary and converges at once; sample 1's seed call
-    # (its row and its 2k difference rows) stays in the narrowed chart, and
+    # sample 0 is stationary and converges at once; the seed call (each
+    # sample's row and its k difference rows) stays in the narrowed chart, and
     # the first trial, which integrates only sample 1's rows, leaves it at
     # row 0 of that call
     man = dataclasses.replace(make_manifold("halfplane"), closed_form_log=None, name=None,
@@ -455,7 +455,7 @@ def test_log_paraboloid_round_trip_and_sample_independence(seed, speeds):
 def test_log_mixed_convergence_keeps_sample_independence(monkeypatch):
     # a short velocity converges at its first trial, wasting the difference
     # rows that trial carried; a long one needs a third iteration, whose
-    # Jacobian comes from a call of difference rows only
+    # Jacobian comes from a call of its iterate and difference rows only
     rng = np.random.default_rng(6)
     q0 = MapField(circle_domain(2), PARABOLOID, PARABOLOID.random_points(rng, 2))
     d = PARABOLOID.project(q0.values, rng.normal(size=(2, 3)))
@@ -469,9 +469,9 @@ def test_log_mixed_convergence_keeps_sample_independence(monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate_spray", counted)
     h = log_field(q0, q1, steps=64)
-    # seed and first trial with 2k = 4 rows per sample, then the long
-    # sample's trial, its Jacobian and its last trial
-    assert rows == [10, 10, 1, 4, 1]
+    # seed and first trial with k = 2 rows per sample, then the long
+    # sample's trial, its Jacobian (the iterate and k rows) and its last trial
+    assert rows == [6, 6, 1, 3, 1]
     one = circle_domain(1)
     alone = [
         log_field(MapField(one, PARABOLOID, q0.values[i:i + 1]),
@@ -526,6 +526,37 @@ def step_counts(monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate_spray", recording)
     return counts
+
+
+# the integrate_spray step counts of the log of each field below: a
+# Jacobian less accurate than Newton needs costs an iteration and shows here
+NEWTON_CALLS = {
+    ("flat:n=2", 64): [64],
+    ("flat:n=2", None): [32, 64],
+    ("sphere:r=1.0:rep=chart", 64): [64, 64, 64],
+    ("sphere:r=1.0:rep=chart", None): [32, 64, 128, 256],
+    ("sphere:r=1.0:rep=embedded", 64): [64],
+    ("sphere:r=1.0:rep=embedded", None): [32, 64, 128],
+    ("halfplane", 64): [64, 64, 64],
+    ("halfplane", None): [32, 64, 128, 256],
+    ("paraboloid", 64): [64] * 5,
+    ("paraboloid", None): [32, 64] + [128] * 6 + [64],
+}
+
+
+@pytest.mark.parametrize("spec, steps", list(NEWTON_CALLS))
+def test_log_newton_call_counts_per_target(spec, steps, step_counts):
+    man = make_manifold(spec)
+    rng = np.random.default_rng(0)
+    x = man.random_points(rng, 8)
+    d = man.project(x, rng.normal(size=x.shape))
+    d *= (rng.uniform(0.2, 0.8, 8) / np.sqrt(man.inner(x, d, d)))[:, None]
+    q0 = MapField(circle_domain(8), man, x)
+    q1 = exp_field(TangentField(q0, d), steps=400)
+    h = log_field(q0, q1, steps=steps)
+    assert step_counts == NEWTON_CALLS[spec, steps]
+    end = exp_field(h, steps=max(step_counts)).values
+    assert np.max(np.abs(end - q1.values)) <= dynamics.LOG_TOL
 
 
 def nearby_fields(spec, seed, m=4, spread=0.4):

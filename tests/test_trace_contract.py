@@ -8,7 +8,7 @@ inside the spray, the transport equation or an RK4 step would bring back
 the cost that the closed-form level-set kernels removed, one file
 function that calls another through a traced name would count the same
 bytes twice, and a log map that integrates its Jacobian columns one call
-at a time would pay the fixed per-step cost 2k times per Newton
+at a time would pay the fixed per-step cost k times per Newton
 iteration, and an RK4 step that evaluates the level-set callbacks more
 often than it needs to pays for each extra call at every step; these
 tests catch all five without a benchmark run.  A tangent projection that
@@ -189,33 +189,35 @@ def _log_calls(tracer_module, q0, q1, steps):
 
 def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
     # it converges in two Newton iterations; the chord seed's call carries
-    # the 2k * 4 = 16 difference rows of the first Jacobian, the first
-    # trial those of the second, and the second trial carries none
+    # the k * 4 = 8 forward-difference rows of the first Jacobian, the
+    # first trial those of the second, and the second trial carries none
     calls = _log_calls(tracer_module, *_log_narrow_paraboloid(), 200)
-    assert calls == [(20, 200), (20, 200), (4, 200)]
-    # the same rows x steps as 11 calls with one call per difference column
-    assert sum(rows * steps for rows, steps in calls) == 200 * (4 + 2 * (4 * 4 + 4))
+    assert calls == [(12, 200), (12, 200), (4, 200)]
+    # the same rows x steps as 7 calls with one call per difference column
+    assert sum(rows * steps for rows, steps in calls) == 200 * (4 + 2 * (4 * 2 + 4))
 
 
 def test_certified_chord_log_carries_rows_only_on_the_first_trial(tracer_module):
-    # the rungs at 32 and 64 steps, the first Jacobian's 16 rows, the first
-    # trial with the 16 rows of the next Jacobian, the plain second trial,
-    # and the re-estimate at N/2 of the samples Newton moved
+    # the rungs at 32 and 64 steps, the first Jacobian's call (the iterate
+    # and its k * 4 = 8 rows), the first trial with the 8 rows of the next
+    # Jacobian, the plain second trial, and the re-estimate at N/2 of the
+    # samples Newton moved
     calls = _log_calls(tracer_module, *_log_narrow_paraboloid(), None)
-    assert calls == [(4, 32), (4, 64), (16, 64), (20, 64), (4, 64), (4, 32)]
+    assert calls == [(4, 32), (4, 64), (12, 64), (12, 64), (4, 64), (4, 32)]
 
 
 def test_closed_form_seed_carries_no_difference_rows(tracer_module):
     # a half-plane field that 4 steps leave one Newton iteration from the
-    # closed-form seed: the seed, one Jacobian call of 2k * 6 = 24 rows and
-    # one trial, as with no rows carried at all
+    # closed-form seed: the seed, one Jacobian call of the 6 iterates and
+    # their k * 6 = 12 difference rows, and one trial, as with no rows
+    # carried at all
     man = manifold.make_manifold("halfplane")
     rng = np.random.default_rng(0)
     a = np.column_stack([rng.uniform(-1, 1, 6), rng.uniform(0.8, 1.5, 6)])
     b = a + rng.uniform(-0.3, 0.3, (6, 2))
     dom = mapspace.circle_domain(6)
     calls = _log_calls(tracer_module, mapspace.MapField(dom, man, a), mapspace.MapField(dom, man, b), 4)
-    assert calls == [(6, 4), (24, 4), (6, 4)]
+    assert calls == [(6, 4), (18, 4), (6, 4)]
 
 
 def test_certified_log_reuses_its_last_rung_as_the_newton_residual(tracer_module):

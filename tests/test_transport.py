@@ -413,6 +413,19 @@ def test_submersion_optimal_rearrangement_equality():
     assert abs(res.l2_cost - res.w2_cost) <= 1e-12
 
 
+def test_submersion_equality_is_relative_to_the_scale_of_the_costs():
+    # reversing the corners of a square of side 1e-7 costs 2e-14 where the
+    # optimum is 0: no equality, as at side 1
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    for side in (1e-7, 1.0):
+        res = submersion_check(uniform_map(side * square), uniform_map(side * square[::-1]))
+        assert res.w2_cost == 0.0 and res.l2_cost == pytest.approx(2.0 * side**2)
+        assert not res.equality
+    # the identity of a cloud at scale 1e6 is optimal
+    base = uniform_map(1e6 * np.random.default_rng(5).normal(size=(6, 2)))
+    assert submersion_check(base, base).equality
+
+
 def test_submersion_requires_uniform_weights():
     dom = QuadratureDomain(np.array([0.3, 0.7]))
     base = MapField(dom, FLAT1, np.array([[0.0], [1.0]]))

@@ -7,6 +7,7 @@ from mapgeom import (
     ChartBoundaryError,
     DomainExitError,
     EmbeddedManifold,
+    FieldMismatchError,
     MapField,
     OracleReport,
     QuadratureDomain,
@@ -146,6 +147,18 @@ def test_first_variation_identity_on_halfplane():
         q, h, k, w = _halfplane_instance(rng)
         lhs, rhs = oracle_first_variation(q, h, k, w)
         assert abs(lhs - rhs) < 1e-4
+
+
+@pytest.mark.parametrize("elsewhere", [0, 1, 2])
+def test_first_variation_needs_fields_based_at_q(elsewhere):
+    # the same fields, one of them based at another map of the same shape
+    rng = np.random.default_rng(6)
+    q, h, k, w = _halfplane_instance(rng)
+    other = MapField(q.domain, HALFPLANE, HALFPLANE.random_points(rng, 8))
+    fields = [h, k, w]
+    fields[elsewhere] = TangentField(other, fields[elsewhere].vecs)
+    with pytest.raises(FieldMismatchError, match="based at a different map"):
+        oracle_first_variation(q, *fields)
 
 
 def _chart_exit_instance(y=1e-3 + 1e-7):
