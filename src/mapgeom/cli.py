@@ -255,9 +255,9 @@ def _transport(config: RunConfig) -> int:
 
 
 _CERTIFIED_STEPS_HELP = (
-    f"fixed RK4 steps per shot (default: the fewest of {LADDER_START * 2}, "
-    f"{LADDER_START * 4}, ..., {LADDER_CAP} whose step-doubling error "
-    "estimate meets --tolerance)"
+    f"fixed RK4 steps per shot (default: climbed on {LADDER_START * 2}, "
+    f"{LADDER_START * 4}, ..., {LADDER_CAP} as RK4's h^4 law predicts, to the first "
+    "count whose step-doubling error estimate meets --tolerance)"
 )
 _TOLERANCE_HELP = f"shooting endpoint tolerance (default {RunConfig.tolerance})"
 

@@ -19,12 +19,14 @@ so the iteration after each costs one.
 
 The log map's step count is certified unless a caller fixes it: shooting
 climbs the step-doubling ladder :func:`mapgeom.manifold.step_doubling_ladder`
-(32, 64, ..., 1024 steps) and runs Newton at the fewest steps N of 64,
-..., 1024 where the estimate of every sample's RK4 error from the runs at
-N and N/2 is at most the tolerance, and checks that estimate again for a
-velocity Newton moved.  Nearby samples settle at 64
-to 256 steps; an explicit ``steps`` integrates every shot with that many
-steps, as the exponential map and trajectories always do.
+(64, 128, ..., 1024 steps, each rung with its twin at half the steps in
+one run of :func:`mapgeom.manifold.integrate_twin`, or against the rung in
+hand) and runs Newton at the first rung N it reaches, jumping as RK4's
+h^4 law predicts, where the estimate of every sample's RK4 error from the
+runs at N and N/2 is at most the tolerance, and checks that estimate
+again for a velocity Newton moved.  Nearby samples settle at 64 to 256
+steps; an explicit ``steps`` integrates every shot with that many steps,
+as the exponential map and trajectories always do.
 """
 
 from __future__ import annotations
@@ -41,11 +43,13 @@ from .errors import DomainExitError, FieldMismatchError, ShootingError
 from .manifold import (
     Manifold,
     integrate_spray,
+    integrate_twin,
     require_count,
     sample_fastest,
     spray_accel,
     step_doubling_error,
     step_doubling_ladder,
+    steps_needed,
     transport_along_samples,
 )
 from .mapspace import (
@@ -263,10 +267,12 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     m, k = z.shape
     chord = man.closed_form_log is None  # the seed is the projected chord
 
-    def residual(rows, zz, n, jac=False):
+    def residual(rows, zz, n, jac=False, twin=False):
         """(r, J): end minus target of samples rows shot with zz at n steps,
-        and with ``jac`` their forward-difference Jacobians (else None),
-        from k more rows per sample, zz + delta e_c, in the same call."""
+        and with ``jac`` their forward-difference Jacobians, from k more rows
+        per sample, zz + delta e_c, in the same call; with ``twin`` J is
+        instead the residual at n/2 steps, from the same run
+        (:func:`mapgeom.manifold.integrate_twin`); else None."""
         plain = len(rows)
         if jac:
             delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(zz), axis=1))
@@ -274,8 +280,12 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
             zs[np.arange(k), :, np.arange(k)] += delta
             rows = np.concatenate([rows, np.tile(rows, k)])
             zz = np.concatenate([zz, zs.reshape(-1, k)])
+        v = np.einsum("sik,sk->si", basis[rows], zz)
         try:
-            end, _ = integrate_spray(man, x0[rows], np.einsum("sik,sk->si", basis[rows], zz), n)
+            if twin:
+                (end, _), (half, _) = integrate_twin(man, x0[rows], v, n)
+            else:
+                end, _ = integrate_spray(man, x0[rows], v, n)
         except DomainExitError as exc:
             sample = int(rows[exc.sample])  # exc.sample indexes the integrated rows
             raise DomainExitError(
@@ -283,6 +293,8 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
                 time=exc.time, sample=sample, reason=exc.reason,
             ) from exc
         r = end - target[rows]
+        if twin:
+            return r, half - target[rows]
         if not jac:
             return r, None
         rs = r[plain:].reshape(k, plain, r.shape[1])
@@ -355,21 +367,24 @@ def _shooting_error(head: str, bad: np.ndarray, details, tail: str = "") -> Shoo
 
 
 def _certified_newton(residual, newton, z, tol):
-    """Newton at the fewest steps N on the ladder that step doubling certifies.
+    """Newton at the first rung N of the ladder that step doubling certifies.
 
     Each rung of :func:`mapgeom.manifold.step_doubling_ladder` integrates
-    every sample once at N; the first rung where every sample's estimate is
-    at most ``tol`` hands its residual to Newton, so the chosen N costs no
-    extra integration.  Samples that Newton moves are integrated once more
-    at N/2, so the certificate covers the velocity returned, not only the
-    seed; if it fails there, the ladder goes on from the current iterate,
-    whose residual Newton wrote into the rung's array.  The re-estimate
-    raises a domain exit; so does the ladder on its last two rungs.  Past
-    the cap a :class:`ShootingError` names each uncertified sample.
-    Returns Newton's max |r| per sample.
+    every sample once at N, with its twin at N/2 in the same run unless
+    that twin is the rung in hand, and the next rung is the one RK4's h^4
+    law predicts from the estimates.  The first rung where every sample's
+    estimate is at most ``tol`` hands its residual to Newton, so the chosen
+    N costs no extra integration.  Samples that Newton moves are integrated
+    once more at N/2, so the certificate covers the velocity returned, not
+    only the seed; if it fails there, the ladder goes on from the current
+    iterate, whose residual Newton wrote into the rung's array, and
+    predicts the next rung from the re-estimate, written into the rung's
+    estimate.  The re-estimate raises a domain exit; so does the ladder at
+    its cap.  Past the cap a :class:`ShootingError` names each
+    uncertified sample.  Returns Newton's max |r| per sample.
     """
     everyone = np.arange(z.shape[0])
-    for n, r, est in step_doubling_ladder(lambda n: residual(everyone, z, n)[0]):
+    for n, r, est in step_doubling_ladder(lambda n, twin: residual(everyone, z, n, twin=twin), tol):
         if est is not None and np.all(est <= tol):
             seed = z.copy()
             rmax = newton(r, n)
@@ -380,7 +395,7 @@ def _certified_newton(residual, newton, z, tol):
             if np.all(est <= tol):
                 return rmax
     bad = np.flatnonzero(est > tol)
-    needs = [math.ceil(n * (est[i] / tol) ** 0.25) for i in bad]  # RK4: error ~ N^-4
+    needs = [math.ceil(steps_needed(n, est[i], tol)) for i in bad]
     raise _shooting_error(
         f"log shooting: step-doubling error above tolerance {tol:.1e} at the cap of {n} steps at",
         bad, [f"estimate {est[i]:.3e}, needs ~{need} steps" for i, need in zip(bad, needs)])
@@ -394,12 +409,13 @@ def log_field(q0: MapField, q1: MapField, steps: Optional[int] = None,
     the coordinate (or projected ambient) chord, and polishes with damped
     Newton until the integrated endpoint matches q1 within ``tol``.
 
-    With ``steps=None`` (the default) the step count is the fewest of 64,
-    128, ..., 1024 at which the step-doubling estimate of the RK4 error is
-    at most ``tol`` for every sample, checked again for the velocity
-    returned; past 1024 steps a :class:`ShootingError` names each sample
-    with its estimate and the step count it would need.  An explicit
-    ``steps`` integrates every shot with that many steps.
+    With ``steps=None`` (the default) the step count is the first rung of
+    64, 128, ..., 1024, climbed as RK4's h^4 law predicts, at which the
+    step-doubling estimate of the RK4 error is at most ``tol`` for every
+    sample, checked again for the velocity returned; past 1024 steps a
+    :class:`ShootingError` names each sample with its estimate and the
+    step count it would need.  An explicit ``steps`` integrates every shot
+    with that many steps.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be > 0 and finite, got {tol!r}")

@@ -44,8 +44,9 @@ over leading axes of ``(..., n)`` point arrays:
 * ``post_step(x_prev, x, v)`` -- the end of an integrator step: returns
   ``(x, v, ok)``.  ``ok`` is False when a row of x is not finite or not
   valid, and x and v then come back as given; otherwise the rows of x that
-  moved are retracted and v is re-projected there by the rank-one P v
-  (drift control, a no-op for charts);
+  moved are retracted by two Newton steps, and v is re-projected by the
+  rank-one P v with grad f at the last Newton iterate (drift control, a
+  no-op for charts);
 * ``random_points(rng, m)`` -- m points of the target for random sweeps,
   drawn from the chart's ``sample_box`` or the level set's
   ``sample_points``.
@@ -58,8 +59,11 @@ spray is :func:`spray_accel`, the exponential map
 ``integrate_spray(man, x, h, steps)[0]`` and parallel transport along an
 ``(S, n)`` curve :func:`transport_along_samples`.  Both ODEs step through
 the one RK4 formula, :func:`rk4_step`, over a pair state (x, v); each
-caller ends its own step.  Fields of points go through
-:mod:`mapgeom.mapspace`.  Two caveats:
+caller ends its own step.  A certified step count climbs
+:func:`step_doubling_ladder`, whose rungs get their twins at half the
+steps from :func:`integrate_twin`: the spray is quadratic in the velocity,
+so one run of N steps gives the runs at N and N/2 bit for bit.  Fields of
+points go through :mod:`mapgeom.mapspace`.  Two caveats:
 
 * A chart's ``transport_rhs`` (and so the spray) gives the same bits on
   C-ordered ``(m, n)`` vectors, but runs on a slow path that mixes layouts
@@ -241,11 +245,12 @@ class EmbeddedManifold:
       no (..., n, n) matrix.  ``project`` (and so the connector),
       ``post_step`` and ``curvature`` use the same formula; only
       ``tangent_basis`` forms P, once per call, to take its SVD;
-    * ``retraction(p, f=None, g=None)`` -- two Newton steps along grad f
-      back onto f = 0, a retraction in the sense of Absil, Mahony &
-      Sepulchre, *Optimization Algorithms on Matrix Manifolds* (2008),
-      ch. 4; used only to control drift.  A caller that has f and grad f
-      at p passes them as ``f`` and ``g`` for the first step.
+    * ``retraction(p, f=None, g=None, gg=None)`` -- one Newton step along
+      grad f towards f = 0, p - (f / <g, g>) g; ``post_step`` applies it
+      twice, a retraction in the sense of Absil, Mahony & Sepulchre,
+      *Optimization Algorithms on Matrix Manifolds* (2008), ch. 4, used
+      only to control drift.  A caller that has f, g = grad f and <g, g>
+      at p passes them as ``f``, ``g`` and ``gg``.
 
     ``tangent_projector`` and ``retraction`` are fields only so that they
     can be instrumented (wrapped and passed back through
@@ -266,7 +271,7 @@ class EmbeddedManifold:
 
     def __post_init__(self):
         for name, derived in (("tangent_projector", self._projection),
-                              ("retraction", self._newton_retraction)):
+                              ("retraction", self._newton_step)):
             given = getattr(self, name)
             if given is None or getattr(given, "__func__", None) is derived.__func__:
                 object.__setattr__(self, name, derived)
@@ -291,7 +296,8 @@ class EmbeddedManifold:
     def residual(self, p) -> np.ndarray:
         """First-order distance |f| / |grad f| to the level set, shape (...)."""
         p = np.asarray(p, dtype=float)
-        return _residual(self._level(p), self.gradient(p))
+        f, g = self._level(p), self.gradient(p)
+        return _residual(f, _dot(g, g))
 
     def valid(self, p) -> np.ndarray:
         return self.residual(p) <= ON_MANIFOLD_TOL
@@ -312,17 +318,13 @@ class EmbeddedManifold:
         v = np.asarray(v, dtype=float)
         return _tangent_part(self.gradient(p), v)
 
-    def _newton_retraction(self, p, f=None, g=None) -> np.ndarray:
-        q = np.asarray(p, dtype=float)
-        # Newton converges quadratically, so from a drift of at most
-        # ON_MANIFOLD_TOL two steps reach round-off.  The count is fixed
-        # rather than tested for convergence so that a row's result never
-        # depends on the other rows of its batch.
+    def _newton_step(self, p, f=None, g=None, gg=None) -> np.ndarray:
+        """The derived ``retraction``: one Newton step p - (f / <g, g>) g towards f = 0."""
+        p = np.asarray(p, dtype=float)
         if f is None:
-            f, g = self._level(q), self.gradient(q)
-        q = q - (f / _dot(g, g))[..., None] * g
-        g = self.gradient(q)
-        return q - (self._level(q) / _dot(g, g))[..., None] * g
+            f, g = self._level(p), self.gradient(p)
+            gg = _dot(g, g)
+        return p - (f / gg)[..., None] * g
 
     def project(self, p, v) -> np.ndarray:
         return self.tangent_projector(p, v)
@@ -341,16 +343,17 @@ class EmbeddedManifold:
         return self.project(p, l)
 
     def transport_rhs(self, p, pdot, X) -> np.ndarray:
-        """(DP(p)[w]) X = -(a H w + (c - 2 a b) g), w = pdot, from four dot products."""
+        """(DP(p)[w]) X = -(a H w + (c - 2 a b) g), w = pdot, from four dot products.
+
+        b and c share one divide: (2 a b - c) = (2 a <g, H w> - <H w, X>) / <g, g>.
+        """
         X = np.asarray(X, dtype=float)
         p = np.asarray(p, dtype=float)
         g = self.gradient(p)
         Hw = self.hessian_action(p, np.asarray(pdot, dtype=float))
         gg = _dot(g, g)
         a = _dot(g, X) / gg
-        b = _dot(g, Hw) / gg
-        c = _dot(Hw, X) / gg
-        return (2.0 * a * b - c)[..., None] * g - a[..., None] * Hw
+        return ((2.0 * a * _dot(g, Hw) - _dot(Hw, X)) / gg)[..., None] * g - a[..., None] * Hw
 
     def curvature(self, p, h, k, l) -> np.ndarray:
         """R(h, k) l = <Sk, l> Sh - <Sh, l> Sk by the Gauss equation.
@@ -370,20 +373,29 @@ class EmbeddedManifold:
     def post_step(self, p_prev, p, v):
         if not np.isfinite(p).all():
             return p, v, False
-        # f and grad f at p serve both the test and the first Newton step
+        # f, grad f and <grad f, grad f> at p serve both the test and the
+        # first Newton step
         f, g = self._level(p), self.gradient(p)
-        if not (_residual(f, g) <= ON_MANIFOLD_TOL).all():
+        gg = _dot(g, g)
+        if not (_residual(f, gg) <= ON_MANIFOLD_TOL).all():
             return p, v, False
-        q = self.retraction(p, f, g)
+        # Newton converges quadratically, so from a drift of at most
+        # ON_MANIFOLD_TOL two steps reach round-off.  The count is fixed
+        # rather than tested for convergence so that a row's result never
+        # depends on the other rows of its batch.
+        q = self.retraction(p, f, g, gg)
+        g = self.gradient(q)
+        gg = _dot(g, g)
+        q = self.retraction(q, self._level(q), g, gg)
+        # P v with grad f at the last Newton iterate, by the helper, not the
+        # hook, so an RK4 step makes no tangent_projector call
+        w = _tangent_part(g, v, gg)
         moved = (p != p_prev).any(axis=-1)[..., None]
-        # retract only rows that moved, so zero-velocity samples stay
-        # bitwise fixed
-        if not moved.all():
-            q = np.where(moved, q, p)
-        # P v at q by the helper, not the hook, so an RK4 step makes no
-        # tangent_projector call
-        w = _tangent_part(self.gradient(q), v)
-        return q, w if moved.all() else np.where(moved, w, v), True
+        if moved.all():
+            return q, w, True
+        # retract and re-project only rows that moved, so zero-velocity
+        # samples stay bitwise fixed
+        return np.where(moved, q, p), np.where(moved, w, v), True
 
     def random_points(self, rng, m: int) -> np.ndarray:
         if self.sample_points is None:
@@ -413,14 +425,17 @@ def _dot(a, b) -> np.ndarray:
     return out
 
 
-def _tangent_part(g, v) -> np.ndarray:
-    """P v = v - (<g, v> / <g, g>) g: v without its component along g, row by row."""
-    return v - (_dot(g, v) / _dot(g, g))[..., None] * g
+def _tangent_part(g, v, gg=None) -> np.ndarray:
+    """P v = v - (<g, v> / <g, g>) g: v without its component along g, row by row.
+
+    ``gg`` is <g, g> when the caller has it.
+    """
+    return v - (_dot(g, v) / (_dot(g, g) if gg is None else gg))[..., None] * g
 
 
-def _residual(f, g) -> np.ndarray:
-    """|f| / |g| per point, +inf where g = 0: such a point is never valid."""
-    gnorm = np.sqrt(_dot(g, g))
+def _residual(f, gg) -> np.ndarray:
+    """|f| / |g| per point from gg = <g, g>, +inf where g = 0: such a point is never valid."""
+    gnorm = np.sqrt(gg)
     return np.divide(np.abs(f), gnorm, out=np.full(gnorm.shape, np.inf), where=gnorm > 0.0)
 
 
@@ -499,7 +514,7 @@ def _exit_error(man: Manifold, x, t: float, step: int, steps: int) -> DomainExit
     sample = _first_bad_index(ok)
     row = () if sample is None else (sample,)
     residual = man.residual(safe)[row]
-    when = f"t={t:.6g} (step {step} of {steps})"
+    when = _when(t, step, steps)
     if not finite[row]:
         reason = f"is not finite at {when}"
     elif residual > ON_MANIFOLD_TOL and step == 0:
@@ -512,6 +527,25 @@ def _exit_error(man: Manifold, x, t: float, step: int, steps: int) -> DomainExit
         reason = f"left domain at {when}"
     of = "" if sample is None else f" of sample {sample}"
     return DomainExitError(f"geodesic{of} {reason}", time=t, sample=sample, reason=reason)
+
+
+def _when(t: float, step: int, steps: int) -> str:
+    """The time and step of a state in an exit message."""
+    return f"t={t:.6g} (step {step} of {steps})"
+
+
+def _exit_in_run(exc: DomainExitError, calls: int, sample: int, steps: int,
+                 first: int) -> DomainExitError:
+    """``exc``, raised by a call of ``calls`` steps, told for the run of ``steps`` steps
+    that began that call at its step ``first``: the field sample, and that run's own
+    time and step (see :func:`integrate_twin`)."""
+    was = round(exc.time * calls)  # the call's step; its time is that times 1 / calls
+    step = first + was
+    t = step * (1.0 / steps)
+    reason = exc.reason.replace(_when(exc.time, was, calls), _when(t, step, steps)).replace(
+        f"use more than {calls} steps", f"use more than {steps} steps")
+    return DomainExitError(f"geodesic of sample {sample} {reason}", time=t, sample=sample,
+                           reason=reason)
 
 
 def require_count(name: str, value, least: int = 1):
@@ -556,30 +590,107 @@ def step_doubling_error(fine, coarse) -> np.ndarray:
     return np.max(np.abs(fine - coarse), axis=1) * (16.0 / 15.0)
 
 
-def step_doubling_ladder(run):
-    """Yield ``(n, fine, est)`` for n = ``LADDER_START``, twice that, ... ``LADDER_CAP``.
+def steps_needed(n: int, est, tol: float):
+    """n (est / tol)^(1/4): the step count at which RK4's h^4 law brings an
+    estimate ``est`` at n steps down to ``tol``."""
+    return n * (est / tol) ** 0.25
 
-    ``run(n)`` is the caller's own integration at n steps; it returns a
-    per-sample quantity, one row per sample, such as a shooting residual or
-    a drift series.  ``fine`` is ``run(n)`` and ``est`` its
-    :func:`step_doubling_error` against the rung at n/2, or None when that
-    rung is missing.  A rung that raises :class:`DomainExitError` is missing
-    (``fine`` and ``est`` None) while two later rungs are left to compare;
-    on the last two rungs the exit propagates.  The array yielded is itself
-    the next rung's coarse result, so an in-place edit of it (Newton
-    polishing a residual from the velocity it moved) carries to the next
-    rung's estimate.  The caller stops the climb by leaving the loop.
+
+def step_doubling_ladder(run, tol: float):
+    """Yield ``(n, fine, est)`` on rungs n of 64, 128, ... ``LADDER_CAP``, as RK4 predicts them.
+
+    ``run(n, twin)`` is the caller's own integration at n steps: it returns
+    ``(fine, coarse)``, a per-sample quantity at n steps, one row per
+    sample (a shooting residual, a drift series), and with ``twin`` the
+    same at n/2 steps from :func:`integrate_twin`, else None.  ``est`` is
+    the :func:`step_doubling_error` of ``fine`` against the result at n/2.
+
+    The climb starts at the pair (64, 32).  From a rung's ``est`` it jumps
+    to the rung that RK4's h^4 law predicts for ``tol``,
+    :func:`steps_needed` of the largest estimate rounded up to the ladder:
+    at least twice n and at most the cap.  That rung runs alone when its
+    twin is the rung in hand, and as a pair otherwise.  A rung that raises
+    :class:`DomainExitError` is missing (``fine`` and ``est`` None) and the
+    climb doubles, to a pair, which brings its own estimate; at the cap the
+    exit propagates.  The arrays yielded are the ones the prediction and
+    the next rung read, so an in-place edit of them (Newton polishing a
+    residual from the velocity it moved, and its re-estimate) carries to
+    both.  The caller stops the climb by leaving the loop.
     """
-    n, coarse = LADDER_START, None
-    while n <= LADDER_CAP:
+    n, held = 2 * LADDER_START, None
+    while True:
         try:
-            fine = run(n)
+            fine, coarse = run(n, held is None)
         except DomainExitError:
-            if 2 * n >= LADDER_CAP:
+            if n >= LADDER_CAP:
                 raise
             fine = None
-        yield n, fine, None if fine is None or coarse is None else step_doubling_error(fine, coarse)
-        coarse, n = fine, 2 * n
+        est = None if fine is None else step_doubling_error(fine, held if coarse is None else coarse)
+        yield n, fine, est
+        if n >= LADDER_CAP:
+            return
+        # the smallest rung at or above the prediction; a NaN predicts nothing
+        need = 0.0 if est is None else steps_needed(n, np.max(est), tol)
+        up = 2 * n
+        while up < min(need, LADDER_CAP):
+            up *= 2
+        held, n = (fine if up == 2 * n else None), up
+
+
+def integrate_twin(man: Manifold, x0, v0, steps: int, record_every: Optional[int] = None):
+    """``integrate_spray`` at ``steps`` and at ``steps // 2`` steps, bit for bit, as one run.
+
+    Returns ``(fine, coarse)``: what ``integrate_spray(man, x0, v0, steps,
+    record_every)`` and ``integrate_spray(man, x0, v0, steps // 2,
+    record_every // 2)`` return, for ``(m, n)`` arrays and an even
+    ``steps``; with ``record_every``, which must be even and divide
+    ``steps // 2``, both record the same times.
+
+    The spray is quadratic in the velocity, so the geodesic of v/2 over
+    unit time is the geodesic of v over half of it.  In RK4 the state
+    (x, v/2) stepped by 2/N is the state (x, v) stepped by 1/N with its
+    velocity halved: every stage and every ``post_step`` operation scales
+    by an exact power of two (barring underflow).  So one call of
+    ``steps // 2`` steps on the stacked rows [(x0, v0/2); (x0, v0)] gives
+    the coarse run whole and the fine run's first half, and a second call
+    continues that half; its velocity is doubled at the end.  Both calls
+    go through :func:`integrate_spray`.  A domain exit names the field
+    sample, the run it was in by its step count, and that run's own time
+    and step.
+    """
+    require_count("steps", steps, 2)
+    if steps % 2:
+        raise ValueError(f"steps={steps} must be even")
+    half, rec = steps // 2, None
+    if record_every is not None:
+        require_count("record_every", record_every, 2)
+        if record_every % 2 or half % record_every:
+            raise ValueError(f"record_every={record_every} must be even and divide "
+                             f"steps // 2 = {half}")
+        rec = record_every // 2
+    x0, v0 = sample_fastest(x0), sample_fastest(v0)
+    m = len(x0)
+    try:
+        xb, vb = integrate_spray(man, np.concatenate([x0, x0]), np.concatenate([0.5 * v0, v0]),
+                                 half, rec)
+    except DomainExitError as exc:
+        raise _exit_in_run(exc, half, exc.sample % m, steps if exc.sample < m else half,
+                           0) from exc
+    # the stacked call's first block is the fine run to its step `half`,
+    # recorded at twice the fine run's rate
+    x_mid, w_mid = (xb, vb) if rec is None else (xb[-1], vb[-1])
+    try:
+        xc, wc = integrate_spray(man, x_mid[:m], w_mid[:m], half, record_every)
+    except DomainExitError as exc:
+        raise _exit_in_run(exc, half, exc.sample, steps, half) from exc
+    if rec is None:
+        return (xc, 2.0 * wc), (sample_fastest(xb[m:]), sample_fastest(vb[m:]))
+    k = half // record_every
+    xs = sample_fastest((2 * k + 1,) + x0.shape, axis=1)
+    vs = sample_fastest((2 * k + 1,) + v0.shape, axis=1)
+    xs[:k + 1], vs[:k + 1] = xb[::2, :m], 2.0 * vb[::2, :m]
+    xs[k + 1:], vs[k + 1:] = xc[1:], 2.0 * wc[1:]
+    return (xs, vs), (sample_fastest(xb[:, m:], axis=1), sample_fastest(vb[:, m:], axis=1))
 
 
 def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[int] = None):

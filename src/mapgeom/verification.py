@@ -27,6 +27,7 @@ from .manifold import (
     Manifold,
     _gamma_pair,
     integrate_spray,
+    integrate_twin,
     require_count,
     step_doubling_ladder,
 )
@@ -282,23 +283,31 @@ def _speed_drift(man: Manifold, rng, count: int) -> float:
     """Largest relative drift of g(v, v) along ``count`` random unit-time geodesics.
 
     Each rung of :func:`mapgeom.manifold.step_doubling_ladder` integrates
-    every sample once and records 9 snapshots, at the same times on every
-    rung, so the drift series at N and N/2 give each sample's step-doubling
-    estimate.  Returns the drift at the first rung where every estimate is
-    at most a tenth of the report's bound, or at the cap.
+    every sample once at N, with its twin at N/2 in the same run unless
+    that twin is the rung in hand, and records 9 snapshots, at the same
+    times on every rung, so the drift series at N and N/2 give each
+    sample's step-doubling estimate.  The ladder jumps to the rung that
+    RK4's h^4 law predicts.  Returns the drift at the first rung where
+    every estimate is at most a tenth of the report's bound, or at the cap.
     """
     x = man.random_points(rng, count)
     v = _random_tangents(man, rng, x, 1)[0]
     speed = np.sqrt(man.inner(x, v, v))
     v = 0.2 * v / np.maximum(speed, 1e-9)[:, None]
 
-    def drift(n):
-        xs, vs = integrate_spray(man, x, v, n, record_every=n // 8)
+    def drift(xs, vs):
         energies = man.inner(xs, vs, vs)
         return ((energies - energies[0]) / energies[0]).T  # (sample, snapshot)
 
-    for _, fine, est in step_doubling_ladder(drift):
-        if est is not None and np.all(est <= 0.1 * _SPEED_DRIFT_TOL):
+    def run(n, twin):
+        if twin:
+            fine, coarse = integrate_twin(man, x, v, n, record_every=n // 8)
+            return drift(*fine), drift(*coarse)
+        return drift(*integrate_spray(man, x, v, n, record_every=n // 8)), None
+
+    bound = 0.1 * _SPEED_DRIFT_TOL
+    for _, fine, est in step_doubling_ladder(run, bound):
+        if est is not None and np.all(est <= bound):
             break
     return float(np.max(np.abs(fine)))
 
@@ -319,9 +328,10 @@ def standard_checks(man: Manifold, instances: int = 100, seed: int = 0):
     and ``accel_vs_projector_derivative``.  Last, ``geodesic_speed_drift``
     integrates up to 20 random geodesics and reports the largest relative
     change of g(v, v), which the spray conserves.  Its RK4 step count N
-    climbs :func:`mapgeom.manifold.step_doubling_ladder`: the fewest of 64,
-    128, ... 1024 where the step-doubling estimate of every sample's drift
-    is at most a tenth of its 1e-8 bound, or the cap.  On a chart the drift
+    climbs :func:`mapgeom.manifold.step_doubling_ladder`: the first rung of
+    64, 128, ... 1024 it reaches, jumping as RK4's h^4 law predicts, where
+    the step-doubling estimate of every sample's drift is at most a tenth
+    of its 1e-8 bound, or the cap.  On a chart the drift
     oracle guards the spray; on a level set the retraction absorbs a spray
     error's normal part, so ``accel_vs_projector_derivative`` is the check
     that catches it.

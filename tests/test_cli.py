@@ -481,19 +481,25 @@ def test_nonpositive_numeric_option_rejected(sphere_files):
 def step_counts(monkeypatch):
     """The step count of every integration the CLI makes, in order."""
     counts = []
-    integrate = dynamics.integrate_spray
+    integrate, twin = dynamics.integrate_spray, dynamics.integrate_twin
 
     def recording(man, x, v, steps, **kwargs):
         counts.append(steps)
         return integrate(man, x, v, steps, **kwargs)
 
+    def recording_twin(man, x, v, steps, **kwargs):  # integrates at steps and steps // 2
+        counts.extend([steps, steps // 2])
+        return twin(man, x, v, steps, **kwargs)
+
     for module in (dynamics, mapspace):
         monkeypatch.setattr(module, "integrate_spray", recording)
+    monkeypatch.setattr(dynamics, "integrate_twin", recording_twin)
     return counts
 
 
 def is_ladder(counts):
-    return len(counts) >= 2 and counts == [32 * 2**j for j in range(len(counts))]
+    # the twin pair (64, 32), then the rung 128 alone against the 64 in hand
+    return counts == [64, 32, 128]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -334,48 +335,141 @@ def test_overflow_is_the_named_state_error_not_a_numpy_warning(man):
 RUNGS = [32, 64, 128, 256, 512, 1024]
 
 
-def _fake_run(exits=()):
-    """A run that integrates nothing: 1/n for two samples, a domain exit at each n in exits."""
-    def run(n):
-        if n in exits:
+def _fake_run(exits=(), power=1):
+    """A run that integrates nothing: 1/n**power for two samples at n steps, and with
+    twin 1/(n/2)**power too; a domain exit when either run is at a step count in
+    exits.  ``run.calls`` lists each call's (n, twin)."""
+    def run(n, twin):
+        run.calls.append((n, twin))
+        if set(exits) & ({n, n // 2} if twin else {n}):
             raise DomainExitError("geodesic left domain", time=0.5, sample=0, reason="left domain")
-        return np.full((2, 3), 1.0 / n)
+        return np.full((2, 3), n ** -power), np.full((2, 3), (n // 2) ** -power) if twin else None
+    run.calls = []
     return run
 
 
+# tol = 1: the h^4 law never predicts more than the next rung
 def test_ladder_doubles_up_to_the_cap_and_estimates_against_the_rung_below():
-    rungs = list(manifold.step_doubling_ladder(_fake_run()))
-    assert [n for n, _, _ in rungs] == RUNGS
-    assert rungs[0][2] is None  # the first rung has no coarse rung
-    for n, fine, est in rungs[1:]:
+    run = _fake_run()
+    rungs = list(manifold.step_doubling_ladder(run, 1.0))
+    assert [n for n, _, _ in rungs] == RUNGS[1:]
+    # the first rung brings its twin; each later one runs alone
+    assert run.calls == [(64, True)] + [(n, False) for n in RUNGS[2:]]
+    for n, fine, est in rungs:
         np.testing.assert_array_equal(fine, np.full((2, 3), 1.0 / n))
         np.testing.assert_array_equal(est, manifold.step_doubling_error(fine, 2.0 * fine))
 
 
+# RK4's error goes as n^-4, so from the pair (64, 32) the law predicts
+# 2 (1 / tol)^(1/4) steps for the error 1/n^4, rounded up to the ladder
+@pytest.mark.parametrize("root, calls", [
+    (50.0, [(64, True), (128, False)]),  # 100 steps: the rung above, alone
+    (150.0, [(64, True), (512, True)]),  # 300 steps: a pair
+    (1000.0, [(64, True), (1024, True)]),  # 2000 steps: the cap
+])
+def test_ladder_jumps_to_the_rung_that_the_h4_law_predicts(root, calls):
+    run, tol = _fake_run(power=4), root ** -4.0
+    for n, fine, est in manifold.step_doubling_ladder(run, tol):
+        if np.all(est <= tol) or n == manifold.LADDER_CAP:
+            break
+    assert run.calls == calls
+
+
 @pytest.mark.parametrize("exit_at", RUNGS[:4])
 def test_ladder_goes_on_past_an_exit_while_two_rungs_remain(exit_at):
-    rungs = list(manifold.step_doubling_ladder(_fake_run({exit_at})))
-    assert [n for n, _, _ in rungs] == RUNGS
-    assert [n for n, fine, _ in rungs if fine is None] == [exit_at]
-    assert [n for n, _, est in rungs if est is None] == sorted({32, exit_at, 2 * exit_at})
+    # a rung whose run or twin exits is missing, and the next one is a pair
+    # that brings its own estimate
+    rungs = list(manifold.step_doubling_ladder(_fake_run({exit_at}), 1.0))
+    assert [n for n, _, _ in rungs] == RUNGS[1:]
+    missing = sorted({exit_at, 2 * exit_at} - {32})
+    assert [n for n, fine, _ in rungs if fine is None] == missing
+    assert [n for n, _, est in rungs if est is None] == missing
 
 
 @pytest.mark.parametrize("exit_at", RUNGS[4:])
 def test_ladder_raises_an_exit_on_its_last_two_rungs(exit_at):
+    # an exit at 512 leaves that rung out, and the pair at the cap exits too
     seen = []
     with pytest.raises(DomainExitError, match="left domain"):
-        for n, _, _ in manifold.step_doubling_ladder(_fake_run({exit_at})):
+        for n, _, _ in manifold.step_doubling_ladder(_fake_run({exit_at}), 1.0):
             seen.append(n)
-    assert seen == [n for n in RUNGS if n < exit_at]
+    assert seen == RUNGS[1:-1]
 
 
 def test_ladder_compares_the_next_rung_with_the_array_it_yielded():
     # as Newton writes the residual of the velocity it moved into the rung's array
-    ladder = manifold.step_doubling_ladder(lambda n: np.zeros((2, 3)))
+    ladder = manifold.step_doubling_ladder(
+        lambda n, twin: (np.zeros((2, 3)), np.zeros((2, 3)) if twin else None), 1.0)
     _, fine, _ = next(ladder)
     fine[1] = 3.0
     _, _, est = next(ladder)
     np.testing.assert_array_equal(est, [0.0, 3.0 * 16.0 / 15.0])
+
+
+# ---------------------------------------------------------------------------
+# twin runs
+
+
+TWIN_TARGETS = ["flat:n=2", "flat:n=3", "sphere:r=1.0:rep=chart", "sphere:r=1.0:rep=embedded",
+                "halfplane", "paraboloid"]
+
+
+@pytest.mark.parametrize("spec", TWIN_TARGETS)
+@pytest.mark.parametrize("m, steps, record_every", [(4, 64, None), (20, 128, 16), (20, 64, 32)])
+def test_twin_equals_the_two_separate_runs_bit_for_bit(spec, m, steps, record_every):
+    man = make_manifold(spec)
+    rng = np.random.default_rng(3)
+    x = man.random_points(rng, m)
+    v = man.project(x, rng.normal(size=x.shape))
+    v *= (rng.uniform(0.05, 0.5, m) / np.sqrt(man.inner(x, v, v)))[:, None]
+    v[1] = 0.0  # a zero-velocity row stays put in both runs
+    fine, coarse = manifold.integrate_twin(man, x, v, steps, record_every)
+    half = None if record_every is None else record_every // 2
+    separate = (integrate_spray(man, x, v, steps, record_every)
+                + integrate_spray(man, x, v, steps // 2, half))
+    for got, want in zip(fine + coarse, separate):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(fine[0][..., 1, :], np.broadcast_to(x[1], fine[0][..., 1, :].shape))
+
+
+@pytest.mark.parametrize("steps, record_every, match", [
+    (63, None, "steps=63 must be even"),
+    (64, 12, r"record_every=12 must be even and divide steps // 2 = 32"),
+    (64, 16, None),
+])
+def test_twin_needs_an_even_step_count_and_a_record_interval_for_both_runs(steps, record_every,
+                                                                          match):
+    x, v = np.array([[0.0, 1.0]]), np.array([[0.3, 0.1]])
+    if match is None:
+        (xs, _), (xc, _) = manifold.integrate_twin(HALFPLANE, x, v, steps, record_every)
+        assert len(xs) == len(xc) == 5  # both runs recorded at t = 0, 1/4, ..., 1
+    else:
+        with pytest.raises(ValueError, match=match):
+            manifold.integrate_twin(HALFPLANE, x, v, steps, record_every)
+
+
+# at unit speed along the first axis the 8-step run lands on x = k/8 and its
+# 4-step twin on x = 2k/8, so a hole at one of them is met by one run only
+@pytest.mark.parametrize("hole, when", [
+    (0.375, "t=0.375 (step 3 of 8)"),  # the 8-step run, inside the stacked call
+    (0.625, "t=0.625 (step 5 of 8)"),  # the 8-step run, in its continuation
+    (0.25, "t=0.25 (step 1 of 4)"),  # the 4-step twin
+])
+def test_twin_exit_names_the_sample_the_run_and_its_own_time_and_step(hole, when):
+    man = dataclasses.replace(
+        FLAT2, chart_domain=lambda x: np.abs(np.asarray(x)[..., 0] - hole) > 1e-9)
+    x = np.array([[0.0, 0.0], [0.0, 0.5]])
+    v = np.array([[0.0, 1.0], [1.0, 0.0]])  # only sample 1 crosses the hole
+    with pytest.raises(DomainExitError) as err:
+        manifold.integrate_twin(man, x, v, 8)
+    assert str(err.value) == f"geodesic of sample 1 left domain at {when}"
+    assert err.value.sample == 1
+    assert err.value.time == hole
+    # the run named raises the same error on its own
+    with pytest.raises(DomainExitError) as alone:
+        integrate_spray(man, x, v, int(when.split(" of ")[1][:-1]))
+    assert (str(alone.value), alone.value.time, alone.value.sample) == (
+        str(err.value), err.value.time, err.value.sample)
 
 
 def _custom_sphere(**callbacks):

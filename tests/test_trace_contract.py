@@ -198,12 +198,13 @@ def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
 
 
 def test_certified_chord_log_carries_rows_only_on_the_first_trial(tracer_module):
-    # the rungs at 32 and 64 steps, the first Jacobian's call (the iterate
-    # and its k * 4 = 8 rows), the first trial with the 8 rows of the next
-    # Jacobian, the plain second trial, and the re-estimate at N/2 of the
-    # samples Newton moved
+    # the twin rungs at 64 and 32 steps in two calls of 32 (the 4 samples at
+    # half velocity stacked on the 4 at full, then the first block
+    # continued), the first Jacobian's call (the iterate and its k * 4 = 8
+    # rows), the first trial with the 8 rows of the next Jacobian, the plain
+    # second trial, and the re-estimate at N/2 of the samples Newton moved
     calls = _log_calls(tracer_module, *_log_narrow_paraboloid(), None)
-    assert calls == [(4, 32), (4, 64), (12, 64), (12, 64), (4, 64), (4, 32)]
+    assert calls == [(8, 32), (4, 32), (12, 64), (12, 64), (4, 64), (4, 32)]
 
 
 def test_closed_form_seed_carries_no_difference_rows(tracer_module):
@@ -221,9 +222,10 @@ def test_closed_form_seed_carries_no_difference_rows(tracer_module):
 
 
 def test_certified_log_reuses_its_last_rung_as_the_newton_residual(tracer_module):
-    # a closed-form seed that the 128-step rung certifies: each rung
-    # integrates the four samples once, and Newton, which has nothing to
-    # polish, integrates nothing more
+    # a closed-form seed that the 128-step rung certifies: the twin pair
+    # (64, 32) takes two calls of 32 steps, the predicted rung 128 runs alone
+    # against the 64 in hand, and Newton, which has nothing to polish,
+    # integrates nothing more
     man = manifold.make_manifold("halfplane")
     a = np.array([[0.0, 1.0], [0.3, 1.5], [-0.4, 0.8], [0.6, 1.2]])
     b = a + np.array([[0.3, 0.2], [-0.35, 0.1], [0.2, -0.3], [0.1, 0.4]])
@@ -236,15 +238,16 @@ def test_certified_log_reuses_its_last_rung_as_the_newton_residual(tracer_module
         uninstall()
     NAME, COUNT, STEPS = tracer_module.NAME, tracer_module.COUNT, tracer_module.STEPS
     calls = [(s[COUNT], s[STEPS]) for s in trace.spans if s[NAME] == "manifold.integrate_spray"]
-    assert calls == [(4, 32), (4, 64), (4, 128)]
+    assert calls == [(8, 32), (4, 32), (4, 128)]
 
 
-# the speed-drift oracle climbs the same ladder: each rung integrates its 20
-# samples once, and the battery stops at the first rung that step doubling
-# certifies
+# the speed-drift oracle climbs the same ladder: the twin pair (64, 32) in
+# two calls of 32 steps (its 20 samples at half velocity stacked on the 20 at
+# full, then the first block continued), each later rung its 20 samples
+# once, and the battery stops at the first rung that step doubling certifies
 @pytest.mark.parametrize("spec, rungs", [
-    ("halfplane", [32, 64]),
-    ("sphere:r=1.0:rep=chart", [32, 64, 128]),
+    ("halfplane", [(40, 32), (20, 32)]),
+    ("sphere:r=1.0:rep=chart", [(40, 32), (20, 32), (20, 128)]),
 ])
 def test_speed_drift_oracle_stops_at_its_certified_rung(tracer_module, spec, rungs):
     man = manifold.make_manifold(spec)
@@ -256,14 +259,14 @@ def test_speed_drift_oracle_stops_at_its_certified_rung(tracer_module, spec, run
         uninstall()
     NAME, COUNT, STEPS = tracer_module.NAME, tracer_module.COUNT, tracer_module.STEPS
     calls = [(s[COUNT], s[STEPS]) for s in trace.spans if s[NAME] == "manifold.integrate_spray"]
-    assert calls == [(20, n) for n in rungs]
+    assert calls == rungs
 
 
 # per RK4 step on a level set: four accels (grad f and (Hess f) w each), and
 # one end-of-step pass that evaluates f and grad f once for both the validity
-# test and the first Newton step, f and grad f again for the second Newton
-# step, and grad f for the re-projection of v at the retracted point
-LEVEL_SET_CALLS_PER_STEP = {"level_set": 2, "gradient": 7, "hessian_action": 4}
+# test and the first Newton step, and f and grad f again at the first Newton
+# iterate for both the second Newton step and the re-projection of v
+LEVEL_SET_CALLS_PER_STEP = {"level_set": 2, "gradient": 6, "hessian_action": 4}
 
 
 def test_level_set_callbacks_per_rk4_step():

@@ -354,22 +354,32 @@ def test_speed_drift_oracle_catches_a_planted_chart_spray_defect(name, monkeypat
     assert not _battery(man)["geodesic_speed_drift"].passed
 
 
-# the drift oracle follows the ladder's exit rule: a rung below 512 that
-# leaves the domain is left out, and an exit on 512 or 1024 propagates
+# the drift oracle follows the ladder's exit rule: a rung below the cap that
+# leaves the domain is left out, and an exit at the cap propagates; a twin
+# call integrates at n and n/2 steps and exits if either run does, so below
+# every pair up to 512 is left out, and the one at 1024 is not
 @pytest.mark.parametrize("exits, rungs", [
-    ({32, 64, 128, 256}, [512, 1024]),
+    ({32, 64, 128, 256}, [1024, 512]),
     ({32, 64, 128, 256, 512}, None),
 ])
 def test_speed_drift_oracle_skips_a_rung_that_exits_below_512(exits, rungs, monkeypatch):
-    integrate, finished = verification.integrate_spray, []
+    integrate, twin, finished = verification.integrate_spray, verification.integrate_twin, []
+
+    def run(*steps):
+        if exits & set(steps):
+            raise DomainExitError("geodesic left domain", time=0.5, sample=0, reason="left domain")
+        finished.extend(steps)
 
     def exiting(man, x, v, steps, record_every=None):
-        if steps in exits:
-            raise DomainExitError("geodesic left domain", time=0.5, sample=0, reason="left domain")
-        finished.append(steps)
+        run(steps)
         return integrate(man, x, v, steps, record_every=record_every)
 
+    def exiting_twin(man, x, v, steps, record_every=None):
+        run(steps, steps // 2)
+        return twin(man, x, v, steps, record_every=record_every)
+
     monkeypatch.setattr(verification, "integrate_spray", exiting)
+    monkeypatch.setattr(verification, "integrate_twin", exiting_twin)
     if rungs is None:
         with pytest.raises(DomainExitError):
             standard_checks(HALFPLANE, instances=20, seed=0)
@@ -400,6 +410,25 @@ def test_speed_drift_step_count_is_certified_not_guessed():
     assert all(r.passed for r in reports), [
         (r.check_name, r.max_abs_error) for r in reports if not r.passed
     ]
+
+
+def test_speed_drift_oracle_certifies_each_rung_at_the_cost_of_one_run(monkeypatch):
+    # the same battery certifies its drift at 512 steps; restarting every
+    # rung from t = 0 took 32 + 64 + ... + 512 = 992 sequential RK4 steps,
+    # and the twin pair (64, 32) then the predicted pair (512, 256) take
+    # 64 + 512, with the drift of the 512-step run bit for bit
+    steps, integrate = [], manifold.integrate_spray
+
+    def counted(man, x, v, n, *args, **kwargs):
+        steps.append(n)
+        return integrate(man, x, v, n, *args, **kwargs)
+
+    for module in (manifold, verification):  # the twin's calls, and the rungs run alone
+        monkeypatch.setattr(module, "integrate_spray", counted)
+    reports = standard_checks(make_manifold("sphere:r=0.5:rep=chart"), instances=20, seed=2)
+    drift = {r.check_name: r for r in reports}["geodesic_speed_drift"]
+    assert drift.max_abs_error == 3.493264705278775e-11
+    assert sum(steps) <= 576
 
 
 def test_projector_difference_oracle_catches_wrong_hessian():
