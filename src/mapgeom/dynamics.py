@@ -379,9 +379,10 @@ def _certified_newton(residual, newton, z, tol):
     only the seed; if it fails there, the ladder goes on from the current
     iterate, whose residual Newton wrote into the rung's array, and
     predicts the next rung from the re-estimate, written into the rung's
-    estimate.  The re-estimate raises a domain exit; so does the ladder at
-    its cap.  Past the cap a :class:`ShootingError` names each
-    uncertified sample.  Returns Newton's max |r| per sample.
+    estimate.  The re-estimate raises a domain exit; so does the ladder
+    when no pair is left to climb to.  Past the cap a
+    :class:`ShootingError` names each uncertified sample.  Returns
+    Newton's max |r| per sample.
     """
     everyone = np.arange(z.shape[0])
     for n, r, est in step_doubling_ladder(lambda n, twin: residual(everyone, z, n, twin=twin), tol):

@@ -371,13 +371,15 @@ class EmbeddedManifold:
         return _dot(Sk, l)[..., None] * Sh - _dot(Sh, l)[..., None] * Sk
 
     def post_step(self, p_prev, p, v):
-        if not np.isfinite(p).all():
+        if not _all(np.isfinite(p)):
             return p, v, False
         # f, grad f and <grad f, grad f> at p serve both the test and the
-        # first Newton step
+        # first Newton step.  The test is valid()'s, residual <= tol: inside
+        # the integrator's errstate a zero gradient gives inf or NaN for
+        # _residual's inf, and fails it all the same
         f, g = self._level(p), self.gradient(p)
         gg = _dot(g, g)
-        if not (_residual(f, gg) <= ON_MANIFOLD_TOL).all():
+        if not _all(np.abs(f) / np.sqrt(gg) <= ON_MANIFOLD_TOL):
             return p, v, False
         # Newton converges quadratically, so from a drift of at most
         # ON_MANIFOLD_TOL two steps reach round-off.  The count is fixed
@@ -390,11 +392,12 @@ class EmbeddedManifold:
         # P v with grad f at the last Newton iterate, by the helper, not the
         # hook, so an RK4 step makes no tangent_projector call
         w = _tangent_part(g, v, gg)
-        moved = (p != p_prev).any(axis=-1)[..., None]
-        if moved.all():
+        changed = p != p_prev
+        if _all(changed):  # every row moved, in every coordinate
             return q, w, True
         # retract and re-project only rows that moved, so zero-velocity
         # samples stay bitwise fixed
+        moved = changed.any(axis=-1)[..., None]
         return np.where(moved, q, p), np.where(moved, w, v), True
 
     def random_points(self, rng, m: int) -> np.ndarray:
@@ -413,16 +416,25 @@ Manifold = ChartManifold | EmbeddedManifold
 def _dot(a, b) -> np.ndarray:
     """Row-wise dot products of (..., n) arrays, shape (...).
 
-    The products are added in index order, one component at a time, so a
-    row's result does not depend on the layout of its batch: NumPy's own
-    reductions sum a contiguous axis pairwise from n = 8 on, and einsum's
-    order depends on the layout at any n.
+    The products are added in index order, so a row's result does not
+    depend on the layout of its batch.  NumPy's own reduction adds fewer
+    than 8 terms in index order in any layout, and sums a contiguous axis
+    pairwise from n = 8 on, so there the components are added one at a
+    time; einsum's order depends on the layout at any n.
     """
     p = a * b
+    if p.shape[-1] < 8:
+        return np.add.reduce(p, axis=-1)
     out = p[..., 0]
     for i in range(1, p.shape[-1]):
         out = out + p[..., i]
     return out
+
+
+def _all(ok) -> bool:
+    """Whether every entry of the boolean array ``ok`` is True: ``ok.all()``
+    at a third of its cost on the few-row arrays of a narrow RK4 step."""
+    return np.count_nonzero(ok) == ok.size
 
 
 def _tangent_part(g, v, gg=None) -> np.ndarray:
@@ -498,7 +510,7 @@ def _of_sample(ok: np.ndarray) -> str:
 
 def _all_valid(man: Manifold, x) -> bool:
     """Whether every row of x is finite and valid, reduced to one flag."""
-    return bool(np.isfinite(x).all() and man.valid(x).all())
+    return _all(np.isfinite(x)) and _all(man.valid(x))
 
 
 def _exit_error(man: Manifold, x, t: float, step: int, steps: int) -> DomainExitError:
@@ -610,27 +622,35 @@ def step_doubling_ladder(run, tol: float):
     :func:`steps_needed` of the largest estimate rounded up to the ladder:
     at least twice n and at most the cap.  That rung runs alone when its
     twin is the rung in hand, and as a pair otherwise.  A rung that raises
-    :class:`DomainExitError` is missing (``fine`` and ``est`` None) and the
-    climb doubles, to a pair, which brings its own estimate; at the cap the
-    exit propagates.  The arrays yielded are the ones the prediction and
-    the next rung read, so an in-place edit of them (Newton polishing a
-    residual from the velocity it moved, and its re-estimate) carries to
-    both.  The caller stops the climb by leaving the loop.
+    :class:`DomainExitError` is missing (``fine`` and ``est`` None), and
+    the climb goes on to a pair, which brings its own estimate: the pair
+    above a pair that exited, and two rungs up from a rung that exited
+    alone, as the pair above that rung would rerun its exit.  Where that
+    pair would be past the cap, the exit propagates.  The arrays yielded
+    are the ones the prediction and the next rung read, so an in-place
+    edit of them (Newton polishing a residual from the velocity it moved,
+    and its re-estimate) carries to both.  The caller stops the climb by
+    leaving the loop.
     """
     n, held = 2 * LADDER_START, None
     while True:
         try:
             fine, coarse = run(n, held is None)
         except DomainExitError:
-            if n >= LADDER_CAP:
+            # the next pair up; above a lone rung, that pair's twin would
+            # rerun the run that exited, so the climb skips it
+            up = 2 * n if held is None else 4 * n
+            if up > LADDER_CAP:
                 raise
-            fine = None
-        est = None if fine is None else step_doubling_error(fine, held if coarse is None else coarse)
+            yield n, None, None
+            held, n = None, up
+            continue
+        est = step_doubling_error(fine, held if coarse is None else coarse)
         yield n, fine, est
         if n >= LADDER_CAP:
             return
         # the smallest rung at or above the prediction; a NaN predicts nothing
-        need = 0.0 if est is None else steps_needed(n, np.max(est), tol)
+        need = steps_needed(n, np.max(est), tol)
         up = 2 * n
         while up < min(need, LADDER_CAP):
             up *= 2

@@ -71,6 +71,26 @@ def test_sample_fastest_lays_out_converts_and_allocates():
     assert sample_fastest((5, 3), axis=1).flags.c_contiguous
 
 
+# below 8 components _dot takes NumPy's reduction, which must then add in
+# index order in every layout; from 8 on it adds one component at a time
+@pytest.mark.parametrize("n", range(1, 10))
+def test_dot_adds_the_components_in_index_order_in_every_layout(n):
+    rng = np.random.default_rng(n)
+    # magnitudes over six decades, so that a change of order changes bits
+    a = rng.normal(size=(3, 50, n)) * 10.0 ** rng.integers(-3, 3, size=(3, 50, n))
+    b = rng.normal(size=(3, 50, n))
+    p = a * b
+    want = p[..., 0]
+    for i in range(1, n):
+        want = want + p[..., i]
+    layouts = (lambda c: c, np.asfortranarray, lambda c: sample_fastest(c, axis=1),
+               lambda c: np.moveaxis(np.ascontiguousarray(np.moveaxis(c, -1, 0)), 0, -1))
+    for lay in layouts:
+        assert np.array_equal(_dot(lay(a), lay(b)), want), n
+    for row in ((0, 0), (2, 49)):  # one (n,) point
+        assert _dot(a[row], b[row]) == want[row], n
+
+
 @pytest.mark.parametrize("spec", CHARTS)
 def test_chart_tensors_are_sample_fastest(spec):
     man = make_manifold(spec)

@@ -375,25 +375,33 @@ def test_ladder_jumps_to_the_rung_that_the_h4_law_predicts(root, calls):
     assert run.calls == calls
 
 
+# a rung whose run or twin exits is missing, and the climb goes on to a
+# pair that brings its own estimate: the pair above a pair, two rungs up
+# from a lone rung, whose pair above would rerun its exit
 @pytest.mark.parametrize("exit_at", RUNGS[:4])
 def test_ladder_goes_on_past_an_exit_while_two_rungs_remain(exit_at):
-    # a rung whose run or twin exits is missing, and the next one is a pair
-    # that brings its own estimate
-    rungs = list(manifold.step_doubling_ladder(_fake_run({exit_at}), 1.0))
-    assert [n for n, _, _ in rungs] == RUNGS[1:]
-    missing = sorted({exit_at, 2 * exit_at} - {32})
-    assert [n for n, fine, _ in rungs if fine is None] == missing
-    assert [n for n, _, est in rungs if est is None] == missing
+    rungs, missing = {32: ([64, 128, 256, 512, 1024], [64]),
+                      64: ([64, 128, 256, 512, 1024], [64, 128]),
+                      128: ([64, 128, 512, 1024], [128]),
+                      256: ([64, 128, 256, 1024], [256])}[exit_at]
+    run = _fake_run({exit_at})
+    seen = list(manifold.step_doubling_ladder(run, 1.0))
+    assert [n for n, _, _ in seen] == rungs
+    assert [n for n, fine, _ in seen if fine is None] == missing
+    assert [n for n, _, est in seen if est is None] == missing
+    # the calls that meet the exit are the missing rungs, and no more
+    assert [n for n, twin in run.calls if exit_at in ({n, n // 2} if twin else {n})] == missing
 
 
 @pytest.mark.parametrize("exit_at", RUNGS[4:])
 def test_ladder_raises_an_exit_on_its_last_two_rungs(exit_at):
-    # an exit at 512 leaves that rung out, and the pair at the cap exits too
-    seen = []
+    # a lone rung at 512 exits, and the pair at the cap would rerun it
+    run, seen = _fake_run({exit_at}), []
     with pytest.raises(DomainExitError, match="left domain"):
-        for n, _, _ in manifold.step_doubling_ladder(_fake_run({exit_at}), 1.0):
+        for n, _, _ in manifold.step_doubling_ladder(run, 1.0):
             seen.append(n)
-    assert seen == RUNGS[1:-1]
+    assert seen == [n for n in RUNGS[1:] if n < exit_at]
+    assert run.calls[-1] == (exit_at, False)
 
 
 def test_ladder_compares_the_next_rung_with_the_array_it_yielded():

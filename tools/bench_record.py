@@ -2,21 +2,20 @@
 
 Usage::
 
-    python3 tools/bench_record.py PARENT CHANGE --workload W --seed S --pairs N \
-        --pr PR [--commit COMMIT] [--seconds 20] [--log FILE]
-    python3 tools/bench_record.py --from-log FILE --workload W --seed S --pr PR [--commit COMMIT]
+    python3 tools/bench_record.py PARENT CHANGE --workload W --seed S --pairs N --pr PR \
+        [--commit COMMIT]
 
 PARENT and CHANGE are the roots of two checkouts, the parent best a
-``git archive`` copy.  The first form byte-compiles both trees
+``git archive`` copy.  The tool byte-compiles both trees
 (``python3 -m compileall -q src perfbench``: the benchmark's CLI children
 run with ``PYTHONDONTWRITEBYTECODE=1``, so an uncompiled tree pays for
 compiling on every call), then runs ``perfbench/run.py --trace 0`` of each
-tree N times, alternating which tree runs first, and writes each run's
-last output line to the log (default ``.perfbench/bench_pairs.jsonl``) as
-``{"pair", "tree", "result"}``, one JSON object per line.  The second form
-reads such a log.
+tree N times, for the ``run_seconds`` of ``BENCHMARK.json`` each,
+alternating which tree runs first.  Each run's last output line goes to
+``.perfbench/bench_pairs.jsonl`` as ``{"pair", "tree", "result"}``, one
+JSON object per line.
 
-Either form appends one record per end-to-end metric of ``BENCHMARK.json``
+It then appends one record per end-to-end metric of ``BENCHMARK.json``
 to ``BENCH_trajectory.json``: the PR, commit, workload, metric, seed and
 pair count, the median and quartiles of each tree, the number of pairs the
 change wins (better in the metric's direction), and whether every run was
@@ -38,23 +37,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TRAJECTORY = ROOT / "BENCH_trajectory.json"
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+LOG = ROOT / ".perfbench" / "bench_pairs.jsonl"
 TREES = ("parent", "change")
 
 
-def run_pairs(parent: Path, change: Path, workload: str, seed: int, pairs: int,
-              seconds: float, log: Path) -> list[dict]:
+def run_pairs(parent: Path, change: Path, workload: str, seed: int, pairs: int) -> list[dict]:
     trees = {"parent": parent, "change": change}
-    log.parent.mkdir(parents=True, exist_ok=True)
+    LOG.parent.mkdir(parents=True, exist_ok=True)
     for tree in trees.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                        cwd=tree, check=True)
     rows = []
-    with open(log, "w") as fh:
+    with open(LOG, "w") as fh:
         for pair in range(pairs):
             for name in TREES if pair % 2 == 0 else TREES[::-1]:
                 out = subprocess.run(
                     [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-                     str(seed), "--seconds", str(seconds), "--trace", "0"],
+                     str(seed), "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
                     cwd=trees[name], capture_output=True, text=True)
                 row = {"pair": pair, "tree": name, "result": json.loads(out.stdout.splitlines()[-1])}
                 fh.write(json.dumps(row) + "\n")
@@ -70,18 +70,17 @@ def summary(values: list[float]) -> dict:
 
 
 def records(rows: list[dict], workload: str, seed: int, pr: int, commit: str) -> list[dict]:
-    by_pair = {}
+    pairs = {}
     for row in rows:
-        by_pair.setdefault(row["pair"], {})[row["tree"]] = row["result"]
-    complete = [p for p in by_pair.values() if set(p) == set(TREES)]
-    ok = all(r["correct"] and r["failed"] == 0 for p in complete for r in p.values())
+        pairs.setdefault(row["pair"], {})[row["tree"]] = row["result"]
+    ok = all(row["result"]["correct"] and row["result"]["failed"] == 0 for row in rows)
     out = []
-    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]:
+    for metric in BENCHMARK["end_to_end"]:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
-        values = {t: [p[t]["metrics"][name]["value"] for p in complete] for t in TREES}
+        values = {t: [p[t]["metrics"][name]["value"] for p in pairs.values()] for t in TREES}
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         out.append({"pr": pr, "commit": commit, "source": "pairs", "workload": workload,
-                    "metric": name, "unit": metric["unit"], "seed": seed, "pairs": len(complete),
+                    "metric": name, "unit": metric["unit"], "seed": seed, "pairs": len(pairs),
                     "parent": summary(values["parent"]), "change": summary(values["change"]),
                     "wins": wins, "all_correct": ok})
     return out
@@ -89,24 +88,15 @@ def records(rows: list[dict], workload: str, seed: int, pr: int, commit: str) ->
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", nargs="?", type=Path)
-    ap.add_argument("change", nargs="?", type=Path)
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--commit")
-    ap.add_argument("--log", type=Path, default=ROOT / ".perfbench" / "bench_pairs.jsonl")
-    ap.add_argument("--from-log", type=Path)
     args = ap.parse_args(argv)
-    if args.from_log is not None:
-        rows = [json.loads(line) for line in args.from_log.read_text().splitlines() if line]
-    elif args.parent is None or args.change is None:
-        ap.error("give PARENT and CHANGE, or --from-log")
-    else:
-        rows = run_pairs(args.parent, args.change, args.workload, args.seed, args.pairs,
-                         args.seconds, args.log)
+    rows = run_pairs(args.parent, args.change, args.workload, args.seed, args.pairs)
     new = records(rows, args.workload, args.seed, args.pr, args.commit)
     doc = json.loads(TRAJECTORY.read_text())
     doc["records"].extend(new)
