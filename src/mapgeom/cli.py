@@ -255,8 +255,10 @@ def _transport(config: RunConfig) -> int:
 
 
 _CERTIFIED_STEPS_HELP = (
-    f"fixed RK4 steps per shot (default: climbed on {LADDER_START * 2}, "
-    f"{LADDER_START * 4}, ..., {LADDER_CAP} as RK4's h^4 law predicts, to the first "
+    "fixed RK4 steps that the log is shot to (from a chord seed at "
+    f"{dynamics.COARSE_FLOOR} or more, after a first Gauss-Newton step at steps // 8; "
+    f"default: climbed on {LADDER_START * 2}, {LADDER_START * 4}, ..., {LADDER_CAP} "
+    "as RK4's h^4 law predicts, to the first "
     "count whose step-doubling error estimate meets --tolerance)"
 )
 _TOLERANCE_HELP = f"shooting endpoint tolerance (default {RunConfig.tolerance})"

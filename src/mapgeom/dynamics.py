@@ -21,12 +21,16 @@ The log map's step count is certified unless a caller fixes it: shooting
 climbs the step-doubling ladder :func:`mapgeom.manifold.step_doubling_ladder`
 (64, 128, ..., 1024 steps, each rung with its twin at half the steps in
 one run of :func:`mapgeom.manifold.integrate_twin`, or against the rung in
-hand) and runs Newton at the first rung N it reaches, jumping as RK4's
-h^4 law predicts, where the estimate of every sample's RK4 error from the
-runs at N and N/2 is at most the tolerance, and checks that estimate
-again for a velocity Newton moved.  Nearby samples settle at 64 to 256
-steps; an explicit ``steps`` integrates every shot with that many steps,
-as the exponential map and trajectories always do.
+hand, through :func:`mapgeom.manifold.spray_rungs`, whose first rung also
+carries the run at 128 halfway) and runs Newton at the first rung N it
+reaches, jumping as RK4's h^4 law predicts, where the estimate of every
+sample's RK4 error from the runs at N and N/2 is at most the tolerance,
+and checks that estimate again for a velocity Newton moved.  Nearby
+samples settle at 64 to 256 steps.  An explicit ``steps`` fixes the
+count that Newton shoots at and that the returned velocity solves; from
+the chord, at 64 steps or more, a first Gauss-Newton step at ``steps //
+8`` precedes it, so not every shot is integrated at ``steps``.  The
+exponential map and trajectories always integrate with the steps given.
 """
 
 from __future__ import annotations
@@ -43,10 +47,10 @@ from .errors import DomainExitError, FieldMismatchError, ShootingError
 from .manifold import (
     Manifold,
     integrate_spray,
-    integrate_twin,
     require_count,
     sample_fastest,
     spray_accel,
+    spray_rungs,
     step_doubling_error,
     step_doubling_ladder,
     steps_needed,
@@ -66,6 +70,9 @@ from .mapspace import (
 
 LOG_TOL = 1e-10  # default shooting endpoint tolerance of the log map
 _NEWTON_ITERS = 50  # Newton iterations the log map's shooting may take
+# the least fixed step count whose chord-seeded log starts with a Gauss-Newton step
+# at steps // 8: below 8 coarse steps that step fails more often than it helps
+COARSE_FLOOR = 64
 
 
 @dataclass(frozen=True)
@@ -253,6 +260,19 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     then costs one integration.  Later trials carry none: the last one's
     Jacobian would go unused.
 
+    From the chord at a fixed count of at least ``COARSE_FLOOR`` steps,
+    every sample first takes one Gauss-Newton step from its residual and
+    Jacobian at ``steps // 8`` steps, in one call: by Newton's
+    mesh-independence principle (Allgower, Boehmer, Potra & Rheinboldt,
+    SIAM J. Numer. Anal. 23, 1986) the coarse grid's step is nearly the
+    fine grid's, at an eighth of its sequential RK4 steps.  A sample whose
+    coarse geodesic leaves the domain is dropped from that call, which is
+    made again without it, and starts from the chord; so does a sample
+    whose geodesic from its coarse iterate leaves the domain at ``steps``.
+    Newton then runs at ``steps`` from the iterate, so not every shot is
+    integrated at ``steps``, and a sample ends as it would from the chord
+    wherever the coarse grid leaves the domain.
+
     Each sample accepts its own line-search step: halving continues only
     for the samples whose residual did not improve.  A sample is frozen
     once it converges or its line search fails, so one stuck sample
@@ -265,14 +285,22 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     basis = man.tangent_basis(x0)  # (m, n, k)
     z = np.einsum("sik,si->sk", basis, v_init)
     m, k = z.shape
+    everyone = np.arange(m)
     chord = man.closed_form_log is None  # the seed is the projected chord
 
-    def residual(rows, zz, n, jac=False, twin=False):
+    def named(exc, rows):
+        """A domain exit of the call that integrated ``rows``, told for the field sample."""
+        sample = int(rows[exc.sample])  # exc.sample indexes the integrated rows
+        return DomainExitError(f"log shooting: geodesic of sample {sample} {exc.reason}",
+                               time=exc.time, sample=sample, reason=exc.reason)
+
+    def velocity(rows, zz):
+        return np.einsum("sik,sk->si", basis[rows], zz)
+
+    def residual(rows, zz, n, jac=False):
         """(r, J): end minus target of samples rows shot with zz at n steps,
         and with ``jac`` their forward-difference Jacobians, from k more rows
-        per sample, zz + delta e_c, in the same call; with ``twin`` J is
-        instead the residual at n/2 steps, from the same run
-        (:func:`mapgeom.manifold.integrate_twin`); else None."""
+        per sample, zz + delta e_c, in the same call; else None."""
         plain = len(rows)
         if jac:
             delta = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.max(np.abs(zz), axis=1))
@@ -280,27 +308,26 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
             zs[np.arange(k), :, np.arange(k)] += delta
             rows = np.concatenate([rows, np.tile(rows, k)])
             zz = np.concatenate([zz, zs.reshape(-1, k)])
-        v = np.einsum("sik,sk->si", basis[rows], zz)
         try:
-            if twin:
-                (end, _), (half, _) = integrate_twin(man, x0[rows], v, n)
-            else:
-                end, _ = integrate_spray(man, x0[rows], v, n)
+            end, _ = integrate_spray(man, x0[rows], velocity(rows, zz), n)
         except DomainExitError as exc:
-            sample = int(rows[exc.sample])  # exc.sample indexes the integrated rows
-            raise DomainExitError(
-                f"log shooting: geodesic of sample {sample} {exc.reason}",
-                time=exc.time, sample=sample, reason=exc.reason,
-            ) from exc
+            raise named(exc, rows) from exc
         r = end - target[rows]
-        if twin:
-            return r, half - target[rows]
         if not jac:
             return r, None
         rs = r[plain:].reshape(k, plain, r.shape[1])
         # (samples, n, k) in C order: einsum's summation order depends on the layout
         J = np.ascontiguousarray(np.moveaxis((rs - r[:plain]) / delta[:, None], 0, 2))
         return r[:plain], J
+
+    def gauss_newton(J, r):
+        """The Gauss-Newton step (J^T J)^-1 J^T r of each sample."""
+        JtJ = np.einsum("sic,sid->scd", J, J)
+        Jtr = np.einsum("sic,si->sc", J, r)
+        try:
+            return np.linalg.solve(JtJ, Jtr[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            return np.linalg.solve(JtJ + 1e-12 * np.eye(k), Jtr[..., None])[..., 0]
 
     def newton(r, n, jac=None):
         """Polish z in place from residuals r at n steps, given the Jacobians
@@ -316,14 +343,8 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
             need = active[~has_jac[active]]
             if need.size:
                 _, jac[need] = residual(need, z[need], n, True)
-            za, J = z[active], jac[active]
-            JtJ = np.einsum("sic,sid->scd", J, J)
-            Jtr = np.einsum("sic,si->sc", J, r[active])
-            try:
-                step = np.linalg.solve(JtJ, Jtr[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                JtJ = JtJ + 1e-12 * np.eye(k)
-                step = np.linalg.solve(JtJ, Jtr[..., None])[..., 0]
+            za = z[active]
+            step = gauss_newton(jac[active], r[active])
             alpha = 1.0
             pending = np.ones(active.size, dtype=bool)  # over active: not yet improved
             for _ in range(20):
@@ -348,9 +369,34 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
         return rmax
 
     if steps is None:
-        rmax = _certified_newton(residual, newton, z, tol)
+        rung = spray_rungs(man, x0, lambda: velocity(everyone, z), lambda x, v: x - target)
+
+        def run(n, twin):
+            try:
+                return rung(n, twin)
+            except DomainExitError as exc:
+                raise named(exc, everyone) from exc
+
+        rmax = _certified_newton(run, residual, newton, z, tol)
     else:
-        r, J = residual(np.arange(m), z, steps, chord)  # the chord seed carries rows
+        seed = z.copy()
+        rows = everyone if chord and steps >= COARSE_FLOOR else everyone[:0]
+        while rows.size:  # the coarse Gauss-Newton step
+            try:
+                r, J = residual(rows, z[rows], steps // 8, True)
+            except DomainExitError as exc:
+                rows = rows[rows != exc.sample]
+                continue
+            z[rows] -= gauss_newton(J, r)
+            break
+        while True:  # the chord seed's call carries rows
+            try:
+                r, J = residual(everyone, z, steps, chord)
+                break
+            except DomainExitError as exc:
+                if np.array_equal(z[exc.sample], seed[exc.sample]):
+                    raise
+                z[exc.sample] = seed[exc.sample]
         rmax = newton(r, steps, J)
     bad = np.flatnonzero(rmax > tol)
     if bad.size:
@@ -366,11 +412,12 @@ def _shooting_error(head: str, bad: np.ndarray, details, tail: str = "") -> Shoo
                          sample=int(bad[0]))
 
 
-def _certified_newton(residual, newton, z, tol):
+def _certified_newton(run, residual, newton, z, tol):
     """Newton at the first rung N of the ladder that step doubling certifies.
 
     Each rung of :func:`mapgeom.manifold.step_doubling_ladder` integrates
-    every sample once at N, with its twin at N/2 in the same run unless
+    every sample once at N through ``run``, a :func:`mapgeom.manifold.spray_rungs`
+    of the current iterate, with its twin at N/2 in the same run unless
     that twin is the rung in hand, and the next rung is the one RK4's h^4
     law predicts from the estimates.  The first rung where every sample's
     estimate is at most ``tol`` hands its residual to Newton, so the chosen
@@ -384,8 +431,7 @@ def _certified_newton(residual, newton, z, tol):
     :class:`ShootingError` names each uncertified sample.  Returns
     Newton's max |r| per sample.
     """
-    everyone = np.arange(z.shape[0])
-    for n, r, est in step_doubling_ladder(lambda n, twin: residual(everyone, z, n, twin=twin), tol):
+    for n, r, est in step_doubling_ladder(run, tol):
         if est is not None and np.all(est <= tol):
             seed = z.copy()
             rmax = newton(r, n)
@@ -415,8 +461,11 @@ def log_field(q0: MapField, q1: MapField, steps: Optional[int] = None,
     step-doubling estimate of the RK4 error is at most ``tol`` for every
     sample, checked again for the velocity returned; past 1024 steps a
     :class:`ShootingError` names each sample with its estimate and the
-    step count it would need.  An explicit ``steps`` integrates every shot
-    with that many steps.
+    step count it would need.  An explicit ``steps`` is the count that
+    Newton shoots at and that the velocity returned solves to ``tol``;
+    from the chord seed at 64 steps or more, a first Gauss-Newton step is
+    taken at ``steps // 8`` (see :func:`_shoot`), so not every shot is
+    integrated with ``steps``.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be > 0 and finite, got {tol!r}")
@@ -439,7 +488,9 @@ def geodesic_distance(q0: MapField, q1: MapField, steps: Optional[int] = None,
 
     Equals the square root of the weighted sum of squared pointwise
     target-manifold distances.  ``steps`` is that of :func:`log_field`:
-    certified by step doubling when None, fixed otherwise.
+    certified by step doubling when None; otherwise the count the log is
+    shot to, after a first Gauss-Newton step at ``steps // 8`` from a
+    chord seed at 64 steps or more.
     """
     return l2_norm(q0, log_field(q0, q1, steps=steps, tol=tol))
 

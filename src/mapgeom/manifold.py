@@ -62,7 +62,8 @@ the one RK4 formula, :func:`rk4_step`, over a pair state (x, v); each
 caller ends its own step.  A certified step count climbs
 :func:`step_doubling_ladder`, whose rungs get their twins at half the
 steps from :func:`integrate_twin`: the spray is quadratic in the velocity,
-so one run of N steps gives the runs at N and N/2 bit for bit.  Fields of
+so one run of N steps gives the runs at N and N/2 bit for bit, and, in
+:func:`spray_rungs`, the first half of the run at 2N as well.  Fields of
 points go through :mod:`mapgeom.mapspace`.  Two caveats:
 
 * A chart's ``transport_rhs`` (and so the spray) gives the same bits on
@@ -420,10 +421,13 @@ def _dot(a, b) -> np.ndarray:
     depend on the layout of its batch.  NumPy's own reduction adds fewer
     than 8 terms in index order in any layout, and sums a contiguous axis
     pairwise from n = 8 on, so there the components are added one at a
-    time; einsum's order depends on the layout at any n.
+    time; einsum's order depends on the layout at any n.  They are added
+    one at a time on a contiguous component axis of rows too (C-ordered
+    fields), which NumPy reduces one short row at a time, 5-8x slower
+    than a column at a time; the reduction serves sample-fastest rows.
     """
     p = a * b
-    if p.shape[-1] < 8:
+    if p.shape[-1] < 8 and (p.ndim == 1 or p.strides[-1] != p.itemsize):
         return np.add.reduce(p, axis=-1)
     out = p[..., 0]
     for i in range(1, p.shape[-1]):
@@ -616,6 +620,9 @@ def step_doubling_ladder(run, tol: float):
     sample (a shooting residual, a drift series), and with ``twin`` the
     same at n/2 steps from :func:`integrate_twin`, else None.  ``est`` is
     the :func:`step_doubling_error` of ``fine`` against the result at n/2.
+    :func:`spray_rungs` builds ``run`` for geodesics; its first rung's run
+    also carries the rung above halfway, so a climb that goes on to 128
+    alone pays 64 more sequential RK4 steps, not 128.
 
     The climb starts at the pair (64, 32).  From a rung's ``est`` it jumps
     to the rung that RK4's h^4 law predicts for ``tol``,
@@ -657,7 +664,56 @@ def step_doubling_ladder(run, tol: float):
         held, n = (fine if up == 2 * n else None), up
 
 
-def integrate_twin(man: Manifold, x0, v0, steps: int, record_every: Optional[int] = None):
+def spray_rungs(man: Manifold, x0, velocity: Callable, measure: Callable,
+                snapshots: Optional[int] = None) -> Callable:
+    """The ``run(n, twin)`` of :func:`step_doubling_ladder` for geodesics from the points x0.
+
+    A rung integrates ``(x0, velocity())`` at n steps with
+    :func:`integrate_spray`, and with ``twin`` also at n/2 steps, in one
+    run of :func:`integrate_twin`; ``run`` returns ``measure(x, v)`` of
+    each, the coarse one None without ``twin``.  ``velocity`` is called at
+    each rung, so a caller may move the velocities between rungs.  With
+    ``snapshots`` every run records that many steps of its own (n //
+    snapshots steps each), and ``measure`` gets the stacks.
+
+    The first rung's twin carries the run of twice its steps to its
+    midpoint.  When the climb asks next for that rung alone from the same
+    velocities, the run is resumed, and its rung costs n/2 sequential
+    steps instead of n: a field certified at 128 steps costs 128 instead
+    of 192.  Either way the result is bit for bit that of a fresh run.
+    """
+    carried = None  # (steps, v0, resume) of the run that the first rung's twin carries
+
+    def run(n, twin):
+        nonlocal carried
+        v0 = velocity()
+        every = None if snapshots is None else n // snapshots
+        if twin:
+            carry = n == 2 * LADDER_START
+            fine, coarse, *resume = integrate_twin(man, x0, v0, n, every, carry)
+            carried = (2 * n, v0.copy(), *resume) if carry else None
+            return measure(*fine), measure(*coarse)
+        if carried and carried[0] == n and np.array_equal(carried[1], v0):
+            states = carried[2]()
+        else:
+            states = integrate_spray(man, x0, v0, n, every)
+        carried = None
+        return measure(*states), None
+
+    return run
+
+
+def _stacked(parts):
+    """The (xs, vs) stacks of one run from its pieces ``(xs, vs, factor)`` in time order:
+    each piece's velocities times ``factor``, and each piece's first snapshot, which is
+    the previous piece's last, dropped."""
+    xs = np.concatenate([xs[i > 0:] for i, (xs, _, _) in enumerate(parts)])
+    vs = np.concatenate([f * vs[i > 0:] for i, (_, vs, f) in enumerate(parts)])
+    return sample_fastest(xs, axis=1), sample_fastest(vs, axis=1)
+
+
+def integrate_twin(man: Manifold, x0, v0, steps: int, record_every: Optional[int] = None,
+                   carry: bool = False):
     """``integrate_spray`` at ``steps`` and at ``steps // 2`` steps, bit for bit, as one run.
 
     Returns ``(fine, coarse)``: what ``integrate_spray(man, x0, v0, steps,
@@ -673,10 +729,17 @@ def integrate_twin(man: Manifold, x0, v0, steps: int, record_every: Optional[int
     by an exact power of two (barring underflow).  So one call of
     ``steps // 2`` steps on the stacked rows [(x0, v0/2); (x0, v0)] gives
     the coarse run whole and the fine run's first half, and a second call
-    continues that half; its velocity is doubled at the end.  Both calls
-    go through :func:`integrate_spray`.  A domain exit names the field
-    sample, the run it was in by its step count, and that run's own time
-    and step.
+    continues that half; its velocity is doubled at the end.
+
+    With ``carry`` the stacked call also holds the rows (x0, v0/4), which
+    the second call continues too: that leaves the run of ``2 * steps``
+    steps at its step ``steps``.  A third item, ``resume()``, integrates
+    its second half in one call of ``steps`` steps, with the velocity
+    doubled, and returns what ``integrate_spray(man, x0, v0, 2 * steps,
+    2 * record_every)`` returns; ``2 * record_every`` must then divide
+    ``steps // 2``.  All calls go through :func:`integrate_spray`.  A
+    domain exit in any of them names the field sample, the run it was in
+    by its step count, and that run's own time and step.
     """
     require_count("steps", steps, 2)
     if steps % 2:
@@ -687,30 +750,48 @@ def integrate_twin(man: Manifold, x0, v0, steps: int, record_every: Optional[int
         if record_every % 2 or half % record_every:
             raise ValueError(f"record_every={record_every} must be even and divide "
                              f"steps // 2 = {half}")
+        if carry and half % (2 * record_every):
+            raise ValueError(f"carry needs 2 * record_every = {2 * record_every} to divide "
+                             f"steps // 2 = {half}")
         rec = record_every // 2
     x0, v0 = sample_fastest(x0), sample_fastest(v0)
     m = len(x0)
+    # the stacked rows' runs and velocity scales: the fine run, the carried
+    # one, and last the coarse run, which the first call finishes
+    runs, scales = ((steps, 2 * steps, half), (0.5, 0.25, 1.0)) if carry else \
+        ((steps, half), (0.5, 1.0))
     try:
-        xb, vb = integrate_spray(man, np.concatenate([x0, x0]), np.concatenate([0.5 * v0, v0]),
-                                 half, rec)
+        xb, vb = integrate_spray(man, np.concatenate([x0] * len(runs)),
+                                 np.concatenate([s * v0 for s in scales]), half, rec)
     except DomainExitError as exc:
-        raise _exit_in_run(exc, half, exc.sample % m, steps if exc.sample < m else half,
-                           0) from exc
-    # the stacked call's first block is the fine run to its step `half`,
-    # recorded at twice the fine run's rate
+        raise _exit_in_run(exc, half, exc.sample % m, runs[exc.sample // m], 0) from exc
+    go_on = (len(runs) - 1) * m  # the rows the second call continues from their step `half`
     x_mid, w_mid = (xb, vb) if rec is None else (xb[-1], vb[-1])
     try:
-        xc, wc = integrate_spray(man, x_mid[:m], w_mid[:m], half, record_every)
+        xc, wc = integrate_spray(man, x_mid[:go_on], w_mid[:go_on], half, record_every)
     except DomainExitError as exc:
-        raise _exit_in_run(exc, half, exc.sample, steps, half) from exc
+        raise _exit_in_run(exc, half, exc.sample % m, runs[exc.sample // m], half) from exc
+
+    def resume():
+        x, w = (xc, wc) if rec is None else (xc[-1], wc[-1])
+        try:
+            xr, wr = integrate_spray(man, x[m:], 2.0 * w[m:], steps,
+                                     None if rec is None else 2 * record_every)
+        except DomainExitError as exc:
+            raise _exit_in_run(exc, steps, exc.sample, 2 * steps, steps) from exc
+        if rec is None:
+            return xr, 2.0 * wr
+        # the carried rows were recorded at 4 and 2 times its rate, with v/4
+        return _stacked([(xb[::4, m:go_on], vb[::4, m:go_on], 4.0),
+                         (xc[::2, m:], wc[::2, m:], 4.0), (xr, wr, 2.0)])
+
     if rec is None:
-        return (xc, 2.0 * wc), (sample_fastest(xb[m:]), sample_fastest(vb[m:]))
-    k = half // record_every
-    xs = sample_fastest((2 * k + 1,) + x0.shape, axis=1)
-    vs = sample_fastest((2 * k + 1,) + v0.shape, axis=1)
-    xs[:k + 1], vs[:k + 1] = xb[::2, :m], 2.0 * vb[::2, :m]
-    xs[k + 1:], vs[k + 1:] = xc[1:], 2.0 * wc[1:]
-    return (xs, vs), (sample_fastest(xb[:, m:], axis=1), sample_fastest(vb[:, m:], axis=1))
+        fine = sample_fastest(xc[:m]), 2.0 * sample_fastest(wc[:m])
+        coarse = sample_fastest(xb[go_on:]), sample_fastest(vb[go_on:])
+    else:  # the stacked call's first block is the fine run, recorded at twice its rate
+        fine = _stacked([(xb[::2, :m], vb[::2, :m], 2.0), (xc[:, :m], wc[:, :m], 2.0)])
+        coarse = sample_fastest(xb[:, go_on:], axis=1), sample_fastest(vb[:, go_on:], axis=1)
+    return (fine, coarse, resume) if carry else (fine, coarse)
 
 
 def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[int] = None):

@@ -26,9 +26,8 @@ from .manifold import (
     EmbeddedManifold,
     Manifold,
     _gamma_pair,
-    integrate_spray,
-    integrate_twin,
     require_count,
+    spray_rungs,
     step_doubling_ladder,
 )
 from .mapspace import MapField, TangentField, require_based
@@ -284,10 +283,11 @@ def _speed_drift(man: Manifold, rng, count: int) -> float:
 
     Each rung of :func:`mapgeom.manifold.step_doubling_ladder` integrates
     every sample once at N, with its twin at N/2 in the same run unless
-    that twin is the rung in hand, and records 9 snapshots, at the same
-    times on every rung, so the drift series at N and N/2 give each
-    sample's step-doubling estimate.  The ladder jumps to the rung that
-    RK4's h^4 law predicts.  Returns the drift at the first rung where
+    that twin is the rung in hand (:func:`mapgeom.manifold.spray_rungs`,
+    which also carries the run at 128 in the first rung's), and records 9
+    snapshots, at the same times on every rung, so the drift series at N
+    and N/2 give each sample's step-doubling estimate.  The ladder jumps to
+    the rung that RK4's h^4 law predicts.  Returns the drift at the first rung where
     every estimate is at most a tenth of the report's bound, or at the cap.
     """
     x = man.random_points(rng, count)
@@ -299,14 +299,8 @@ def _speed_drift(man: Manifold, rng, count: int) -> float:
         energies = man.inner(xs, vs, vs)
         return ((energies - energies[0]) / energies[0]).T  # (sample, snapshot)
 
-    def run(n, twin):
-        if twin:
-            fine, coarse = integrate_twin(man, x, v, n, record_every=n // 8)
-            return drift(*fine), drift(*coarse)
-        return drift(*integrate_spray(man, x, v, n, record_every=n // 8)), None
-
     bound = 0.1 * _SPEED_DRIFT_TOL
-    for _, fine, est in step_doubling_ladder(run, bound):
+    for _, fine, est in step_doubling_ladder(spray_rungs(man, x, lambda: v, drift, 8), bound):
         if est is not None and np.all(est <= bound):
             break
     return float(np.max(np.abs(fine)))

@@ -479,21 +479,27 @@ def test_nonpositive_numeric_option_rejected(sphere_files):
 
 @pytest.fixture()
 def step_counts(monkeypatch):
-    """The step count of every integration the CLI makes, in order."""
+    """The step count of every integration the CLI makes, in order; a ladder
+    rung shows as its step count n, and with its twin as n, n/2."""
     counts = []
-    integrate, twin = dynamics.integrate_spray, dynamics.integrate_twin
+    integrate, rungs = dynamics.integrate_spray, dynamics.spray_rungs
 
     def recording(man, x, v, steps, **kwargs):
         counts.append(steps)
         return integrate(man, x, v, steps, **kwargs)
 
-    def recording_twin(man, x, v, steps, **kwargs):  # integrates at steps and steps // 2
-        counts.extend([steps, steps // 2])
-        return twin(man, x, v, steps, **kwargs)
+    def recording_rungs(*args, **kwargs):
+        run = rungs(*args, **kwargs)
+
+        def recording_run(n, twin):
+            counts.extend([n, n // 2] if twin else [n])
+            return run(n, twin)
+
+        return recording_run
 
     for module in (dynamics, mapspace):
         monkeypatch.setattr(module, "integrate_spray", recording)
-    monkeypatch.setattr(dynamics, "integrate_twin", recording_twin)
+    monkeypatch.setattr(dynamics, "spray_rungs", recording_rungs)
     return counts
 
 

@@ -360,9 +360,9 @@ def test_log_paraboloid_shooting_without_closed_form():
 def test_log_stuck_sample_does_not_stall_or_hide_behind_others():
     # sample 0 converges on its own; sample 1 cannot, and only it is named
     base = np.array([[-0.20100114739577413, 0.4350969891076264, 0.22971085118493967],
-                     [-0.4923236672385574, 0.2967249479799092, 0.33042828807690167]])
+                     [0.20015274656746707, 0.6355420815513209, 0.4439748593810865]])
     vecs = np.array([[-0.5401274912111081, -0.3245553006471559, -0.06529357727412843],
-                     [0.6356364202997007, -1.8070916238809076, -1.6982960431266596]])
+                     [-0.9782316405717102, -3.2287275898284635, -4.495576005682775]])
     q0 = MapField(circle_domain(2), PARABOLOID, base)
     q1 = exp_field(TangentField(q0, vecs), steps=100)
     with pytest.raises(ShootingError) as err:
@@ -383,8 +383,10 @@ def test_log_antipodal_reports_sample():
 
 
 def test_log_domain_exit_names_the_field_sample():
-    # sample 0 is stationary and converges at once; the seed call (each
-    # sample's row and its k difference rows) stays in the narrowed chart, and
+    # sample 0 is stationary and converges at once; sample 1's geodesic from
+    # its coarse Gauss-Newton iterate leaves the narrowed chart at 100 steps,
+    # so it starts from the chord, as with no coarse step; that seed call
+    # (each sample's row and its k difference rows) stays in the chart, and
     # the first trial, which integrates only sample 1's rows, leaves it at
     # row 0 of that call
     man = dataclasses.replace(make_manifold("halfplane"), closed_form_log=None, name=None,
@@ -396,6 +398,60 @@ def test_log_domain_exit_names_the_field_sample():
         log_field(q0, q1, steps=100)
     assert err.value.sample == 1
     assert err.value.time == 0.5
+
+
+def _recorded_calls(monkeypatch):
+    """(rows, steps) of every integrate_spray call of the log map, in order."""
+    calls = []
+
+    def recording(man, x, v, steps):
+        calls.append((len(x), steps))
+        return manifold.integrate_spray(man, x, v, steps)
+
+    monkeypatch.setattr(dynamics, "integrate_spray", recording)
+    return calls
+
+
+@pytest.mark.parametrize("steps", [63, 64, 200])
+def test_chord_log_takes_its_first_gauss_newton_step_on_an_eighth_of_the_steps(steps,
+                                                                             monkeypatch):
+    rng = np.random.default_rng(7)
+    m = 4
+    x = PARABOLOID.random_points(rng, m)
+    d = PARABOLOID.project(x, rng.normal(size=x.shape))
+    d *= (rng.uniform(0.1, 0.5, m) / np.sqrt(PARABOLOID.inner(x, d, d)))[:, None]
+    q0 = MapField(circle_domain(m), PARABOLOID, x)
+    q1 = exp_field(TangentField(q0, d), steps=1000)
+    calls = _recorded_calls(monkeypatch)
+    h = log_field(q0, q1, steps=steps)
+    # the coarse call carries the k = 2 difference rows of each sample; below
+    # 64 steps the chord seed's own call comes first
+    assert calls[0] == ((3 * m, steps // 8) if steps >= 64 else (3 * m, steps))
+    assert all(n == steps for _, n in calls[1:])
+    end = exp_field(h, steps=steps).values
+    assert np.max(np.abs(end - q1.values)) <= dynamics.LOG_TOL
+
+
+def test_chord_log_whose_coarse_grid_leaves_the_domain_ends_as_from_the_chord(monkeypatch):
+    # sample 1's chord geodesic tops out at y = 1.6931225 at 64 steps and
+    # 1.6931249 at 8: a chart cut at 1.6931236 is left by its coarse call only
+    man = dataclasses.replace(make_manifold("halfplane"), closed_form_log=None, name=None,
+                              chart_domain=lambda x: (x[..., 1] > 0.5) & (x[..., 1] < 1.6931236))
+    dom = QuadratureDomain(np.array([0.5, 0.5]))
+    q0 = MapField(dom, man, np.array([[0.0, 1.0], [-0.26098407247425626, 0.891097703755002]]))
+    q1 = MapField(dom, man, np.array([[0.0, 1.0], [-0.0864313815932709, 1.490966133068659]]))
+    calls = _recorded_calls(monkeypatch)
+    h = log_field(q0, q1, steps=64)
+    # the coarse call exits and is made again for sample 0 alone
+    assert calls[:3] == [(6, 8), (3, 8), (6, 64)]
+    end = manifold.integrate_spray(man, q0.values, h.vecs, 64)[0]
+    assert np.max(np.abs(end - q1.values)) <= dynamics.LOG_TOL
+    # the stationary sample 0 takes a zero step, and sample 1 starts from the
+    # chord: the solve is bit for bit the one without a coarse step
+    monkeypatch.setattr(dynamics, "COARSE_FLOOR", math.inf)
+    calls.clear()
+    assert np.array_equal(log_field(q0, q1, steps=64).vecs, h.vecs)
+    assert calls[0] == (6, 64)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -453,9 +509,9 @@ def test_log_paraboloid_round_trip_and_sample_independence(seed, speeds):
 
 
 def test_log_mixed_convergence_keeps_sample_independence(monkeypatch):
-    # a short velocity converges at its first trial, wasting the difference
-    # rows that trial carried; a long one needs a third iteration, whose
-    # Jacobian comes from a call of its iterate and difference rows only
+    # after the coarse Gauss-Newton call, a short velocity converges at
+    # its seed, wasting the difference rows that call carried; a long one
+    # needs a second trial after its first, which carried its rows
     rng = np.random.default_rng(6)
     q0 = MapField(circle_domain(2), PARABOLOID, PARABOLOID.random_points(rng, 2))
     d = PARABOLOID.project(q0.values, rng.normal(size=(2, 3)))
@@ -469,9 +525,9 @@ def test_log_mixed_convergence_keeps_sample_independence(monkeypatch):
 
     monkeypatch.setattr(dynamics, "integrate_spray", counted)
     h = log_field(q0, q1, steps=64)
-    # seed and first trial with k = 2 rows per sample, then the long
-    # sample's trial, its Jacobian (the iterate and k rows) and its last trial
-    assert rows == [6, 6, 1, 3, 1]
+    # the coarse call and the seed with k = 2 rows per sample, then the long
+    # sample's first trial with its k rows and its last trial
+    assert rows == [6, 6, 3, 1]
     one = circle_domain(1)
     alone = [
         log_field(MapField(one, PARABOLOID, q0.values[i:i + 1]),
@@ -517,20 +573,25 @@ def test_exp_log_round_trip_field_level():
 @pytest.fixture()
 def step_counts(monkeypatch):
     """The step count of every integration the log map makes, in order; a
-    twin call integrates at n and n/2 steps, and shows as n, n/2."""
+    ladder rung shows as its step count n, and with its twin as n, n/2."""
     counts = []
-    integrate, twin = dynamics.integrate_spray, dynamics.integrate_twin
+    integrate, rungs = dynamics.integrate_spray, dynamics.spray_rungs
 
     def recording(man, x, v, steps, **kwargs):
         counts.append(steps)
         return integrate(man, x, v, steps, **kwargs)
 
-    def recording_twin(man, x, v, steps, **kwargs):
-        counts.extend([steps, steps // 2])
-        return twin(man, x, v, steps, **kwargs)
+    def recording_rungs(*args, **kwargs):
+        run = rungs(*args, **kwargs)
+
+        def recording_run(n, twin):
+            counts.extend([n, n // 2] if twin else [n])
+            return run(n, twin)
+
+        return recording_run
 
     monkeypatch.setattr(dynamics, "integrate_spray", recording)
-    monkeypatch.setattr(dynamics, "integrate_twin", recording_twin)
+    monkeypatch.setattr(dynamics, "spray_rungs", recording_rungs)
     return counts
 
 
@@ -547,7 +608,7 @@ NEWTON_CALLS = {
     ("sphere:r=1.0:rep=embedded", None): [64, 32, 128],
     ("halfplane", 64): [64, 64, 64],
     ("halfplane", None): [64, 32, 256, 128],
-    ("paraboloid", 64): [64] * 5,
+    ("paraboloid", 64): [8, 64, 64, 64],
     ("paraboloid", None): [64, 32] + [128] * 6 + [64],
 }
 

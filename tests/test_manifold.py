@@ -414,6 +414,29 @@ def test_ladder_compares_the_next_rung_with_the_array_it_yielded():
     np.testing.assert_array_equal(est, [0.0, 3.0 * 16.0 / 15.0])
 
 
+def test_spray_rungs_resume_the_carried_run_only_for_the_same_velocities(monkeypatch):
+    man, rng = PARABOLOID, np.random.default_rng(5)
+    x = man.random_points(rng, 3)
+    v = 0.3 * man.project(x, rng.normal(size=x.shape))
+    calls, integrate, velocity = [], manifold.integrate_spray, [v]
+
+    def counted(man, x, v, steps, record_every=None):
+        calls.append(steps)
+        return integrate(man, x, v, steps, record_every)
+
+    monkeypatch.setattr(manifold, "integrate_spray", counted)
+    run = manifold.spray_rungs(man, x, lambda: velocity[0], lambda x, v: x)
+    run(64, True)
+    end, coarse = run(128, False)  # the carried run's last 64 steps
+    assert calls == [32, 32, 64] and coarse is None
+    assert np.array_equal(end, integrate(man, x, v, 128)[0])
+    run(64, True)
+    velocity[0] = 0.5 * v  # as Newton moves the velocities between rungs
+    end, _ = run(128, False)
+    assert calls[3:] == [32, 32, 128]
+    assert np.array_equal(end, integrate(man, x, 0.5 * v, 128)[0])
+
+
 # ---------------------------------------------------------------------------
 # twin runs
 
@@ -423,7 +446,8 @@ TWIN_TARGETS = ["flat:n=2", "flat:n=3", "sphere:r=1.0:rep=chart", "sphere:r=1.0:
 
 
 @pytest.mark.parametrize("spec", TWIN_TARGETS)
-@pytest.mark.parametrize("m, steps, record_every", [(4, 64, None), (20, 128, 16), (20, 64, 32)])
+@pytest.mark.parametrize("m, steps, record_every", [(4, 64, None), (20, 128, 16), (20, 64, 32),
+                                                    (20, 64, 8)])
 def test_twin_equals_the_two_separate_runs_bit_for_bit(spec, m, steps, record_every):
     man = make_manifold(spec)
     rng = np.random.default_rng(3)
@@ -438,6 +462,15 @@ def test_twin_equals_the_two_separate_runs_bit_for_bit(spec, m, steps, record_ev
     for got, want in zip(fine + coarse, separate):
         assert got.shape == want.shape and np.array_equal(got, want)
     assert np.array_equal(fine[0][..., 1, :], np.broadcast_to(x[1], fine[0][..., 1, :].shape))
+    if record_every is not None and (steps // 2) % (2 * record_every):
+        return  # the carried run records at twice the rate, so it needs 2 * record_every | steps / 2
+    # the carried run at 2 * steps: the twin's bits unchanged, and resumed, a fresh run's
+    fine, coarse, resume = manifold.integrate_twin(man, x, v, steps, record_every, carry=True)
+    for got, want in zip(fine + coarse, separate):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    double = None if record_every is None else 2 * record_every
+    for got, want in zip(resume(), integrate_spray(man, x, v, 2 * steps, double)):
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("steps, record_every, match", [
@@ -456,21 +489,39 @@ def test_twin_needs_an_even_step_count_and_a_record_interval_for_both_runs(steps
             manifold.integrate_twin(HALFPLANE, x, v, steps, record_every)
 
 
-# at unit speed along the first axis the 8-step run lands on x = k/8 and its
-# 4-step twin on x = 2k/8, so a hole at one of them is met by one run only
+def test_carried_run_needs_twice_the_record_interval_to_divide_half_the_steps():
+    x, v = np.array([[0.0, 1.0]]), np.array([[0.3, 0.1]])
+    with pytest.raises(ValueError, match=r"carry needs 2 \* record_every = 64 to divide "
+                                         r"steps // 2 = 32"):
+        manifold.integrate_twin(HALFPLANE, x, v, 64, 32, carry=True)
+    *_, resume = manifold.integrate_twin(HALFPLANE, x, v, 64, 16, carry=True)
+    assert len(resume()[0]) == 5  # the 128-step run recorded at t = 0, 1/4, ..., 1
+
+
+# at unit speed along the first axis the 8-step run lands on x = k/8, its
+# 4-step twin on x = 2k/8 and the carried 16-step run on x = k/16; a hole is
+# met first, in the calls' order, by the run named
 @pytest.mark.parametrize("hole, when", [
     (0.375, "t=0.375 (step 3 of 8)"),  # the 8-step run, inside the stacked call
     (0.625, "t=0.625 (step 5 of 8)"),  # the 8-step run, in its continuation
     (0.25, "t=0.25 (step 1 of 4)"),  # the 4-step twin
+    (0.0625, "t=0.0625 (step 1 of 16)"),  # the carried run, inside the stacked call
+    (0.3125, "t=0.3125 (step 5 of 16)"),  # the carried run, in the continuation
+    (0.5625, "t=0.5625 (step 9 of 16)"),  # the carried run, resumed
 ])
 def test_twin_exit_names_the_sample_the_run_and_its_own_time_and_step(hole, when):
     man = dataclasses.replace(
         FLAT2, chart_domain=lambda x: np.abs(np.asarray(x)[..., 0] - hole) > 1e-9)
     x = np.array([[0.0, 0.0], [0.0, 0.5]])
     v = np.array([[0.0, 1.0], [1.0, 0.0]])  # only sample 1 crosses the hole
-    with pytest.raises(DomainExitError) as err:
-        manifold.integrate_twin(man, x, v, 8)
-    assert str(err.value) == f"geodesic of sample 1 left domain at {when}"
+    carried = when.endswith("of 16)")
+    if carried:
+        manifold.integrate_twin(man, x, v, 8)  # the pair alone never meets it
+    for carry in (True,) if carried else (False, True):
+        with pytest.raises(DomainExitError) as err:
+            for resume in manifold.integrate_twin(man, x, v, 8, carry=carry)[2:]:
+                resume()
+        assert str(err.value) == f"geodesic of sample 1 left domain at {when}"
     assert err.value.sample == 1
     assert err.value.time == hole
     # the run named raises the same error on its own

@@ -188,23 +188,25 @@ def _log_calls(tracer_module, q0, q1, steps):
 
 
 def test_log_newton_integrates_each_jacobian_in_one_call(tracer_module):
-    # it converges in two Newton iterations; the chord seed's call carries
-    # the k * 4 = 8 forward-difference rows of the first Jacobian, the
-    # first trial those of the second, and the second trial carries none
+    # the coarse Gauss-Newton call at 200 // 8 steps carries the k * 4 = 8
+    # forward-difference rows of its Jacobian, the seed's call at 200 those
+    # of the first Jacobian, and the first trial, where every sample
+    # converges, those of the second: 425 sequential RK4 steps, not 600
     calls = _log_calls(tracer_module, *_log_narrow_paraboloid(), 200)
-    assert calls == [(12, 200), (12, 200), (4, 200)]
+    assert calls == [(12, 25), (12, 200), (12, 200)]
     # the same rows x steps as 7 calls with one call per difference column
-    assert sum(rows * steps for rows, steps in calls) == 200 * (4 + 2 * (4 * 2 + 4))
+    assert sum(rows * steps for rows, steps in calls) == (25 + 2 * 200) * (4 + 4 * 2)
 
 
 def test_certified_chord_log_carries_rows_only_on_the_first_trial(tracer_module):
     # the twin rungs at 64 and 32 steps in two calls of 32 (the 4 samples at
-    # half velocity stacked on the 4 at full, then the first block
-    # continued), the first Jacobian's call (the iterate and its k * 4 = 8
-    # rows), the first trial with the 8 rows of the next Jacobian, the plain
-    # second trial, and the re-estimate at N/2 of the samples Newton moved
+    # half velocity and the 4 of the carried 128-step run at a quarter
+    # stacked on the 4 at full, then the first two blocks continued), the
+    # first Jacobian's call (the iterate and its k * 4 = 8 rows), the first
+    # trial with the 8 rows of the next Jacobian, the plain second trial,
+    # and the re-estimate at N/2 of the samples Newton moved
     calls = _log_calls(tracer_module, *_log_narrow_paraboloid(), None)
-    assert calls == [(8, 32), (4, 32), (12, 64), (12, 64), (4, 64), (4, 32)]
+    assert calls == [(12, 32), (8, 32), (12, 64), (12, 64), (4, 64), (4, 32)]
 
 
 def test_closed_form_seed_carries_no_difference_rows(tracer_module):
@@ -223,9 +225,10 @@ def test_closed_form_seed_carries_no_difference_rows(tracer_module):
 
 def test_certified_log_reuses_its_last_rung_as_the_newton_residual(tracer_module):
     # a closed-form seed that the 128-step rung certifies: the twin pair
-    # (64, 32) takes two calls of 32 steps, the predicted rung 128 runs alone
-    # against the 64 in hand, and Newton, which has nothing to polish,
-    # integrates nothing more
+    # (64, 32) takes two calls of 32 steps, which also take the carried
+    # 128-step run to its step 64, the predicted rung 128 resumes that run
+    # for its last 64 steps against the 64 in hand, and Newton, which has
+    # nothing to polish, integrates nothing more: 128 sequential steps
     man = manifold.make_manifold("halfplane")
     a = np.array([[0.0, 1.0], [0.3, 1.5], [-0.4, 0.8], [0.6, 1.2]])
     b = a + np.array([[0.3, 0.2], [-0.35, 0.1], [0.2, -0.3], [0.1, 0.4]])
@@ -238,16 +241,18 @@ def test_certified_log_reuses_its_last_rung_as_the_newton_residual(tracer_module
         uninstall()
     NAME, COUNT, STEPS = tracer_module.NAME, tracer_module.COUNT, tracer_module.STEPS
     calls = [(s[COUNT], s[STEPS]) for s in trace.spans if s[NAME] == "manifold.integrate_spray"]
-    assert calls == [(8, 32), (4, 32), (4, 128)]
+    assert calls == [(12, 32), (8, 32), (4, 64)]
 
 
 # the speed-drift oracle climbs the same ladder: the twin pair (64, 32) in
-# two calls of 32 steps (its 20 samples at half velocity stacked on the 20 at
-# full, then the first block continued), each later rung its 20 samples
-# once, and the battery stops at the first rung that step doubling certifies
+# two calls of 32 steps (its 20 samples at half velocity and the 20 of the
+# carried 128-step run at a quarter stacked on the 20 at full, then the
+# first two blocks continued), the rung 128 as the carried run's last 64
+# steps, each later rung its 20 samples once, and the battery stops at the
+# first rung that step doubling certifies
 @pytest.mark.parametrize("spec, rungs", [
-    ("halfplane", [(40, 32), (20, 32)]),
-    ("sphere:r=1.0:rep=chart", [(40, 32), (20, 32), (20, 128)]),
+    ("halfplane", [(60, 32), (40, 32)]),
+    ("sphere:r=1.0:rep=chart", [(60, 32), (40, 32), (20, 64)]),
 ])
 def test_speed_drift_oracle_stops_at_its_certified_rung(tracer_module, spec, rungs):
     man = manifold.make_manifold(spec)

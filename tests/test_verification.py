@@ -363,23 +363,22 @@ def test_speed_drift_oracle_catches_a_planted_chart_spray_defect(name, monkeypat
     ({32, 64, 128, 256, 512}, None),
 ])
 def test_speed_drift_oracle_skips_a_rung_that_exits_below_512(exits, rungs, monkeypatch):
-    integrate, twin, finished = verification.integrate_spray, verification.integrate_twin, []
+    rungs_of, finished = verification.spray_rungs, []
 
-    def run(*steps):
-        if exits & set(steps):
-            raise DomainExitError("geodesic left domain", time=0.5, sample=0, reason="left domain")
-        finished.extend(steps)
+    def exiting_rungs(*args, **kwargs):
+        run = rungs_of(*args, **kwargs)
 
-    def exiting(man, x, v, steps, record_every=None):
-        run(steps)
-        return integrate(man, x, v, steps, record_every=record_every)
+        def exiting_run(n, twin):
+            steps = (n, n // 2) if twin else (n,)
+            if exits & set(steps):
+                raise DomainExitError("geodesic left domain", time=0.5, sample=0,
+                                      reason="left domain")
+            finished.extend(steps)
+            return run(n, twin)
 
-    def exiting_twin(man, x, v, steps, record_every=None):
-        run(steps, steps // 2)
-        return twin(man, x, v, steps, record_every=record_every)
+        return exiting_run
 
-    monkeypatch.setattr(verification, "integrate_spray", exiting)
-    monkeypatch.setattr(verification, "integrate_twin", exiting_twin)
+    monkeypatch.setattr(verification, "spray_rungs", exiting_rungs)
     if rungs is None:
         with pytest.raises(DomainExitError):
             standard_checks(HALFPLANE, instances=20, seed=0)
@@ -423,8 +422,7 @@ def test_speed_drift_oracle_certifies_each_rung_at_the_cost_of_one_run(monkeypat
         steps.append(n)
         return integrate(man, x, v, n, *args, **kwargs)
 
-    for module in (manifold, verification):  # the twin's calls, and the rungs run alone
-        monkeypatch.setattr(module, "integrate_spray", counted)
+    monkeypatch.setattr(manifold, "integrate_spray", counted)  # every rung's calls
     reports = standard_checks(make_manifold("sphere:r=0.5:rep=chart"), instances=20, seed=2)
     drift = {r.check_name: r for r in reports}["geodesic_speed_drift"]
     assert drift.max_abs_error == 3.493264705278775e-11
