@@ -22,7 +22,7 @@ climbs the step-doubling ladder :func:`mapgeom.manifold.step_doubling_ladder`
 (64, 128, ..., 1024 steps, each rung with its twin at half the steps in
 one run of :func:`mapgeom.manifold.integrate_twin`, or against the rung in
 hand, through :func:`mapgeom.manifold.spray_rungs`, whose first rung also
-carries the run at 128 halfway) and runs Newton at the first rung N it
+carries the run at 128 halfway for at most 8 samples) and runs Newton at the first rung N it
 reaches, jumping as RK4's h^4 law predicts, where the estimate of every
 sample's RK4 error from the runs at N and N/2 is at most the tolerance,
 and checks that estimate again for a velocity Newton moved.  Nearby
@@ -265,13 +265,12 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     Jacobian at ``steps // 8`` steps, in one call: by Newton's
     mesh-independence principle (Allgower, Boehmer, Potra & Rheinboldt,
     SIAM J. Numer. Anal. 23, 1986) the coarse grid's step is nearly the
-    fine grid's, at an eighth of its sequential RK4 steps.  A sample whose
-    coarse geodesic leaves the domain is dropped from that call, which is
-    made again without it, and starts from the chord; so does a sample
-    whose geodesic from its coarse iterate leaves the domain at ``steps``.
-    Newton then runs at ``steps`` from the iterate, so not every shot is
-    integrated at ``steps``, and a sample ends as it would from the chord
-    wherever the coarse grid leaves the domain.
+    fine grid's, at an eighth of its sequential RK4 steps.  Newton then
+    runs at ``steps`` from the iterates, so not every shot is integrated
+    at ``steps``.  If the coarse call leaves the domain, or the first call
+    at ``steps`` from the iterates does, every sample starts from the
+    chord instead, at the cost of that one call: the solve then goes on
+    as it would with no coarse step.
 
     Each sample accepts its own line-search step: halving continues only
     for the samples whose residual did not improve.  A sample is frozen
@@ -380,23 +379,20 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
         rmax = _certified_newton(run, residual, newton, z, tol)
     else:
         seed = z.copy()
-        rows = everyone if chord and steps >= COARSE_FLOOR else everyone[:0]
-        while rows.size:  # the coarse Gauss-Newton step
+        if chord and steps >= COARSE_FLOOR:  # the coarse Gauss-Newton step
             try:
-                r, J = residual(rows, z[rows], steps // 8, True)
-            except DomainExitError as exc:
-                rows = rows[rows != exc.sample]
-                continue
-            z[rows] -= gauss_newton(J, r)
-            break
-        while True:  # the chord seed's call carries rows
-            try:
-                r, J = residual(everyone, z, steps, chord)
-                break
-            except DomainExitError as exc:
-                if np.array_equal(z[exc.sample], seed[exc.sample]):
-                    raise
-                z[exc.sample] = seed[exc.sample]
+                r, J = residual(everyone, z, steps // 8, True)
+            except DomainExitError:
+                pass
+            else:
+                z -= gauss_newton(J, r)
+        try:  # the chord seed's call carries rows
+            r, J = residual(everyone, z, steps, chord)
+        except DomainExitError:
+            if np.array_equal(z, seed):
+                raise
+            z[:] = seed
+            r, J = residual(everyone, z, steps, chord)
         rmax = newton(r, steps, J)
     bad = np.flatnonzero(rmax > tol)
     if bad.size:

@@ -117,6 +117,10 @@ POLE_BAND = 1e-3  # excluded band around chart singularities
 ON_MANIFOLD_TOL = 1e-6  # largest embedding residual of a point on the manifold
 # a certified RK4 step count doubles from LADDER_START up to LADDER_CAP
 LADDER_START, LADDER_CAP = 32, 1024
+# the most samples whose first ladder rung carries the run at twice its steps:
+# up to 3 * 8 rows an RK4 step costs about what it costs at 8, so the carried
+# rows are nearly free, while from 40 to 60 rows a step costs 2-7 % more
+CARRY_SAMPLES = 8
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +624,10 @@ def step_doubling_ladder(run, tol: float):
     sample (a shooting residual, a drift series), and with ``twin`` the
     same at n/2 steps from :func:`integrate_twin`, else None.  ``est`` is
     the :func:`step_doubling_error` of ``fine`` against the result at n/2.
-    :func:`spray_rungs` builds ``run`` for geodesics; its first rung's run
-    also carries the rung above halfway, so a climb that goes on to 128
-    alone pays 64 more sequential RK4 steps, not 128.
+    :func:`spray_rungs` builds ``run`` for geodesics; for at most
+    ``CARRY_SAMPLES`` samples its first rung's run also carries the rung
+    above halfway, so a climb that goes on to 128 alone pays 64 more
+    sequential RK4 steps, not 128.
 
     The climb starts at the pair (64, 32).  From a rung's ``est`` it jumps
     to the rung that RK4's h^4 law predicts for ``tol``,
@@ -676,11 +681,13 @@ def spray_rungs(man: Manifold, x0, velocity: Callable, measure: Callable,
     ``snapshots`` every run records that many steps of its own (n //
     snapshots steps each), and ``measure`` gets the stacks.
 
-    The first rung's twin carries the run of twice its steps to its
-    midpoint.  When the climb asks next for that rung alone from the same
-    velocities, the run is resumed, and its rung costs n/2 sequential
-    steps instead of n: a field certified at 128 steps costs 128 instead
-    of 192.  Either way the result is bit for bit that of a fresh run.
+    For at most ``CARRY_SAMPLES`` samples, the first rung's twin carries
+    the run of twice its steps to its midpoint.  When the climb asks next
+    for that rung alone from the same velocities, the run is resumed, and
+    its rung costs n/2 sequential steps instead of n: a field certified at
+    128 steps costs 128 instead of 192.  Either way the result is bit for bit that of a fresh run, and
+    a carried run that left the domain raises its exit when resumed, as a
+    fresh run would; it never costs the first rung its result.
     """
     carried = None  # (steps, v0, resume) of the run that the first rung's twin carries
 
@@ -689,7 +696,7 @@ def spray_rungs(man: Manifold, x0, velocity: Callable, measure: Callable,
         v0 = velocity()
         every = None if snapshots is None else n // snapshots
         if twin:
-            carry = n == 2 * LADDER_START
+            carry = n == 2 * LADDER_START and len(x0) <= CARRY_SAMPLES
             fine, coarse, *resume = integrate_twin(man, x0, v0, n, every, carry)
             carried = (2 * n, v0.copy(), *resume) if carry else None
             return measure(*fine), measure(*coarse)
@@ -739,7 +746,10 @@ def integrate_twin(man: Manifold, x0, v0, steps: int, record_every: Optional[int
     2 * record_every)`` returns; ``2 * record_every`` must then divide
     ``steps // 2``.  All calls go through :func:`integrate_spray`.  A
     domain exit in any of them names the field sample, the run it was in
-    by its step count, and that run's own time and step.
+    by its step count, and that run's own time and step.  The carried run
+    never costs the twin its result: where it leaves the domain, the call
+    is made again without its rows, and ``resume()`` raises its exit, the
+    error its run raises on its own.
     """
     require_count("steps", steps, 2)
     if steps % 2:
@@ -756,23 +766,36 @@ def integrate_twin(man: Manifold, x0, v0, steps: int, record_every: Optional[int
         rec = record_every // 2
     x0, v0 = sample_fastest(x0), sample_fastest(v0)
     m = len(x0)
+    held = []  # the carried run's own exit, which resume() raises
+
+    def stepped(runs, x, v, first, every):
+        """``integrate_spray`` for ``half`` steps of the stacked rows (x, v) of the
+        runs of step counts ``runs``, at their step ``first``, and the runs kept: a
+        carried run that leaves the domain is held, and the call made without it."""
+        try:
+            return integrate_spray(man, x, v, half, every), runs
+        except DomainExitError as exc:
+            i = exc.sample // m
+            err = _exit_in_run(exc, half, exc.sample % m, runs[i], first)
+            if runs[i] != 2 * steps:
+                raise err from exc
+        held.append(err)
+        keep = np.arange(len(x)) // m != i
+        return stepped(runs[:i] + runs[i + 1:], x[keep], v[keep], first, every)
+
     # the stacked rows' runs and velocity scales: the fine run, the carried
     # one, and last the coarse run, which the first call finishes
     runs, scales = ((steps, 2 * steps, half), (0.5, 0.25, 1.0)) if carry else \
         ((steps, half), (0.5, 1.0))
-    try:
-        xb, vb = integrate_spray(man, np.concatenate([x0] * len(runs)),
-                                 np.concatenate([s * v0 for s in scales]), half, rec)
-    except DomainExitError as exc:
-        raise _exit_in_run(exc, half, exc.sample % m, runs[exc.sample // m], 0) from exc
+    (xb, vb), runs = stepped(runs, np.concatenate([x0] * len(runs)),
+                             np.concatenate([s * v0 for s in scales]), 0, rec)
     go_on = (len(runs) - 1) * m  # the rows the second call continues from their step `half`
     x_mid, w_mid = (xb, vb) if rec is None else (xb[-1], vb[-1])
-    try:
-        xc, wc = integrate_spray(man, x_mid[:go_on], w_mid[:go_on], half, record_every)
-    except DomainExitError as exc:
-        raise _exit_in_run(exc, half, exc.sample % m, runs[exc.sample // m], half) from exc
+    (xc, wc), _ = stepped(runs[:-1], x_mid[:go_on], w_mid[:go_on], half, record_every)
 
     def resume():
+        if held:
+            raise held[0]
         x, w = (xc, wc) if rec is None else (xc[-1], wc[-1])
         try:
             xr, wr = integrate_spray(man, x[m:], 2.0 * w[m:], steps,

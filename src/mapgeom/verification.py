@@ -283,12 +283,12 @@ def _speed_drift(man: Manifold, rng, count: int) -> float:
 
     Each rung of :func:`mapgeom.manifold.step_doubling_ladder` integrates
     every sample once at N, with its twin at N/2 in the same run unless
-    that twin is the rung in hand (:func:`mapgeom.manifold.spray_rungs`,
-    which also carries the run at 128 in the first rung's), and records 9
-    snapshots, at the same times on every rung, so the drift series at N
-    and N/2 give each sample's step-doubling estimate.  The ladder jumps to
-    the rung that RK4's h^4 law predicts.  Returns the drift at the first rung where
-    every estimate is at most a tenth of the report's bound, or at the cap.
+    that twin is the rung in hand (:func:`mapgeom.manifold.spray_rungs`),
+    and records 9 snapshots, at the same times on every rung, so the drift
+    series at N and N/2 give each sample's step-doubling estimate.  The
+    ladder jumps to the rung that RK4's h^4 law predicts.  Returns the
+    drift at the first rung where every estimate is at most a tenth of the
+    report's bound, or at the cap.
     """
     x = man.random_points(rng, count)
     v = _random_tangents(man, rng, x, 1)[0]

@@ -15,7 +15,7 @@ from mapgeom import (
     make_manifold,
     save_field,
 )
-from mapgeom import dynamics, mapspace
+from mapgeom import dynamics, manifold, mapspace
 from mapgeom.cli import COMMANDS, RunConfig, build_parser, main, parse_config
 from mapgeom.reparam import DiscreteDiffeo, save_permutation
 from mapgeom.transport import save_measure, DiscreteMeasure
@@ -479,33 +479,25 @@ def test_nonpositive_numeric_option_rejected(sphere_files):
 
 @pytest.fixture()
 def step_counts(monkeypatch):
-    """The step count of every integration the CLI makes, in order; a ladder
-    rung shows as its step count n, and with its twin as n, n/2."""
+    """The step count of every ``integrate_spray`` call the CLI makes, in
+    order: a ladder rung with its twin shows as two calls of n/2 steps, and
+    a rung that resumes the carried run as one of n/2."""
     counts = []
-    integrate, rungs = dynamics.integrate_spray, dynamics.spray_rungs
+    integrate = manifold.integrate_spray
 
-    def recording(man, x, v, steps, **kwargs):
+    def recording(man, x, v, steps, *args, **kwargs):
         counts.append(steps)
-        return integrate(man, x, v, steps, **kwargs)
+        return integrate(man, x, v, steps, *args, **kwargs)
 
-    def recording_rungs(*args, **kwargs):
-        run = rungs(*args, **kwargs)
-
-        def recording_run(n, twin):
-            counts.extend([n, n // 2] if twin else [n])
-            return run(n, twin)
-
-        return recording_run
-
-    for module in (dynamics, mapspace):
+    for module in (dynamics, mapspace, manifold):
         monkeypatch.setattr(module, "integrate_spray", recording)
-    monkeypatch.setattr(dynamics, "spray_rungs", recording_rungs)
     return counts
 
 
 def is_ladder(counts):
-    # the twin pair (64, 32), then the rung 128 alone against the 64 in hand
-    return counts == [64, 32, 128]
+    # the twin pair (64, 32) in two calls of 32, then the rung 128 alone
+    # against the 64 in hand, resumed from the run that the pair carried
+    return counts == [32, 32, 64]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

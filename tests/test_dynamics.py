@@ -382,22 +382,26 @@ def test_log_antipodal_reports_sample():
     assert err.value.sample == 1
 
 
-def test_log_domain_exit_names_the_field_sample():
+def test_log_domain_exit_names_the_field_sample(monkeypatch):
     # sample 0 is stationary and converges at once; sample 1's geodesic from
     # its coarse Gauss-Newton iterate leaves the narrowed chart at 100 steps,
-    # so it starts from the chord, as with no coarse step; that seed call
-    # (each sample's row and its k difference rows) stays in the chart, and
-    # the first trial, which integrates only sample 1's rows, leaves it at
-    # row 0 of that call
+    # so every sample starts from the chord, as with no coarse step; that
+    # seed call (each sample's row and its k difference rows) stays in the
+    # chart, and the first trial, which integrates only sample 1's rows,
+    # leaves it at row 0 of that call
     man = dataclasses.replace(make_manifold("halfplane"), closed_form_log=None, name=None,
                               chart_domain=lambda x: (x[..., 1] > 0.5) & (x[..., 1] < 2.0))
     dom = QuadratureDomain(np.array([0.5, 0.5]))
     q0 = MapField(dom, man, np.array([[0, 1], [-0.7701347334381896, 1.547719652199202]]))
     q1 = MapField(dom, man, np.array([[0, 1], [0.8548478572491198, 1.85830404690204]]))
+    calls = _recorded_calls(monkeypatch)
     with pytest.raises(DomainExitError, match="sample 1 left domain") as err:
         log_field(q0, q1, steps=100)
     assert err.value.sample == 1
     assert err.value.time == 0.5
+    # the coarse call, the call from its iterates that exits, the same call
+    # from the chord, and the trial that exits: the fallback costs one call
+    assert calls == [(6, 12), (6, 100), (6, 100), (3, 100)]
 
 
 def _recorded_calls(monkeypatch):
@@ -442,12 +446,12 @@ def test_chord_log_whose_coarse_grid_leaves_the_domain_ends_as_from_the_chord(mo
     q1 = MapField(dom, man, np.array([[0.0, 1.0], [-0.0864313815932709, 1.490966133068659]]))
     calls = _recorded_calls(monkeypatch)
     h = log_field(q0, q1, steps=64)
-    # the coarse call exits and is made again for sample 0 alone
-    assert calls[:3] == [(6, 8), (3, 8), (6, 64)]
+    # the coarse call exits, and the seed's call from the chord comes next
+    assert calls[:3] == [(6, 8), (6, 64), (3, 64)]
     end = manifold.integrate_spray(man, q0.values, h.vecs, 64)[0]
     assert np.max(np.abs(end - q1.values)) <= dynamics.LOG_TOL
-    # the stationary sample 0 takes a zero step, and sample 1 starts from the
-    # chord: the solve is bit for bit the one without a coarse step
+    # every sample starts from the chord: the solve is bit for bit the one
+    # without a coarse step, one call of 8 steps later
     monkeypatch.setattr(dynamics, "COARSE_FLOOR", math.inf)
     calls.clear()
     assert np.array_equal(log_field(q0, q1, steps=64).vecs, h.vecs)
@@ -572,45 +576,43 @@ def test_exp_log_round_trip_field_level():
 
 @pytest.fixture()
 def step_counts(monkeypatch):
-    """The step count of every integration the log map makes, in order; a
-    ladder rung shows as its step count n, and with its twin as n, n/2."""
+    """The step count of every ``integrate_spray`` call the log map makes, in
+    order: a ladder rung with its twin shows as two calls of n/2 steps, a
+    rung run alone as one of n, and a rung that resumes the carried run as
+    one of n/2."""
     counts = []
-    integrate, rungs = dynamics.integrate_spray, dynamics.spray_rungs
+    integrate = manifold.integrate_spray
 
-    def recording(man, x, v, steps, **kwargs):
+    def recording(man, x, v, steps, *args):
         counts.append(steps)
-        return integrate(man, x, v, steps, **kwargs)
+        return integrate(man, x, v, steps, *args)
 
-    def recording_rungs(*args, **kwargs):
-        run = rungs(*args, **kwargs)
-
-        def recording_run(n, twin):
-            counts.extend([n, n // 2] if twin else [n])
-            return run(n, twin)
-
-        return recording_run
-
-    monkeypatch.setattr(dynamics, "integrate_spray", recording)
-    monkeypatch.setattr(dynamics, "spray_rungs", recording_rungs)
+    for module in (dynamics, manifold):  # Newton's calls, and the ladder's
+        monkeypatch.setattr(module, "integrate_spray", recording)
     return counts
 
 
 # the integrate_spray step counts of the log of each field below: a
 # Jacobian less accurate than Newton needs costs an iteration and shows here;
-# a certified log starts with the twin pair (64, 32) and jumps to the rung
-# that RK4's h^4 law predicts, alone when its twin is the rung in hand
+# a certified log starts with the twin pair (64, 32) in two calls of 32 and
+# jumps to the rung that RK4's h^4 law predicts: a pair (n, n/2) in two calls
+# of n/2, or n alone when its twin is the rung in hand, where 128 resumes the
+# run that the first pair carried, in one call of 64
 NEWTON_CALLS = {
     ("flat:n=2", 64): [64],
-    ("flat:n=2", None): [64, 32],
+    ("flat:n=2", None): [32, 32],
     ("sphere:r=1.0:rep=chart", 64): [64, 64, 64],
-    ("sphere:r=1.0:rep=chart", None): [64, 32, 256, 128],
+    ("sphere:r=1.0:rep=chart", None): [32, 32, 128, 128],
     ("sphere:r=1.0:rep=embedded", 64): [64],
-    ("sphere:r=1.0:rep=embedded", None): [64, 32, 128],
+    ("sphere:r=1.0:rep=embedded", None): [32, 32, 64],
     ("halfplane", 64): [64, 64, 64],
-    ("halfplane", None): [64, 32, 256, 128],
+    ("halfplane", None): [32, 32, 128, 128],
     ("paraboloid", 64): [8, 64, 64, 64],
-    ("paraboloid", None): [64, 32] + [128] * 6 + [64],
+    ("paraboloid", None): [32, 32, 64] + [128] * 5 + [64],
 }
+# the rung that each certified log above accepts
+CERTIFIED_RUNG = {"flat:n=2": 64, "sphere:r=1.0:rep=chart": 256,
+                  "sphere:r=1.0:rep=embedded": 128, "halfplane": 256, "paraboloid": 128}
 
 
 @pytest.mark.parametrize("spec, steps", list(NEWTON_CALLS))
@@ -624,7 +626,7 @@ def test_log_newton_call_counts_per_target(spec, steps, step_counts):
     q1 = exp_field(TangentField(q0, d), steps=400)
     h = log_field(q0, q1, steps=steps)
     assert step_counts == NEWTON_CALLS[spec, steps]
-    end = exp_field(h, steps=max(step_counts)).values
+    end = exp_field(h, steps=steps or CERTIFIED_RUNG[spec]).values
     assert np.max(np.abs(end - q1.values)) <= dynamics.LOG_TOL
 
 
@@ -659,8 +661,9 @@ def sphere_chart_distance(a, b):
     return np.arccos(np.clip(np.sum(embed(a) * embed(b), axis=1), -1.0, 1.0))
 
 
-# the twin pair (64, 32), then the pair that the h^4 law predicts from it
-CHOSEN_RUNGS = {"halfplane": [64, 32, 512, 256], "sphere:r=1.0:rep=chart": [64, 32, 256, 128]}
+# the twin pair (64, 32), then the pair (n, n/2) that the h^4 law predicts
+# from it, each in two calls of half their n
+CHOSEN_RUNGS = {"halfplane": [32, 32, 256, 256], "sphere:r=1.0:rep=chart": [32, 32, 128, 128]}
 
 
 @pytest.mark.parametrize("spec, distance", [("halfplane", halfplane_distance),
@@ -669,7 +672,7 @@ def test_certified_log_endpoint_error_at_the_chosen_steps_is_within_tol(spec, di
                                                                         step_counts):
     q0, q1 = nearby_fields(spec, 3, m=6, spread=0.8)
     h = log_field(q0, q1)
-    n = max(step_counts)
+    n = 2 * step_counts[-1]
     assert step_counts == CHOSEN_RUNGS[spec] and n > 64
     man = q0.manifold
     speed = np.sqrt(man.inner(q0.values, h.vecs, h.vecs))
@@ -707,13 +710,38 @@ def test_certified_log_goes_on_past_a_coarse_domain_exit(step_counts):
     q0, q1 = MapField(circle_domain(2), man, a), MapField(circle_domain(2), man, b)
     with pytest.raises(DomainExitError, match="sample 1 left domain"):
         manifold.integrate_spray(man, a, man.closed_form_log(a, b), 32)
+    step_counts.clear()
     h = log_field(q0, q1, tol=1e-5)
-    n = max(step_counts)
-    # the pair (64, 32) exits, and 128 vs 64 is the first estimate
-    assert step_counts[:4] == [64, 32, 128, 64] and n > 128
+    # the pair (64, 32) exits in its first call, 128 vs 64 is the first
+    # estimate, and the pair (1024, 512) that it predicts certifies
+    assert step_counts == [32, 64, 64, 512, 512]
+    n = 1024
     assert np.array_equal(h.vecs, log_field(q0, q1, steps=n, tol=1e-5).vecs)
     speed = np.sqrt(man.inner(a, h.vecs, h.vecs))
     assert np.max(np.abs(speed - sphere_chart_distance(a, b))) < 1e-9
+
+
+# sample 1 moves at unit speed along the first axis, so the 64- and 32-step
+# runs land on x = k/64 and k/32 and the carried 128-step run on k/128: a
+# hole at an odd k/128 is met by the carried run alone, in the stacked call
+# (3/128) or in its continuation (35/128)
+@pytest.mark.parametrize("hole", [3 / 128, 35 / 128])
+def test_certified_log_keeps_its_first_rung_when_only_the_carried_run_exits(hole,
+                                                                           step_counts):
+    man = dataclasses.replace(
+        FLAT2, chart_domain=lambda x: np.abs(np.asarray(x)[..., 0] - hole) > 1e-9)
+    q0 = MapField(circle_domain(2), man, np.array([[0.0, 0.0], [0.0, 0.5]]))
+    q1 = MapField(circle_domain(2), man, np.array([[0.0, 1.0], [1.0, 0.5]]))
+    with pytest.raises(DomainExitError, match="sample 1 left domain"):
+        manifold.integrate_spray(man, q0.values, q1.values - q0.values, 128)
+    step_counts.clear()
+    h = log_field(q0, q1)
+    # the call that the carried run left (the stacked call or its
+    # continuation) is made again without its rows, and the pair (64, 32)
+    # certifies the closed-form seed as with no carried run
+    assert step_counts == [32, 32, 32]
+    assert np.array_equal(h.vecs, q1.values - q0.values)
+    assert np.array_equal(h.vecs, log_field(q0, q1, steps=64).vecs)
 
 
 def test_certified_log_names_every_sample_it_cannot_certify_at_the_cap():

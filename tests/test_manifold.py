@@ -500,7 +500,8 @@ def test_carried_run_needs_twice_the_record_interval_to_divide_half_the_steps():
 
 # at unit speed along the first axis the 8-step run lands on x = k/8, its
 # 4-step twin on x = 2k/8 and the carried 16-step run on x = k/16; a hole is
-# met first, in the calls' order, by the run named
+# met first, in the calls' order, by the run named.  The twin keeps its
+# result when only the carried run meets a hole, and resume() raises it
 @pytest.mark.parametrize("hole, when", [
     (0.375, "t=0.375 (step 3 of 8)"),  # the 8-step run, inside the stacked call
     (0.625, "t=0.625 (step 5 of 8)"),  # the 8-step run, in its continuation
@@ -520,6 +521,7 @@ def test_twin_exit_names_the_sample_the_run_and_its_own_time_and_step(hole, when
     for carry in (True,) if carried else (False, True):
         with pytest.raises(DomainExitError) as err:
             for resume in manifold.integrate_twin(man, x, v, 8, carry=carry)[2:]:
+                assert carried
                 resume()
         assert str(err.value) == f"geodesic of sample 1 left domain at {when}"
     assert err.value.sample == 1

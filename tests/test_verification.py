@@ -356,29 +356,28 @@ def test_speed_drift_oracle_catches_a_planted_chart_spray_defect(name, monkeypat
 
 # the drift oracle follows the ladder's exit rule: a rung below the cap that
 # leaves the domain is left out, and an exit at the cap propagates; a twin
-# call integrates at n and n/2 steps and exits if either run does, so below
-# every pair up to 512 is left out, and the one at 1024 is not
+# call exits if either run does, so below every pair up to 512 is left out,
+# and the one at 1024, two calls of 512 steps, is not.  The exits are planted
+# in the integrator's calls: each geodesic starts at speed 0.2, so a row of a
+# call of s steps at speed 0.2 / f is a row of the run of f * s steps (a
+# twin's stacked call holds its fine run at half velocity)
 @pytest.mark.parametrize("exits, rungs", [
-    ({32, 64, 128, 256}, [1024, 512]),
+    ({32, 64, 128, 256}, [512, 512]),
     ({32, 64, 128, 256, 512}, None),
 ])
 def test_speed_drift_oracle_skips_a_rung_that_exits_below_512(exits, rungs, monkeypatch):
-    rungs_of, finished = verification.spray_rungs, []
+    finished, integrate = [], manifold.integrate_spray
 
-    def exiting_rungs(*args, **kwargs):
-        run = rungs_of(*args, **kwargs)
+    def exiting(man, x, v, steps, record_every=None):
+        runs = np.rint(0.2 * steps / np.sqrt(man.inner(x, v, v)))
+        hit = np.flatnonzero(np.isin(runs, list(exits)))
+        if hit.size:
+            raise DomainExitError(f"geodesic of sample {hit[0]} left domain", time=0.5,
+                                  sample=int(hit[0]), reason="left domain")
+        finished.append(steps)
+        return integrate(man, x, v, steps, record_every)
 
-        def exiting_run(n, twin):
-            steps = (n, n // 2) if twin else (n,)
-            if exits & set(steps):
-                raise DomainExitError("geodesic left domain", time=0.5, sample=0,
-                                      reason="left domain")
-            finished.extend(steps)
-            return run(n, twin)
-
-        return exiting_run
-
-    monkeypatch.setattr(verification, "spray_rungs", exiting_rungs)
+    monkeypatch.setattr(manifold, "integrate_spray", exiting)
     if rungs is None:
         with pytest.raises(DomainExitError):
             standard_checks(HALFPLANE, instances=20, seed=0)
