@@ -35,6 +35,7 @@ exponential map and trajectories always integrate with the steps given.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -276,7 +277,8 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     for the samples whose residual did not improve.  A sample is frozen
     once it converges or its line search fails, so one stuck sample
     neither stalls the others nor is blamed for them.  A domain exit
-    names the field sample whose geodesic left.
+    names every field sample whose geodesic left in that integration,
+    each once.
 
     With ``steps=None`` the step count is certified instead of fixed; see
     :func:`_certified_newton`.
@@ -286,12 +288,6 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
     m, k = z.shape
     everyone = np.arange(m)
     chord = man.closed_form_log is None  # the seed is the projected chord
-
-    def named(exc, rows):
-        """A domain exit of the call that integrated ``rows``, told for the field sample."""
-        sample = int(rows[exc.sample])  # exc.sample indexes the integrated rows
-        return DomainExitError(f"log shooting: geodesic of sample {sample} {exc.reason}",
-                               time=exc.time, sample=sample, reason=exc.reason)
 
     def velocity(rows, zz):
         return np.einsum("sik,sk->si", basis[rows], zz)
@@ -309,8 +305,9 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
             zz = np.concatenate([zz, zs.reshape(-1, k)])
         try:
             end, _ = integrate_spray(man, x0[rows], velocity(rows, zz), n)
-        except DomainExitError as exc:
-            raise named(exc, rows) from exc
+        except DomainExitError as exc:  # told by field sample
+            exits = [e._replace(sample=int(rows[e.sample])) for e in exc.exits]
+            raise DomainExitError(exits) from exc
         r = end - target[rows]
         if not jac:
             return r, None
@@ -369,43 +366,24 @@ def _shoot(man: Manifold, x0: np.ndarray, target: np.ndarray, v_init: np.ndarray
 
     if steps is None:
         rung = spray_rungs(man, x0, lambda: velocity(everyone, z), lambda x, v: x - target)
-
-        def run(n, twin):
-            try:
-                return rung(n, twin)
-            except DomainExitError as exc:
-                raise named(exc, everyone) from exc
-
-        rmax = _certified_newton(run, residual, newton, z, tol)
+        rmax = _certified_newton(rung, residual, newton, z, tol)
     else:
-        seed = z.copy()
-        if chord and steps >= COARSE_FLOOR:  # the coarse Gauss-Newton step
-            try:
-                r, J = residual(everyone, z, steps // 8, True)
-            except DomainExitError:
-                pass
-            else:
-                z -= gauss_newton(J, r)
-        try:  # the chord seed's call carries rows
-            r, J = residual(everyone, z, steps, chord)
-        except DomainExitError:
-            if np.array_equal(z, seed):
-                raise
-            z[:] = seed
+        r = None
+        # the coarse Gauss-Newton step, kept if neither of its calls leaves the domain
+        if chord and steps >= COARSE_FLOOR:
+            with contextlib.suppress(DomainExitError):
+                coarse, J = residual(everyone, z, steps // 8, True)
+                moved = z - gauss_newton(J, coarse)
+                r, J = residual(everyone, moved, steps, chord)
+                z[:] = moved
+        if r is None:  # from the seed; the chord's call carries rows
             r, J = residual(everyone, z, steps, chord)
         rmax = newton(r, steps, J)
     bad = np.flatnonzero(rmax > tol)
     if bad.size:
-        raise _shooting_error("log shooting did not converge at", bad,
-                              [f"residual {rmax[i]:.3e}" for i in bad], f"; tolerance {tol:.1e}")
+        raise ShootingError("log shooting did not converge", bad,
+                            [f"residual {rmax[i]:.3e}" for i in bad], f"; tolerance {tol:.1e}")
     return np.einsum("sik,sk->si", basis, z)
-
-
-def _shooting_error(head: str, bad: np.ndarray, details, tail: str = "") -> ShootingError:
-    """A :class:`ShootingError` naming each sample of ``bad`` with its detail."""
-    listing = ", ".join(f"{i} ({detail})" for i, detail in zip(bad, details))
-    return ShootingError(f"{head} sample{'s' if bad.size > 1 else ''} {listing}{tail}",
-                         sample=int(bad[0]))
 
 
 def _certified_newton(run, residual, newton, z, tol):
@@ -439,8 +417,8 @@ def _certified_newton(run, residual, newton, z, tol):
                 return rmax
     bad = np.flatnonzero(est > tol)
     needs = [math.ceil(steps_needed(n, est[i], tol)) for i in bad]
-    raise _shooting_error(
-        f"log shooting: step-doubling error above tolerance {tol:.1e} at the cap of {n} steps at",
+    raise ShootingError(
+        f"log shooting: step-doubling error above tolerance {tol:.1e} at the cap of {n} steps",
         bad, [f"estimate {est[i]:.3e}, needs ~{need} steps" for i, need in zip(bad, needs)])
 
 
@@ -474,7 +452,10 @@ def log_field(q0: MapField, q1: MapField, steps: Optional[int] = None,
     else:
         v = man.project(q0.values, q1.values - q0.values)
     v[np.all(q0.values == q1.values, axis=1)] = 0.0
-    v = _shoot(man, q0.values, q1.values, v, steps, tol)
+    try:
+        v = _shoot(man, q0.values, q1.values, v, steps, tol)
+    except DomainExitError as exc:
+        raise DomainExitError(exc.exits, "log shooting: ") from exc
     return TangentField(q0, v)
 
 

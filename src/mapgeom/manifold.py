@@ -100,9 +100,10 @@ return either layout, and results do not depend on it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -501,19 +502,9 @@ def spray_accel(man: Manifold, x, v) -> np.ndarray:
     return man.transport_rhs(x, v, v)
 
 
-def _first_bad_index(ok: np.ndarray):
-    """Index of the first False entry, or None for scalar/empty data.
-
-    A 0-d ``ok`` has no index: ``np.argwhere`` gives it an empty row.
-    """
-    bad = np.argwhere(~ok)
-    return None if bad.size == 0 else int(bad[0][0])
-
-
 def _of_sample(ok: np.ndarray) -> str:
     """The text " at sample i" for the first False entry i of ``ok``; empty for a point."""
-    sample = _first_bad_index(ok)
-    return "" if sample is None else f" at sample {sample}"
+    return "" if ok.ndim == 0 else f" at sample {np.argwhere(~ok)[0][0]}"
 
 
 def _all_valid(man: Manifold, x) -> bool:
@@ -521,51 +512,69 @@ def _all_valid(man: Manifold, x) -> bool:
     return _all(np.isfinite(x)) and _all(man.valid(x))
 
 
-def _exit_error(man: Manifold, x, t: float, step: int, steps: int) -> DomainExitError:
-    """The error for a state x with a row that is not finite or not valid.
+class DomainExit(NamedTuple):
+    """One sample's exit from the domain, at step ``step`` of a run of ``steps``.
 
-    It names the first such row and why it failed: a non-finite state, a
-    level-set residual above ``ON_MANIFOLD_TOL`` (after a step, a step too
-    long for the drift control to undo), or a point outside the chart.
+    ``kind`` says why: the state of ``sample`` (None for a point) "is not
+    finite", "left domain" (of a chart), or lies ``residual`` >
+    ``ON_MANIFOLD_TOL`` "off level set": at the start, or after a step too
+    long for the drift control to undo.
     """
-    finite = np.all(np.isfinite(x), axis=-1)
-    safe = np.where(finite[..., None], x, 0.0)  # keep inf and NaN out of the callbacks
-    ok = finite & man.valid(safe)
-    sample = _first_bad_index(ok)
-    row = () if sample is None else (sample,)
-    residual = man.residual(safe)[row]
-    when = _when(t, step, steps)
-    if not finite[row]:
-        reason = f"is not finite at {when}"
-    elif residual > ON_MANIFOLD_TOL and step == 0:
-        reason = (f"starts off the level set at {when}: residual {residual:.3g} > "
-                  f"{ON_MANIFOLD_TOL:g}")
-    elif residual > ON_MANIFOLD_TOL:
-        reason = (f"took a step too long at {when}: level-set residual {residual:.3g} > "
-                  f"{ON_MANIFOLD_TOL:g} before retraction; use more than {steps} steps")
-    else:
-        reason = f"left domain at {when}"
-    of = "" if sample is None else f" of sample {sample}"
-    return DomainExitError(f"geodesic{of} {reason}", time=t, sample=sample, reason=reason)
+
+    sample: Optional[int]
+    step: int
+    steps: int
+    kind: str
+    residual: Optional[float] = None
+
+    @property
+    def time(self) -> float:
+        return self.step * (1.0 / self.steps)  # the run's (s + 1) * dt, bit for bit
+
+    @property
+    def reason(self) -> str:
+        when = f"at t={self.time:.6g} (step {self.step} of {self.steps})"
+        if self.residual is None:
+            return f"{self.kind} {when}"
+        drift = f"residual {self.residual:.3g} > {ON_MANIFOLD_TOL:g}"
+        if self.step == 0:
+            return f"starts off the level set {when}: {drift}"
+        return (f"took a step too long {when}: level-set {drift} before retraction; "
+                f"use more than {self.steps} steps")
 
 
-def _when(t: float, step: int, steps: int) -> str:
-    """The time and step of a state in an exit message."""
-    return f"t={t:.6g} (step {step} of {steps})"
+def _finish_run(man: Manifold, spray: Callable, x_prev, x, v, step: int,
+                steps: int) -> DomainExitError:
+    """The error of a run whose state (x, v) at its step ``step`` of ``steps``, from the
+    state x_prev, has rows that are not finite or not valid.
 
-
-def _exit_in_run(exc: DomainExitError, calls: int, sample: int, steps: int,
-                 first: int) -> DomainExitError:
-    """``exc``, raised by a call of ``calls`` steps, told for the run of ``steps`` steps
-    that began that call at its step ``first``: the field sample, and that run's own
-    time and step (see :func:`integrate_twin`)."""
-    was = round(exc.time * calls)  # the call's step; its time is that times 1 / calls
-    step = first + was
-    t = step * (1.0 / steps)
-    reason = exc.reason.replace(_when(exc.time, was, calls), _when(t, step, steps)).replace(
-        f"use more than {calls} steps", f"use more than {steps} steps")
-    return DomainExitError(f"geodesic of sample {sample} {reason}", time=t, sample=sample,
-                           reason=reason)
+    Each such row exits there and is dropped.  The rows kept go through
+    ``post_step`` and on to t = 1, laid out sample-fastest as the run lays
+    out its rows, and each row that fails a later step exits there: every
+    row meets the exit it meets integrated alone.  The error lists every
+    exit.  At the start x_prev is x, whose rows ``post_step`` leaves as
+    they are, since none moved.  It runs under the run's ``np.errstate``,
+    so an overflow shows as a state that is not finite.
+    """
+    # each row's sample, as a Python int; a point, whose one row failed, has none
+    rows = np.arange(len(x), dtype=object) if x.ndim > 1 else np.array([None])
+    x, exits = np.atleast_2d(x), []
+    while True:
+        finite = np.all(np.isfinite(x), axis=1)
+        safe = np.where(finite[:, None], x, 0.0)  # keep inf and NaN out of the callbacks
+        ok = finite & man.valid(safe)
+        residual = man.residual(safe)
+        for i in np.flatnonzero(~ok):
+            off = finite[i] and residual[i] > ON_MANIFOLD_TOL
+            kind = "off level set" if off else "left domain" if finite[i] else "is not finite"
+            exits.append(DomainExit(rows[i], step, steps, kind,
+                                    float(residual[i]) if off else None))
+        if step == steps or not ok.any():
+            return DomainExitError(exits)
+        rows, x, v = rows[ok], sample_fastest(x[ok]), sample_fastest(v[ok])
+        x, v, _ = man.post_step(sample_fastest(x_prev[ok]), x, v)
+        x_prev, step = x, step + 1
+        x, v = rk4_step(spray, x, v, 1.0 / steps)
 
 
 def require_count(name: str, value, least: int = 1):
@@ -638,11 +647,12 @@ def step_doubling_ladder(run, tol: float):
     the climb goes on to a pair, which brings its own estimate: the pair
     above a pair that exited, and two rungs up from a rung that exited
     alone, as the pair above that rung would rerun its exit.  Where that
-    pair would be past the cap, the exit propagates.  The arrays yielded
-    are the ones the prediction and the next rung read, so an in-place
-    edit of them (Newton polishing a residual from the velocity it moved,
-    and its re-estimate) carries to both.  The caller stops the climb by
-    leaving the loop.
+    pair would be past the cap, the exit propagates, naming every sample
+    that left in that call; a rung is missing for every sample, however
+    few of them left.  The arrays yielded are the ones the prediction and
+    the next rung read, so an in-place edit of them (Newton polishing a
+    residual from the velocity it moved, and its re-estimate) carries to
+    both.  The caller stops the climb by leaving the loop.
     """
     n, held = 2 * LADDER_START, None
     while True:
@@ -745,11 +755,13 @@ def integrate_twin(man: Manifold, x0, v0, steps: int, record_every: Optional[int
     doubled, and returns what ``integrate_spray(man, x0, v0, 2 * steps,
     2 * record_every)`` returns; ``2 * record_every`` must then divide
     ``steps // 2``.  All calls go through :func:`integrate_spray`.  A
-    domain exit in any of them names the field sample, the run it was in
-    by its step count, and that run's own time and step.  The carried run
-    never costs the twin its result: where it leaves the domain, the call
-    is made again without its rows, and ``resume()`` raises its exit, the
-    error its run raises on its own.
+    domain exit in either run names every field sample that left in that
+    call, each once, with the run it was in by its step count and that
+    run's own time and step.  The carried run never costs the twin its
+    result: where it alone leaves the domain, the call is made again
+    without its rows.  Where it left, ``resume()`` integrates the run of
+    ``2 * steps`` steps afresh, so it raises what that run raises on its
+    own.
     """
     require_count("steps", steps, 2)
     if steps % 2:
@@ -766,22 +778,21 @@ def integrate_twin(man: Manifold, x0, v0, steps: int, record_every: Optional[int
         rec = record_every // 2
     x0, v0 = sample_fastest(x0), sample_fastest(v0)
     m = len(x0)
-    held = []  # the carried run's own exit, which resume() raises
 
     def stepped(runs, x, v, first, every):
-        """``integrate_spray`` for ``half`` steps of the stacked rows (x, v) of the
-        runs of step counts ``runs``, at their step ``first``, and the runs kept: a
-        carried run that leaves the domain is held, and the call made without it."""
+        """``integrate_spray`` for ``half`` steps of the stacked rows (x, v) of ``runs``,
+        at their step ``first``, and the runs kept.  An exit is told in its run: the
+        field sample, the run's own step and its step count.  Where only the carried
+        run leaves the domain, the call is made again without its rows."""
         try:
             return integrate_spray(man, x, v, half, every), runs
         except DomainExitError as exc:
-            i = exc.sample // m
-            err = _exit_in_run(exc, half, exc.sample % m, runs[i], first)
-            if runs[i] != 2 * steps:
-                raise err from exc
-        held.append(err)
-        keep = np.arange(len(x)) // m != i
-        return stepped(runs[:i] + runs[i + 1:], x[keep], v[keep], first, every)
+            exits = [e._replace(sample=e.sample % m, step=first + e.step, steps=runs[e.sample // m])
+                     for e in exc.exits if runs[e.sample // m] != 2 * steps]
+            if exits:
+                raise DomainExitError(exits) from exc
+        keep = np.arange(len(x)) // m != 1  # the carried run is the second block
+        return integrate_spray(man, x[keep], v[keep], half, every), runs[:1] + runs[2:]
 
     # the stacked rows' runs and velocity scales: the fine run, the carried
     # one, and last the coarse run, which the first call finishes
@@ -791,22 +802,21 @@ def integrate_twin(man: Manifold, x0, v0, steps: int, record_every: Optional[int
                              np.concatenate([s * v0 for s in scales]), 0, rec)
     go_on = (len(runs) - 1) * m  # the rows the second call continues from their step `half`
     x_mid, w_mid = (xb, vb) if rec is None else (xb[-1], vb[-1])
-    (xc, wc), _ = stepped(runs[:-1], x_mid[:go_on], w_mid[:go_on], half, record_every)
+    (xc, wc), runs = stepped(runs[:-1], x_mid[:go_on], w_mid[:go_on], half, record_every)
 
     def resume():
-        if held:
-            raise held[0]
+        every = None if rec is None else 2 * record_every
         x, w = (xc, wc) if rec is None else (xc[-1], wc[-1])
-        try:
-            xr, wr = integrate_spray(man, x[m:], 2.0 * w[m:], steps,
-                                     None if rec is None else 2 * record_every)
-        except DomainExitError as exc:
-            raise _exit_in_run(exc, steps, exc.sample, 2 * steps, steps) from exc
-        if rec is None:
-            return xr, 2.0 * wr
-        # the carried rows were recorded at 4 and 2 times its rate, with v/4
-        return _stacked([(xb[::4, m:go_on], vb[::4, m:go_on], 4.0),
-                         (xc[::2, m:], wc[::2, m:], 4.0), (xr, wr, 2.0)])
+        if 2 * steps in runs:
+            with contextlib.suppress(DomainExitError):
+                xr, wr = integrate_spray(man, x[m:], 2.0 * w[m:], steps, every)
+                if rec is None:
+                    return xr, 2.0 * wr
+                # the carried rows were recorded at 4 and 2 times its rate, with v/4
+                return _stacked([(xb[::4, m:go_on], vb[::4, m:go_on], 4.0),
+                                 (xc[::2, m:], wc[::2, m:], 4.0), (xr, wr, 2.0)])
+        # the carried run left the domain: integrated afresh, it raises its own exits
+        return integrate_spray(man, x0, v0, 2 * steps, every)
 
     if rec is None:
         fine = sample_fastest(xc[:m]), 2.0 * sample_fastest(wc[:m])
@@ -826,15 +836,16 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
     ``record_every`` steps, which must divide ``steps``.
     After every step the target's ``post_step`` checks the new state and
     controls drift: embedded targets are retracted and the velocity is
-    re-projected onto the tangent space.  A state that is not finite or
-    not valid raises :class:`DomainExitError` naming the first such sample
-    and why.
+    re-projected onto the tangent space.  A row whose state is not finite
+    or not valid exits: the run drops it, finishes the other rows, and
+    then raises one :class:`DomainExitError` whose ``exits`` name every
+    sample that left, with its step and why, and whose ``sample`` is the
+    first (earliest step, then lowest row).  Up to the first exit the loop
+    makes no per-row test.
     """
     require_count("steps", steps)
     x = sample_fastest(x0)
     v = sample_fastest(v0)
-    if not _all_valid(man, x):
-        raise _exit_error(man, x, 0.0, 0, steps)
     dt = 1.0 / steps
 
     def spray(x, v):  # looks spray_accel up at each call, so a rebinding wraps it
@@ -853,11 +864,13 @@ def integrate_spray(man: Manifold, x0, v0, steps: int, record_every: Optional[in
     # an overflow or a NaN shows as a state that post_step finds not finite,
     # and the error then names the sample; NumPy's warnings would come first
     with np.errstate(all="ignore"):
+        if not _all_valid(man, x):
+            raise _finish_run(man, spray, x, x, v, 0, steps)
         for s in range(steps):
             # post_step hands a state it rejects back as given, unretracted
-            x, v, ok = man.post_step(x, *rk4_step(spray, x, v, dt))
+            x, v, ok = man.post_step(x_prev := x, *rk4_step(spray, x, v, dt))
             if not ok:
-                raise _exit_error(man, x, (s + 1) * dt, s + 1, steps)
+                raise _finish_run(man, spray, x_prev, x, v, s + 1, steps)
             if xs is not None and (s + 1) % record_every == 0:
                 j = (s + 1) // record_every
                 xs[j], vs[j] = x, v
@@ -972,11 +985,9 @@ def _sphere_embedded(radius: float, name: str) -> EmbeddedManifold:
         w = u1 - c[..., None] * u0
         s = np.linalg.norm(w, axis=-1)
         antipodal = (s < 1e-12) & (c < 0.0)
-        if np.any(antipodal):
-            raise ShootingError(
-                "log undefined for antipodal sphere points",
-                sample=_first_bad_index(~antipodal),
-            )
+        if np.any(antipodal):  # a point has no sample to name
+            raise ShootingError("log undefined for antipodal sphere points",
+                                np.flatnonzero(antipodal) if antipodal.ndim else ())
         theta = np.arctan2(s, c)
         factor = np.where(s > 1e-12, theta / np.where(s > 1e-12, s, 1.0), 1.0)
         return radius * factor[..., None] * w

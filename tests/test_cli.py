@@ -168,6 +168,19 @@ def test_exp_step_too_long_exit_1_naming_sample_and_reason(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "failure: geodesic of sample 1 took a step too long at t=0.001 (step 1 of 1000)" in err
     assert "use more than 1000 steps" in err
+    # two samples that take steps too long exit once, naming both
+    q = MapField(circle_domain(3), SPHERE, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                                                     [1.0, 0.0, 0.0]]))
+    save_field(TangentField(q, np.array([[500.0, 0.0, 0.0], [0.1, 0.0, 0.0],
+                                         [0.0, 400.0, 0.0]])), tmp_path / "h.json")
+    code = main(["exp", "--field", str(tmp_path / "h.json"), "--output", str(tmp_path / "o.json"),
+                 "--steps", "1000"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("failure: geodesics of samples 0 (took a step too long at t=0.001 "
+                          "(step 1 of 1000): level-set residual ")
+    assert "), 2 (took a step too long at t=0.001 (step 1 of 1000): level-set residual " in err
+    assert err.count("use more than 1000 steps") == 2 and "sample 1" not in err
 
 
 def test_exp_requires_tangent_field(sphere_files):
@@ -568,6 +581,18 @@ def test_distance_uncertified_at_the_cap_exit_1(sphere_files, capsys):
     assert err.startswith("failure: log shooting: step-doubling error above tolerance 1.0e-30 "
                           "at the cap of 1024 steps at samples 0 (estimate ")
     assert all(f"{i} (estimate " in err for i in range(5))
+
+
+def test_log_antipodal_exit_1_naming_every_sample(tmp_path, capsys):
+    dom = circle_domain(3)
+    a = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
+    save_field(MapField(dom, SPHERE, a), tmp_path / "a.json")
+    save_field(MapField(dom, SPHERE, a * [[1.0], [-1.0], [-1.0]]), tmp_path / "b.json")
+    code = main(["log", "--base", str(tmp_path / "a.json"), "--target", str(tmp_path / "b.json"),
+                 "--output", str(tmp_path / "o.json")])
+    assert code == 1
+    assert capsys.readouterr().err == ("failure: log undefined for antipodal sphere points at "
+                                       "samples 1, 2\n")
 
 
 @pytest.mark.parametrize("cmd", ["verify", "reparam"])

@@ -374,12 +374,21 @@ def test_log_stuck_sample_does_not_stall_or_hide_behind_others():
 
 
 def test_log_antipodal_reports_sample():
-    dom = circle_domain(2)
-    q0 = MapField(dom, SPHERE_EMB, np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
-    q1 = MapField(dom, SPHERE_EMB, np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0]]))
+    # samples 1 and 2 end at the antipode of their start, on both sphere
+    # representations; the closed-form seed names both
+    dom = circle_domain(3)
+    chart = make_manifold("sphere:r=1.0:rep=chart")
+    a = np.array([[1.0, 0.0], [1.2, 0.3], [0.7, -0.9]])
+    b = np.array([[1.0, 0.0], [np.pi - 1.2, 0.3 + np.pi], [np.pi - 0.7, -0.9 + np.pi]])
+    for man, a, b in [(SPHERE_EMB, chart.embedding(a), chart.embedding(b)), (chart, a, b)]:
+        with pytest.raises(ShootingError) as err:
+            log_field(MapField(dom, man, a), MapField(dom, man, b))
+        assert str(err.value) == "log undefined for antipodal sphere points at samples 1, 2"
+        assert err.value.sample == 1
+    # a point has no sample to name
     with pytest.raises(ShootingError) as err:
-        log_field(q0, q1)
-    assert err.value.sample == 1
+        chart.closed_form_log(a[1], b[1])
+    assert (str(err.value), err.value.sample) == ("log undefined for antipodal sphere points", None)
 
 
 def test_log_domain_exit_names_the_field_sample(monkeypatch):

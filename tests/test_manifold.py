@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import pickle
 import re
 import warnings
 
@@ -319,17 +321,101 @@ def test_state_check_names_the_first_bad_sample_and_why():
                          ids=lambda man: man.name)
 def test_overflow_is_the_named_state_error_not_a_numpy_warning(man):
     # |v| = 1e200 overflows inside the first step's kernels; the step's end
-    # check must name the sample before NumPy warns about the overflow
+    # check must name the samples before NumPy warns about the overflow
     rng = np.random.default_rng(4)
     x = man.random_points(rng, 3)
     v = man.project(x, rng.normal(size=x.shape))
     v *= (1e200 / np.sqrt(man.inner(x, v, v)))[:, None]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainExitError, match=r"geodesic of sample 0 is not finite at "
-                           r"t=0\.1 \(step 1 of 10\)") as err:
+        with pytest.raises(DomainExitError) as err:
             integrate_spray(man, x, v, 10)
+    when = "is not finite at t=0.1 (step 1 of 10)"
+    assert str(err.value) == f"geodesics of samples 0 ({when}), 1 ({when}), 2 ({when})"
     assert err.value.sample == 0
+
+
+def _sphere_chart_draw(seed, hi, m=2048):
+    """m points of the sphere chart, theta in [0.5, pi - 0.5] and phi in [-1, 1], with
+    velocities of speed |v|_g ~ U[0.05, hi]."""
+    rng = np.random.default_rng(seed)
+    x = np.stack([rng.uniform(0.5, np.pi - 0.5, m), rng.uniform(-1.0, 1.0, m)], axis=1)
+    v = rng.normal(size=(m, 2))
+    return x, v * (rng.uniform(0.05, hi, m) / np.sqrt(SPHERE_CHART.inner(x, v, v)))[:, None]
+
+
+def test_one_run_names_every_sample_that_leaves_the_domain():
+    # at 40 steps two samples of seed 6 enter the pole band, and eleven of
+    # seed 1 at higher speeds; one run names them all, in order of step
+    x, v = _sphere_chart_draw(6, 0.7)
+    with pytest.raises(DomainExitError) as err:
+        integrate_spray(SPHERE_CHART, x, v, 40)
+    assert [e.sample for e in err.value.exits] == [907, 871]
+    assert str(err.value) == ("geodesics of samples 907 (left domain at t=0.875 (step 35 of 40)), "
+                              "871 (left domain at t=0.975 (step 39 of 40))")
+    assert (err.value.sample, err.value.time) == (907, 0.875)
+    copy = pickle.loads(pickle.dumps(err.value))  # as from a worker process
+    assert (str(copy), copy.exits, copy.sample) == (str(err.value), err.value.exits, 907)
+    x, v = _sphere_chart_draw(1, 2.0)
+    with pytest.raises(DomainExitError) as err:
+        integrate_spray(SPHERE_CHART, x, v, 40)
+    exits = err.value.exits
+    assert len(exits) == 11 and len({e.sample for e in exits}) == 11
+    assert [e.step for e in exits] == sorted(e.step for e in exits)
+    listed = ", ".join(f"{e.sample} ({e.reason})" for e in exits[:10])
+    assert str(err.value) == f"geodesics of samples {listed} and 1 more, 11 in all"
+
+
+def _exiting_runs():
+    """(target, x, v, steps) of runs whose rows leave the domain at several steps."""
+    hole = dataclasses.replace(  # sample i at speed s lands on x = 0.5 at step 4 / s
+        FLAT2, chart_domain=lambda x: np.abs(np.asarray(x)[..., 0] - 0.5) > 1e-9)
+    speeds = np.array([1.0, 2.0, 0.5, 4.0, 3.0])  # 3 from x = 0.1 passes the hole
+    flat = (hole, np.stack([[0.0, 0.0, 0.0, 0.0, 0.1], np.arange(5.0)], axis=1),
+            np.stack([speeds, np.zeros(5)], axis=1), 8)
+    # |v| dt = 0.4 and 0.5 rad are too long for 1000 steps; 0.1 is not, and
+    # the last row starts off the sphere
+    rng = np.random.default_rng(5)
+    x = SPHERE_EMB.random_points(rng, 4)
+    v = SPHERE_EMB.project(x, rng.normal(size=x.shape))
+    v *= (np.array([400.0, 0.1, 500.0, 0.1]) / np.linalg.norm(v, axis=1))[:, None]
+    x[3] *= 1.1
+    sphere = (SPHERE_EMB, x, v, 1000)
+    # towards the vertex, where the curvature peaks, steps of 20 get too long
+    # at step 1, 3, 5 and 12 for speeds 4, 3, 2.5 and 2; speed 1 stays
+    x = np.array([[0.8, 0.0, 0.64], [0.0, 0.8, 0.64], [-0.8, 0.0, 0.64], [0.0, -0.8, 0.64],
+                  [0.6, 0.6, 0.72]])
+    v = PARABOLOID.project(x, -x * np.array([1.0, 1.0, 0.0]))
+    v *= (np.array([4.0, 3.0, 2.5, 2.0, 1.0]) / np.linalg.norm(v, axis=1))[:, None]
+    return [flat, sphere, (PARABOLOID, x, v, 20), (SPHERE_CHART, *_sphere_chart_draw(1, 2.0), 40)]
+
+
+@pytest.mark.parametrize("man, x, v, steps", _exiting_runs(),
+                         ids=["chart hole", "level-set step", "later level-set steps",
+                              "pole band"])
+def test_every_exit_is_the_one_its_sample_meets_alone(man, x, v, steps, monkeypatch):
+    last = []  # the state of the last spray evaluation
+
+    def spray(man, x, v):
+        last[:] = [x]
+        return spray_accel(man, x, v)
+
+    monkeypatch.setattr(manifold, "spray_accel", spray)
+    with pytest.raises(DomainExitError) as err:
+        integrate_spray(man, x, v, steps)
+    assert len(err.value.exits) > 1
+    end = last[0]
+    for e in err.value.exits:
+        with pytest.raises(DomainExitError) as alone:
+            integrate_spray(man, x[e.sample], v[e.sample], steps)
+        assert alone.value.exits == (e._replace(sample=None),)
+        assert str(alone.value) == f"geodesic {e.reason}"
+    # the rows that take the last step take it bit for bit as on their own
+    early = [e.sample for e in err.value.exits if e.step < steps]
+    keep = np.setdiff1d(np.arange(len(x)), early)
+    with contextlib.suppress(DomainExitError):
+        integrate_spray(man, x[keep], v[keep], steps)
+    assert np.array_equal(end, last[0])
 
 
 RUNGS = [32, 64, 128, 256, 512, 1024]
@@ -342,7 +428,7 @@ def _fake_run(exits=(), power=1):
     def run(n, twin):
         run.calls.append((n, twin))
         if set(exits) & ({n, n // 2} if twin else {n}):
-            raise DomainExitError("geodesic left domain", time=0.5, sample=0, reason="left domain")
+            raise DomainExitError([manifold.DomainExit(0, n // 2, n, "left domain")])
         return np.full((2, 3), n ** -power), np.full((2, 3), (n // 2) ** -power) if twin else None
     run.calls = []
     return run
@@ -501,7 +587,9 @@ def test_carried_run_needs_twice_the_record_interval_to_divide_half_the_steps():
 # at unit speed along the first axis the 8-step run lands on x = k/8, its
 # 4-step twin on x = 2k/8 and the carried 16-step run on x = k/16; a hole is
 # met first, in the calls' order, by the run named.  The twin keeps its
-# result when only the carried run meets a hole, and resume() raises it
+# result when only the carried run meets a hole, and resume() raises it.
+# With a second hole on the second axis, at y = 0.25, sample 0 meets it too:
+# in the stacked call, first in the 4-step twin, and sample 1 in the 8-step run
 @pytest.mark.parametrize("hole, when", [
     (0.375, "t=0.375 (step 3 of 8)"),  # the 8-step run, inside the stacked call
     (0.625, "t=0.625 (step 5 of 8)"),  # the 8-step run, in its continuation
@@ -509,12 +597,16 @@ def test_carried_run_needs_twice_the_record_interval_to_divide_half_the_steps():
     (0.0625, "t=0.0625 (step 1 of 16)"),  # the carried run, inside the stacked call
     (0.3125, "t=0.3125 (step 5 of 16)"),  # the carried run, in the continuation
     (0.5625, "t=0.5625 (step 9 of 16)"),  # the carried run, resumed
+    ((0.375, 0.25), "geodesics of samples 0 (left domain at t=0.25 (step 1 of 4)), "
+                    "1 (left domain at t=0.375 (step 3 of 8))"),
 ])
 def test_twin_exit_names_the_sample_the_run_and_its_own_time_and_step(hole, when):
-    man = dataclasses.replace(
-        FLAT2, chart_domain=lambda x: np.abs(np.asarray(x)[..., 0] - hole) > 1e-9)
+    holes = np.atleast_1d(hole)  # the hole on each axis
+    man = dataclasses.replace(FLAT2, chart_domain=lambda x: np.all(
+        [np.abs(np.asarray(x)[..., i] - h) > 1e-9 for i, h in enumerate(holes)], axis=0))
     x = np.array([[0.0, 0.0], [0.0, 0.5]])
-    v = np.array([[0.0, 1.0], [1.0, 0.0]])  # only sample 1 crosses the hole
+    v = np.array([[0.0, 1.0], [1.0, 0.0]])  # on one axis, only sample 1 crosses the hole
+    message = when if holes.size > 1 else f"geodesic of sample 1 left domain at {when}"
     carried = when.endswith("of 16)")
     if carried:
         manifold.integrate_twin(man, x, v, 8)  # the pair alone never meets it
@@ -523,14 +615,17 @@ def test_twin_exit_names_the_sample_the_run_and_its_own_time_and_step(hole, when
             for resume in manifold.integrate_twin(man, x, v, 8, carry=carry)[2:]:
                 assert carried
                 resume()
-        assert str(err.value) == f"geodesic of sample 1 left domain at {when}"
-    assert err.value.sample == 1
-    assert err.value.time == hole
-    # the run named raises the same error on its own
-    with pytest.raises(DomainExitError) as alone:
-        integrate_spray(man, x, v, int(when.split(" of ")[1][:-1]))
-    assert (str(alone.value), alone.value.time, alone.value.sample) == (
-        str(err.value), err.value.time, err.value.sample)
+        assert str(err.value) == message
+    assert err.value.sample == (1 if holes.size == 1 else 0)
+    assert err.value.time == holes[-1]
+    # the run named raises the same exit on its own, and with one exit the same error
+    for e in err.value.exits:
+        with pytest.raises(DomainExitError) as alone:
+            integrate_spray(man, x, v, e.steps)
+        assert e in alone.value.exits
+    if holes.size == 1:
+        assert (str(alone.value), alone.value.time, alone.value.sample) == (
+            str(err.value), err.value.time, err.value.sample)
 
 
 def _custom_sphere(**callbacks):

@@ -372,8 +372,8 @@ def test_speed_drift_oracle_skips_a_rung_that_exits_below_512(exits, rungs, monk
         runs = np.rint(0.2 * steps / np.sqrt(man.inner(x, v, v)))
         hit = np.flatnonzero(np.isin(runs, list(exits)))
         if hit.size:
-            raise DomainExitError(f"geodesic of sample {hit[0]} left domain", time=0.5,
-                                  sample=int(hit[0]), reason="left domain")
+            raise DomainExitError([manifold.DomainExit(int(hit[0]), steps // 2, steps,
+                                                       "left domain")])
         finished.append(steps)
         return integrate(man, x, v, steps, record_every)
 
